@@ -1,6 +1,6 @@
 """Benchmark of the quasilocal CLI, one workload per invocation.
 
-    python3 bench/run.py --workload sweep_l48 --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload sweep_l16 --seed 1 --seconds 20 --trace 0
 
 Calls ``quasilocal.cli.main`` in this process with ``--jobs 1`` on a config
 built from the seed, once to warm up and then repeatedly for ``--seconds``,
@@ -9,7 +9,14 @@ object: with ``--trace 0`` the end-to-end metrics named in BENCHMARK.json,
 with ``--trace 1`` its per-layer metrics from calls traced through wrappers
 on the layers' public functions, alternated with untraced calls so that the
 tracing overhead is measured too.  Lines before it record the environment
-and the full report.  Exits 2 without a result when the package source is
+and the full report.
+
+A call takes about 0.1 s, and ``wall_s`` is the fastest call of the run.  On
+a shared host other tenants' load can halve the CPU's speed for a minute or
+more, so the median call of a 20 s run moves by a quarter or more from run
+to run; calls this short still find stretches at full speed, so the fastest
+one moves far less.  The median and a tail percentile are in the report
+line.  Exits 2 without a result when the package source is
 missing.
 """
 
@@ -17,8 +24,9 @@ from __future__ import annotations
 
 import os
 
-# At most nproc (2) BLAS/OpenMP threads; set before numpy is imported.
-THREADS = str(min(2, os.cpu_count() or 1))
+# One BLAS/OpenMP thread, set before numpy is imported: a call is too small
+# to gain from a second one, which would only wait on the other vCPU.
+THREADS = "1"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:
     os.environ[_var] = THREADS
@@ -177,20 +185,20 @@ def measure(runner: Runner, seconds: float, traced: bool) -> None:
 def timed_report(runner: Runner, setup: list[float]) -> tuple[dict, dict]:
     walls = [c.wall for c in runner.calls[1:]]
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    values = {"wall_s": statistics.median(walls), "setup_s": statistics.median(setup), "peak_rss_mb": peak_mb}
+    values = {"wall_s": min(walls), "setup_s": statistics.median(setup), "peak_rss_mb": peak_mb}
     report = {"wall_s": tail(walls), "setup_s": tail(setup), "peak_rss_mb": peak_mb}
     return values, report
 
 
 def traced_report(runner: Runner) -> tuple[dict, dict]:
-    """Per-layer metrics of the median traced call (the lower one of an even
-    count), so that its layer self-times add up to the traced wall."""
+    """Per-layer metrics of the fastest traced call, as ``wall_s`` is the
+    fastest untraced one; its layer self-times add up to its traced wall."""
     from checks import accuracy
     from tracing import REPEATING_COUNTS
 
     per_call = [t.metrics() for t in runner.traces]
-    layers = sorted(per_call, key=lambda m: m["traced_wall_s"])[(len(per_call) - 1) // 2]
-    untraced = statistics.median(c.wall for c in runner.calls[1:] if not c.traced)
+    layers = min(per_call, key=lambda m: m["traced_wall_s"])
+    untraced = min(c.wall for c in runner.calls[1:] if not c.traced)
     last = [c for c in runner.calls if c.traced][-1]
     report = {
         "per_layer": layers,

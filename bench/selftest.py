@@ -44,7 +44,7 @@ def test_counts_repeat_across_calls_and_seeds(name, tmp_path):
     assert second.check(REFERENCE[name][str(variant_of(5))]) == 0
     counts = [{k: t.metrics()[k] for k in REPEATING_COUNTS} for r in (first, second) for t in r.traces]
     assert counts[0] == counts[1] == counts[2]
-    expected_builds = {"sweep_l48": (32, 2 / 32), "loop_rho": (2, 1.0)}.get(name, (0, 0.0))
+    expected_builds = {"sweep_l16": (8, 2 / 8), "loop_rho": (2, 1.0)}.get(name, (0, 0.0))
     assert (counts[0]["sphere.grid_builds"], counts[0]["sphere.grid_reuse_ratio"]) == expected_builds
 
 

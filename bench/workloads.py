@@ -39,18 +39,18 @@ def _geomspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
 
-def _sweep_l48(rng: random.Random) -> dict:
+def _sweep_l16(rng: random.Random) -> dict:
     d_lo = 50.0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0))
-    d_hi = 800.0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0))
+    d_hi = 400.0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0))
     t0 = 0.1 * rng.random()
     half_period = math.pi / _AXIAL_L2["sigma"]
     return {
         "mode": {**_AXIAL_L2, "boundary": {"type": "surface_anchor", "z": 0.0, "dz": 1.0}},
         "surface": {
-            "d": _geomspace(d_lo, d_hi, 16),
-            "t": [t0 + half_period * i / 32 for i in range(33)],
+            "d": _geomspace(d_lo, d_hi, 4),
+            "t": [t0 + half_period * i / 8 for i in range(9)],
         },
-        "numerics": {"l_max": 48, "tolerance": 1e-10},
+        "numerics": {"l_max": 16, "tolerance": 1e-10},
     }
 
 
@@ -58,17 +58,17 @@ def _loop_rho(rng: random.Random) -> dict:
     return {
         "mode": {**_AXIAL_L2, "boundary": {"type": "surface_anchor", "z": 0.0, "dz": 1.0}},
         "surface": {"d": [50.0], "t": [0.3]},
-        "numerics": {"l_max": 32, "tolerance": 1e-10},
+        "numerics": {"l_max": 24, "tolerance": 1e-10},
         "loop": {
             "kind": "circle",
             "theta0": 1.1 + 0.2 * rng.uniform(-1.0, 1.0),
-            "n_samples": 3072,
+            "n_samples": 512,
             "field": "rho_bracket",
         },
     }
 
 
-def _geometry_r192(rng: random.Random) -> dict:
+def _geometry_r32(rng: random.Random) -> dict:
     # Only the interior d values move: the radial leg spans the d endpoints
     # and the anchor, so its step count stays fixed.
     return {
@@ -77,8 +77,8 @@ def _geometry_r192(rng: random.Random) -> dict:
             "d": [25.0, 30.0 + 3.0 * rng.uniform(-1.0, 1.0), 40.0 + 4.0 * rng.uniform(-1.0, 1.0), 60.0],
             "t": [0.9 + 0.1 * rng.uniform(-1.0, 1.0)],
         },
-        "numerics": {"geometry_resolution": 192, "epsilon": 1e-3, "tolerance": 1e-10},
-        "geometry": {"perturbation": "axial_preset", "gauss_bonnet_tol": 1e-7},
+        "numerics": {"geometry_resolution": 32, "epsilon": 1e-3, "tolerance": 1e-10},
+        "geometry": {"perturbation": "axial_preset", "gauss_bonnet_tol": 1e-6},
     }
 
 
@@ -90,27 +90,31 @@ def _radial_asym(rng: random.Random) -> dict:
     return {
         "mode": {**_AXIAL_L2, "boundary": {"type": "asymptotic", "amplitude": 2.0 ** rng.uniform(-1.0, 1.0)}},
         "surface": {"d": [50.0]},
-        "numerics": {"radial_range": [20.0, 80.0], "radial_samples": 600, "tolerance": 1e-7},
+        "numerics": {"radial_range": [20.0, 80.0], "radial_samples": 120, "tolerance": 1e-5},
     }
 
 
 WORKLOADS = {
     w.name: w
     for w in (
-        # The paper's falloff sweep.  energy_coefficients rebuilds its 2L
-        # working grid for every d, so 32 SphereGrid builds for 2 distinct
-        # keys dominate: the workload a spectral-table cache should speed up.
-        Workload("sweep_l48", "sweep", _sweep_l48),
+        # Every workload is sized so that one call takes about 0.1 s: the
+        # benchmark reports the fastest of some hundred calls, and on a
+        # shared host only calls that short find a stretch of time free of
+        # other tenants' load.
+        #
+        # The paper's falloff sweep, 4 d x 9 t.  energy_coefficients rebuilds
+        # its 2L working grid for every d, so 8 SphereGrid builds for 2
+        # distinct keys: the workload a spectral-table cache should speed up.
+        Workload("sweep_l16", "sweep", _sweep_l16),
         # Each grid is built once, so a table cache cannot help; pointwise
         # evaluate and rho_bracket do the work.  The control workload for
         # any spectral-table change.
         Workload("loop_rho", "loop", _loop_rho),
-        # surface_geometry at resolution 192 is nearly all of the time and
-        # sets the peak RSS; the sphere layer is not used at all.  Four d
-        # values make the Hawking fit run.
-        Workload("geometry_r192", "geometry", _geometry_r192),
-        # An asymptotic start at tolerance 1e-7 begins near r = 15,500, so
-        # integrate_wave and residual_max take ~10k DOP853 steps: where a
+        # surface_geometry over four d values (so that the Hawking fit runs)
+        # and the anchored radial leg; the sphere layer is not used at all.
+        Workload("geometry_r32", "geometry", _geometry_r32),
+        # An asymptotic start at tolerance 1e-5 begins near r = 1,550, so
+        # integrate_wave and residual_max take most of the call: where a
         # series start or a scipy-free integrator would show.
         Workload("radial_asym", "radial", _radial_asym),
     )
