@@ -11,25 +11,19 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfg
-from .embedding import SurfaceSpec, build_sources, radius_range, solve_embedding
-from .energy import (
-    LoopSpec,
-    loop_integral,
-    rho_bracket,
-    surface_energy,
-    sweep_energy,
-)
+from .embedding import SurfaceSpec
+from .energy import LoopSpec, loop_integral, rho_bracket, surface_embedding, sweep_energy
 from .errors import ConfigError, QuasilocalError
-from .geometry import PerturbationProfiles, axial_preset, fit_powers, surface_geometry
+from .geometry import PerturbationProfiles, axial_preset, hawking_sweep
 from .radial import (
     AnchorBoundary,
     AsymptoticBoundary,
@@ -38,9 +32,8 @@ from .radial import (
     PolarMode,
     SurfaceAnchorBoundary,
     a_profile,
-    integrate_wave,
-    inverse_tortoise,
     potential,
+    solve_radial,
     tortoise,
 )
 from .sphere import HarmonicField, SphereGrid, analyze, evaluate
@@ -133,30 +126,12 @@ def _write_json(path: Path, payload: dict, config_doc) -> None:
 # ----------------------------------------------------------------------
 
 
-def _radial_solution(conf, bg, mode, d_values):
-    """Integrate the wave over the scenario's radial coverage."""
-    num = conf["numerics"]
-    bnd = _boundary(conf)
-    if isinstance(bnd, SurfaceAnchorBoundary):
-        bnd = bnd.resolve(d_values[0])
-    if "radial_range" in num:
-        r_range = tuple(num["radial_range"])
-    else:
-        lo = min(d_values) - 1.5
-        hi = max(d_values) + 1.5
-        if isinstance(bnd, AnchorBoundary):
-            anchor_r = bnd.r if bnd.r is not None else inverse_tortoise(bnd.r_star, bg)
-            lo, hi = min(lo, anchor_r), max(hi, anchor_r)
-        lo = max(lo, bg.horizon * 1.05 + 1e-6)
-        r_range = (lo, hi)
-    return integrate_wave(bg, mode, bnd, r_range, tol=num["tolerance"])
-
-
 def run_radial(conf, out: Path, jobs: int) -> list[Path]:
-    bg, mode = _background(conf), _mode(conf)
+    bg, mode, num = _background(conf), _mode(conf), conf["numerics"]
     _, d_values, _ = _surface(conf)
-    sol = _radial_solution(conf, bg, mode, d_values)
-    n = conf["numerics"]["radial_samples"]
+    r_range = num.get("radial_range")
+    sol = solve_radial(bg, mode, _boundary(conf), d_values, num["tolerance"], r_range)
+    n = num["radial_samples"]
     r = np.linspace(sol.r_min * (1 + 1e-12), sol.r_max * (1 - 1e-12), n)
     states = sol.eval_rstar(tortoise(r, bg))
     v = potential(r, bg, mode)
@@ -201,30 +176,16 @@ def run_radial(conf, out: Path, jobs: int) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _pipeline_to_embedding(conf, spec):
-    bg, mode = _background(conf), _mode(conf)
+def _surface_embedding(conf):
+    """(spec, profile, s_tau, s_n, embedding) for the scenario's first (t, d)."""
+    _, _, spec = _surface(conf)
     num = conf["numerics"]
-    bnd = _boundary(conf)
-    if isinstance(bnd, SurfaceAnchorBoundary):
-        bnd = bnd.resolve(spec.d)
-    lo, hi = radius_range(spec)
-    r_lo, r_hi = lo - 0.5, hi + 0.5
-    if isinstance(bnd, AnchorBoundary):
-        anchor_r = bnd.r if bnd.r is not None else inverse_tortoise(bnd.r_star, bg)
-        r_lo, r_hi = min(r_lo, anchor_r), max(r_hi, anchor_r)
-    unit_mode = dataclasses.replace(mode, amplitude=1.0)
-    sol = integrate_wave(bg, unit_mode, bnd, (r_lo, r_hi), tol=num["tolerance"])
-    prof = a_profile(sol)
-    grid = SphereGrid.for_band_limit(num["l_max"])
-    s_tau, s_n = build_sources(prof, spec, grid)
-    return bg, mode, prof, grid, s_tau, s_n
+    bg, mode, bnd = _background(conf), _mode(conf), _boundary(conf)
+    return (spec, *surface_embedding(bg, mode, bnd, spec, num["l_max"], num["tolerance"]))
 
 
 def run_embed(conf, out: Path, jobs: int) -> list[Path]:
-    t_values, d_values, template = _surface(conf)
-    spec = dataclasses.replace(template, t=t_values[0], d=d_values[0])
-    _bg, _mode_obj, _prof, _grid, s_tau, s_n = _pipeline_to_embedding(conf, spec)
-    emb = solve_embedding(s_tau, s_n)
+    spec, _prof, _s_tau, _s_n, emb = _surface_embedding(conf)
     paths = []
     for name, h in (("embed_tau", emb.tau), ("embed_n", emb.n_field)):
         rows = [
@@ -251,34 +212,39 @@ def run_embed(conf, out: Path, jobs: int) -> list[Path]:
     return paths
 
 
-def run_energy(conf, out: Path, jobs: int) -> list[Path]:
-    bg, mode = _background(conf), _mode(conf)
+def _sweep(conf, jobs):
+    """``sweep_energy`` over every (t, d) of the scenario."""
     t_values, d_values, template = _surface(conf)
     num = conf["numerics"]
-    rows, e1s, e2s = [], [], []
-    for d in d_values:
-        spec = dataclasses.replace(template, d=d)
-        res = surface_energy(
-            bg,
-            mode,
-            _boundary(conf),
-            spec,
-            t_values,
-            l_max=num["l_max"],
-            tol=num["tolerance"],
-            c_factor=num.get("c_factor"),
-        )
-        e1s.append(res.coefficients.e1)
-        e2s.append(res.coefficients.e2)
-        for i, t in enumerate(t_values):
-            rows.append((t, d, float(res.e[i]), float(res.dedt[i])))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    return sweep_energy(
+        _background(conf),
+        _mode(conf),
+        _boundary(conf),
+        template,
+        d_values,
+        t_values,
+        l_max=num["l_max"],
+        tol=num["tolerance"],
+        c_factor=num.get("c_factor"),
+        jobs=jobs,
+    )
+
+
+def run_energy(conf, out: Path, jobs: int) -> list[Path]:
+    report = _sweep(conf, jobs)
+    t_values, d_values = report.t_values.tolist(), report.d_values.tolist()
+    rows = sorted(report.rows(), key=lambda r: (r[0], r[1]))
     csv_path = out / "energy.csv"
     _write_csv(csv_path, ["t", "d", "e", "dedt"], rows, conf)
     json_path = out / "energy.json"
     _write_json(
         json_path,
-        {"d_values": d_values, "t_values": t_values, "e1": e1s, "e2": e2s},
+        {
+            "d_values": d_values,
+            "t_values": t_values,
+            "e1": [float(v) for v in report.e1],
+            "e2": [float(v) for v in report.e2],
+        },
         conf,
     )
     paths = [csv_path, json_path]
@@ -302,34 +268,10 @@ def run_energy(conf, out: Path, jobs: int) -> list[Path]:
 
 
 def run_sweep(conf, out: Path, jobs: int) -> list[Path]:
-    bg, mode = _background(conf), _mode(conf)
-    t_values, d_values, template = _surface(conf)
-    num = conf["numerics"]
-    report = sweep_energy(
-        bg,
-        mode,
-        _boundary(conf),
-        template,
-        d_values,
-        t_values,
-        l_max=num["l_max"],
-        tol=num["tolerance"],
-        c_factor=num.get("c_factor"),
-        jobs=jobs,
-    )
+    report = _sweep(conf, jobs)
+    fits = [{"t": float(t), **asdict(f)} for t, f in zip(report.t_values, report.fits)]
     csv_path = out / "sweep.csv"
     _write_csv(csv_path, ["t", "d", "e", "dedt"], list(report.rows()), conf)
-    fits = [
-        {
-            "t": float(t),
-            "c1": f.c1,
-            "c2": f.c2,
-            "c3": f.c3,
-            "residual": f.residual,
-            "condition": f.condition,
-        }
-        for t, f in zip(report.t_values, report.fits)
-    ]
     json_path = out / "sweep.json"
     _write_json(
         json_path,
@@ -365,35 +307,27 @@ def run_sweep(conf, out: Path, jobs: int) -> list[Path]:
 
 def run_geometry(conf, out: Path, jobs: int) -> list[Path]:
     bg, mode = _background(conf), _mode(conf)
-    t_values, d_values, template = _surface(conf)
+    _, d_values, template = _surface(conf)
     num, geo_conf = conf["numerics"], conf["geometry"]
     if geo_conf["perturbation"] == "none":
         pert = PerturbationProfiles.none()
     else:
         if mode.kind != "axial":
             raise ConfigError("axial_preset perturbation requires an axial mode")
-        bnd = _boundary(conf)
-        if isinstance(bnd, SurfaceAnchorBoundary):
-            bnd = bnd.resolve(d_values[0])
-        lo = min(d_values) - 1.6
-        hi = max(d_values) + 1.6
-        if isinstance(bnd, AnchorBoundary):
-            anchor_r = bnd.r if bnd.r is not None else inverse_tortoise(bnd.r_star, bg)
-            lo, hi = min(lo, anchor_r), max(hi, anchor_r)
-        sol = integrate_wave(bg, mode, bnd, (lo, hi), tol=num["tolerance"])
+        sol = solve_radial(bg, mode, _boundary(conf), d_values, num["tolerance"])
         pert = axial_preset(bg, mode, sol, epsilon=num["epsilon"])
-    reports = []
-    for d in d_values:
-        spec = dataclasses.replace(template, t=t_values[0], d=d)
-        reports.append(
-            surface_geometry(
-                spec,
-                bg,
-                pert,
-                resolution=num["geometry_resolution"],
-                gauss_bonnet_tol=geo_conf["gauss_bonnet_tol"],
-            )
-        )
+    n_d = len(d_values)
+    powers = (0, 1, 2, 3) if n_d >= 5 else (0, 1, 2) if n_d == 4 else ()
+    sweep = hawking_sweep(
+        bg,
+        pert,
+        d_values,
+        template,
+        resolution=num["geometry_resolution"],
+        gauss_bonnet_tol=geo_conf["gauss_bonnet_tol"],
+        powers=powers,
+    )
+    reports = sweep["reports"]
     first = reports[0]
     rows = [
         (
@@ -412,20 +346,16 @@ def run_geometry(conf, out: Path, jobs: int) -> list[Path]:
         "d_values": d_values,
         "area": [r.area for r in reports],
         "gauss_bonnet": [r.gauss_bonnet for r in reports],
-        "hawking_integral": [r.hawking_integral for r in reports],
-        "flags": sorted({f for r in reports for f in r.flags}),
+        "hawking_integral": sweep["integrals"],
+        "flags": sweep["flags"],
         "resolution": first.n_theta,
     }
-    if len(d_values) >= 4:
-        powers = (0, 1, 2, 3) if len(d_values) >= 5 else (0, 1, 2)
-        coeffs, resid, cond = fit_powers(
-            zip(d_values, [r.hawking_integral for r in reports]), powers
-        )
+    if powers:
         payload["hawking_fit"] = {
             "powers": list(powers),
-            "coefficients": coeffs,
-            "residual": resid,
-            "condition": cond,
+            "coefficients": sweep["coefficients"],
+            "residual": sweep["residual"],
+            "condition": sweep["condition"],
         }
     json_path = out / "geometry.json"
     _write_json(json_path, payload, conf)
@@ -443,15 +373,12 @@ def run_loop(conf, out: Path, jobs: int) -> list[Path]:
         h = HarmonicField.zeros(4)
         h.coeffs[0, 4] = math.sqrt(4.0 * math.pi)
     else:
-        t_values, d_values, template = _surface(conf)
-        spec = dataclasses.replace(template, t=t_values[0], d=d_values[0])
-        _bg, _m, _prof, grid, s_tau, s_n = _pipeline_to_embedding(conf, spec)
+        spec, _prof, s_tau, s_n, emb = _surface_embedding(conf)
         if field_name == "source_tau":
             h = analyze(s_tau)
         elif field_name == "source_n":
             h = analyze(s_n)
         else:
-            emb = solve_embedding(s_tau, s_n)
             wgrid = SphereGrid.for_band_limit(2 * emb.l_max)
             h = analyze(rho_bracket(emb, wgrid, spec.d))
     total = loop_integral(h, loop)

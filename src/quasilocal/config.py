@@ -102,7 +102,6 @@ SCHEMA = {
                 },
                 "radial_samples": {"type": "integer", "minimum": 2},
                 "c_factor": {"type": "number"},
-                "freeze_at_center": {"type": "boolean"},
             },
         },
         "geometry": {

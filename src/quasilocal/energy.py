@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,20 +27,10 @@ from .embedding import (
     SurfaceSpec,
     build_sources,
     radius_on_sphere,
-    radius_range,
     solve_embedding,
 )
-from .errors import DomainError, FitError
-from .radial import (
-    AnchorBoundary,
-    AProfile,
-    AxialMode,
-    BackgroundParams,
-    SurfaceAnchorBoundary,
-    a_profile,
-    integrate_wave,
-    inverse_tortoise,
-)
+from .errors import ConfigError, DomainError, FitError
+from .radial import AProfile, AxialMode, BackgroundParams, a_profile, solve_radial
 from .sphere import (
     GridField,
     HarmonicField,
@@ -63,9 +53,11 @@ __all__ = [
     "assemble_energy",
     "energy_coefficients",
     "fit_decay",
+    "fit_inverse_powers",
     "grad_outer_double_divergence",
     "loop_integral",
     "rho_bracket",
+    "surface_embedding",
     "surface_energy",
     "sweep_energy",
 ]
@@ -82,11 +74,6 @@ class EnergyCoefficients:
         "the direction constant C_ell(theta_d); attach both via c_factor = "
         "C_ell(theta_d)^2 * amplitude^2"
     )
-
-
-def _working_grid(l_max: int) -> SphereGrid:
-    """Grid sized for degree-2*l_max products (anti-aliased quadrature)."""
-    return SphereGrid.for_band_limit(2 * l_max)
 
 
 def energy_coefficients(
@@ -108,7 +95,8 @@ def energy_coefficients(
     Operator terms are computed spectrally and integrated by quadrature.
     """
     if grid is None:
-        grid = _working_grid(emb.l_max)
+        # sized for degree-2*l_max products (anti-aliased quadrature)
+        grid = SphereGrid.for_band_limit(2 * emb.l_max)
     z1, z2, z3 = coordinate_fields(grid, frame)
     if freeze_at_center:
         r = np.full_like(z1.values, spec.d)
@@ -251,10 +239,8 @@ class LoopSpec:
         """Central differences with periodic wrap (phi unwound by the winding)."""
         ds = 1.0 / self.n_samples
         dth = (np.roll(self.theta, -1) - np.roll(self.theta, 1)) / (2.0 * ds)
-        phi_ext = self.phi
-        dphi = np.empty_like(phi_ext)
-        fwd = np.roll(phi_ext, -1).copy()
-        bwd = np.roll(phi_ext, 1).copy()
+        fwd = np.roll(self.phi, -1)
+        bwd = np.roll(self.phi, 1)
         fwd[-1] += 2.0 * math.pi * self.winding
         bwd[0] -= 2.0 * math.pi * self.winding
         dphi = (fwd - bwd) / (2.0 * ds)
@@ -304,38 +290,44 @@ class DecayFit:
         return self.c1 / d + self.c2 / d**2 + self.c3 / d**3
 
 
-def fit_decay(samples) -> DecayFit:
-    """Fit E(d) = c1/d + c2/d^2 + c3/d^3 by normal equations on scaled bases.
+def fit_inverse_powers(samples, powers):
+    """Least squares of sum_k c_k / d^k on (d, value) pairs, by normal equations.
 
-    ``samples`` is an iterable of (d, E) pairs; needs at least four distinct
-    d values spanning at least a factor of four.  The basis is evaluated in
-    x = d_min/d to keep the normal matrix well-conditioned; the condition
-    number reported is that of the scaled normal matrix.
+    The basis is evaluated in x = d_min/d to keep the normal matrix
+    well-conditioned.  Returns (coefficients, rms residual, condition number
+    of the scaled normal matrix); a condition number above 1e15 raises
+    FitError.
     """
-    pts = sorted((float(d), float(e)) for d, e in samples)
+    pts = sorted((float(d), float(v)) for d, v in samples)
     d = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
+    if len(np.unique(d)) < len(powers) + 1:
+        raise FitError("need more distinct d values than fit powers")
+    x = d.min() / d
+    design = np.vstack([x**k for k in powers]).T
+    gram = design.T @ design
+    condition = float(np.linalg.cond(gram))
+    if not np.isfinite(condition) or condition > 1e15:
+        raise FitError(f"degenerate design matrix (condition {condition:.3g})")
+    coef = np.linalg.solve(gram, design.T @ y)
+    resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+    return [float(c * d.min() ** k) for c, k in zip(coef, powers)], resid, condition
+
+
+def fit_decay(samples) -> DecayFit:
+    """Fit E(d) = c1/d + c2/d^2 + c3/d^3 with ``fit_inverse_powers``.
+
+    ``samples`` is an iterable of (d, E) pairs; needs at least four distinct
+    d values spanning at least a factor of four.
+    """
+    pts = list(samples)
+    d = np.array([float(p[0]) for p in pts])
     if len(np.unique(d)) < 4:
         raise FitError("need at least 4 distinct d values")
     if d.max() < 4.0 * d.min():
         raise FitError("d values must span at least a factor of 4")
-    x = d.min() / d
-    design = np.vstack([x, x**2, x**3]).T
-    gram = design.T @ design
-    rhs = design.T @ y
-    condition = float(np.linalg.cond(gram))
-    if not np.isfinite(condition) or condition > 1e15:
-        raise FitError(f"degenerate design matrix (condition {condition:.3g})")
-    coef = np.linalg.solve(gram, rhs)
-    resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-    scale = d.min()
-    return DecayFit(
-        c1=float(coef[0] * scale),
-        c2=float(coef[1] * scale**2),
-        c3=float(coef[2] * scale**3),
-        residual=resid,
-        condition=condition,
-    )
+    (c1, c2, c3), resid, condition = fit_inverse_powers(pts, (1, 2, 3))
+    return DecayFit(c1=c1, c2=c2, c3=c3, residual=resid, condition=condition)
 
 
 @dataclass(frozen=True)
@@ -352,15 +344,35 @@ class SurfaceEnergyResult:
     t_values: np.ndarray
 
 
-def _resolve_boundary(boundary, spec: SurfaceSpec):
-    if isinstance(boundary, SurfaceAnchorBoundary):
-        return boundary.resolve(spec.d)
-    return boundary
-
-
 def default_c_factor(mode: AxialMode, spec: SurfaceSpec) -> float:
     """C_ell(theta_d)^2 * amplitude^2, the constant excluded from E1/E2."""
     return float(c_theta(mode.ell, spec.theta_d)) ** 2 * mode.amplitude**2
+
+
+def surface_embedding(
+    bg: BackgroundParams,
+    mode: AxialMode,
+    boundary,
+    spec: SurfaceSpec,
+    l_max: int = 16,
+    tol: float = 1e-10,
+    frame: np.ndarray | None = None,
+):
+    """Radial solve, A(r), embedding sources and spectral solve for one surface.
+
+    The radial solution is integrated at unit amplitude over the surface's
+    radial coverage.  Returns (profile, s_tau, s_n, embedding).  A(r) exists
+    for axial modes only, so any other mode is rejected before integrating.
+    """
+    if mode.kind != "axial":
+        raise ConfigError(
+            f"A(r) is defined for axial solutions only; mode kind is {mode.kind!r}"
+        )
+    spec.validate_outside_horizon(bg)
+    unit_mode = dataclasses.replace(mode, amplitude=1.0)
+    prof = a_profile(solve_radial(bg, unit_mode, boundary, [spec.d], tol))
+    s_tau, s_n = build_sources(prof, spec, SphereGrid.for_band_limit(l_max), frame)
+    return prof, s_tau, s_n, solve_embedding(s_tau, s_n)
 
 
 def surface_energy(
@@ -372,31 +384,15 @@ def surface_energy(
     l_max: int = 16,
     tol: float = 1e-10,
     c_factor: float | None = None,
-    coverage_margin: float = 0.5,
     frame: np.ndarray | None = None,
 ) -> SurfaceEnergyResult:
-    """Radial solve, embedding solve, and energy assembly for one surface.
+    """``surface_embedding`` plus energy assembly for one surface.
 
-    The radial solution is integrated at unit amplitude; the mode amplitude
-    enters (squared) through c_factor, which defaults to
+    The mode amplitude enters (squared) through c_factor, which defaults to
     C_ell(theta_d)^2 * amplitude^2.
     """
-    spec.validate_outside_horizon(bg)
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    bnd = _resolve_boundary(boundary, spec)
-    lo, hi = radius_range(spec)
-    r_lo, r_hi = lo - coverage_margin, hi + coverage_margin
-    if isinstance(bnd, AnchorBoundary):
-        # a globally anchored solution may sit far from the surface
-        anchor_r = bnd.r if bnd.r is not None else inverse_tortoise(bnd.r_star, bg)
-        r_lo, r_hi = min(r_lo, anchor_r), max(r_hi, anchor_r)
-    r_range = (r_lo, r_hi)
-    unit_mode = dataclasses.replace(mode, amplitude=1.0)
-    sol = integrate_wave(bg, unit_mode, bnd, r_range, tol=tol)
-    prof = a_profile(sol)
-    grid = SphereGrid.for_band_limit(l_max)
-    s_tau, s_n = build_sources(prof, spec, grid, frame)
-    emb = solve_embedding(s_tau, s_n)
+    prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol, frame)
     coeffs = energy_coefficients(prof, spec, emb, frame=frame)
     if c_factor is None:
         c_factor = default_c_factor(mode, spec)
@@ -415,7 +411,7 @@ def surface_energy(
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-(t, d) energies, per-d coefficients, and falloff fits per t."""
+    """Per-(t, d) energies and per-d coefficients; falloff fits per t on access."""
 
     t_values: np.ndarray
     d_values: np.ndarray
@@ -425,8 +421,14 @@ class EnergyReport:
     e2: np.ndarray
     kernel_residual_tau: np.ndarray  # per d, worst degree block
     kernel_residual_n: np.ndarray
-    fits: tuple  # one DecayFit per t
-    metadata: dict = field(default_factory=dict)
+
+    @property
+    def fits(self) -> tuple:
+        """One DecayFit per t, or () when the d values cannot support the basis."""
+        d = self.d_values
+        if len(np.unique(d)) < 4 or d.max() < 4.0 * d.min():
+            return ()
+        return tuple(fit_decay(zip(d, row)) for row in self.e)
 
     def rows(self):
         """Flat (t, d, E, dE/dt) rows, t-major."""
@@ -446,9 +448,8 @@ def sweep_energy(
     tol: float = 1e-10,
     c_factor: float | None = None,
     jobs: int = 1,
-    metadata: dict | None = None,
 ) -> EnergyReport:
-    """Run the full pipeline across a d-sweep and fit the falloff per t.
+    """Run the full pipeline across a d-sweep; the report fits the falloff per t.
 
     Results are aggregated in d order regardless of scheduling, so the
     report is deterministic for any ``jobs``.
@@ -470,12 +471,6 @@ def sweep_energy(
 
     e = np.stack([r.e for r in results], axis=1)
     dedt = np.stack([r.dedt for r in results], axis=1)
-    fittable = len(np.unique(d_values)) >= 4 and d_values.max() >= 4.0 * d_values.min()
-    fits = (
-        tuple(fit_decay(zip(d_values, e[i])) for i in range(len(t_values)))
-        if fittable
-        else ()
-    )
     return EnergyReport(
         t_values=t_values,
         d_values=d_values,
@@ -487,6 +482,4 @@ def sweep_energy(
             [max(r.embedding.kernel_residual_tau.values()) for r in results]
         ),
         kernel_residual_n=np.array([r.embedding.kernel_residual_n for r in results]),
-        fits=fits,
-        metadata=dict(metadata or {}),
     )

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import SurfaceSpec
+from .energy import fit_inverse_powers
 from .errors import DomainError, ResolutionError
 from .radial import AxialMode, BackgroundParams, RadialSolution, a_profile
 from .sphere import _legendre_p_derivs
@@ -671,23 +672,12 @@ def epsilon_derivative(
 
 
 def fit_powers(samples, powers=(0, 1, 2)):
-    """Least squares of sum_k c_k / d^k on (d, value) pairs.
+    """``fit_inverse_powers`` of sum_k c_k / d^k on (d, value) pairs.
 
     Returns (coefficients, rms residual, condition number of the scaled
     normal matrix); used for the 1/d falloff of the Hawking-line integral.
     """
-    pts = sorted((float(d), float(v)) for d, v in samples)
-    d = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    if len(np.unique(d)) < len(powers) + 1:
-        raise DomainError("need more distinct d values than fit powers")
-    x = d.min() / d
-    design = np.vstack([x**k for k in powers]).T
-    gram = design.T @ design
-    coef = np.linalg.solve(gram, design.T @ y)
-    resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-    scaled = [float(c * d.min() ** k) for c, k in zip(coef, powers)]
-    return scaled, resid, float(np.linalg.cond(gram))
+    return fit_inverse_powers(samples, powers)
 
 
 def hawking_sweep(
@@ -705,6 +695,7 @@ def hawking_sweep(
     The integral carries genuine 1/d^3 content, so the default basis keeps
     the cubic term; with only {1, 1/d, 1/d^2} that content leaks ~1e-4 of
     itself into the fitted constant and masks the vanishing zeroth order.
+    Empty ``powers`` skips the fit.
     """
     if spec_template is None:
         spec_template = SurfaceSpec()
@@ -716,17 +707,15 @@ def hawking_sweep(
                 spec, bg, pert, resolution, t, gauss_bonnet_tol=gauss_bonnet_tol
             )
         )
-    integrals = [r.hawking_integral for r in reports]
-    coeffs, resid, cond = fit_powers(
-        zip([r.spec.d for r in reports], integrals), powers
-    )
-    named = dict(zip(("constant", "c_over_d", "c_over_d2", "c_over_d3"), coeffs))
-    return {
+    sweep = {
         "d_values": [r.spec.d for r in reports],
-        "integrals": integrals,
-        **named,
-        "residual": resid,
-        "condition": cond,
+        "integrals": [r.hawking_integral for r in reports],
         "flags": sorted({f for r in reports for f in r.flags}),
         "reports": reports,
     }
+    if powers:
+        samples = zip(sweep["d_values"], sweep["integrals"])
+        coeffs, resid, cond = fit_powers(samples, powers)
+        sweep.update(zip(("constant", "c_over_d", "c_over_d2", "c_over_d3"), coeffs))
+        sweep.update(coefficients=coeffs, residual=resid, condition=cond)
+    return sweep

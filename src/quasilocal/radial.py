@@ -37,6 +37,8 @@ __all__ = [
     "potential",
     "potential_axial",
     "potential_polar",
+    "radial_coverage",
+    "solve_radial",
     "tortoise",
 ]
 
@@ -142,31 +144,41 @@ def inverse_tortoise(r_star: float, bg: BackgroundParams, tol: float = 1e-13) ->
     )
 
 
-def potential_axial(r, bg: BackgroundParams, mode: AxialMode):
-    """V = (r^2 - 2mr)/r^5 * [(mu^2 + 2) r - 6m]; zero at the horizon."""
+# The potentials in plain arithmetic: the ODE right-hand side calls them on
+# every evaluation, so they skip the public functions' array conversion and
+# horizon check.
+def _v_axial(r, m, mu_sq):
+    """Regge-Wheeler V = (r - 2m)/r / r^3 * [(mu^2 + 2) r - 6m]."""
+    return (r - 2.0 * m) / r / r**3 * ((mu_sq + 2.0) * r - 6.0 * m)
+
+
+def _v_polar(r, m, n):
+    """Zerilli V = 2(r - 2m) [n^2(n+1)r^3 + 3mn^2r^2 + 9m^2nr + 9m^3] / (r^4 (nr+3m)^2)."""
+    cubic = (
+        n * n * (n + 1.0) * r**3
+        + 3.0 * m * n * n * r * r
+        + 9.0 * m * m * n * r
+        + 9.0 * m**3
+    )
+    return 2.0 * (r - 2.0 * m) * cubic / (r**4 * (n * r + 3.0 * m) ** 2)
+
+
+def _checked_potential(v, r, bg: BackgroundParams, param):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < bg.horizon):
         raise DomainError(f"radius must be >= horizon {bg.horizon}")
-    out = (r_arr**2 - 2.0 * bg.m * r_arr) / r_arr**5 * (
-        (mode.mu_sq + 2.0) * r_arr - 6.0 * bg.m
-    )
+    out = v(r_arr, bg.m, param)
     return float(out) if np.isscalar(r) else out
+
+
+def potential_axial(r, bg: BackgroundParams, mode: AxialMode):
+    """Regge-Wheeler potential ``_v_axial``; zero at the horizon."""
+    return _checked_potential(_v_axial, r, bg, mode.mu_sq)
 
 
 def potential_polar(r, bg: BackgroundParams, mode: PolarMode):
-    """Zerilli potential 2(r^2-2mr) [n^2(n+1)r^3 + 3mn^2r^2 + 9m^2nr + 9m^3] / (r^5 (nr+3m)^2)."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < bg.horizon):
-        raise DomainError(f"radius must be >= horizon {bg.horizon}")
-    m, n = bg.m, mode.n
-    cubic = (
-        n * n * (n + 1.0) * r_arr**3
-        + 3.0 * m * n * n * r_arr**2
-        + 9.0 * m * m * n * r_arr
-        + 9.0 * m**3
-    )
-    out = 2.0 * (r_arr**2 - 2.0 * m * r_arr) * cubic / (r_arr**5 * (n * r_arr + 3.0 * m) ** 2)
-    return float(out) if np.isscalar(r) else out
+    """Zerilli potential ``_v_polar``; zero at the horizon."""
+    return _checked_potential(_v_polar, r, bg, mode.n)
 
 
 def potential(r, bg: BackgroundParams, mode):
@@ -367,32 +379,17 @@ class RadialSolution:
 def _rhs_factory(bg: BackgroundParams, mode) -> Callable:
     sigma_sq = mode.sigma**2
     m = bg.m
-
     if mode.kind == "axial":
-        mu2p2 = mode.mu_sq + 2.0
-
-        def rhs(t, y):
-            z, dz, r = y
-            fac = (r - 2.0 * m) / r
-            v = fac / r**3 * (mu2p2 * r - 6.0 * m)
-            return (dz, (v - sigma_sq) * z, fac)
-
+        v, param = _v_axial, mode.mu_sq
     else:
-        n = mode.n
+        v, param = _v_polar, mode.n
 
-        def rhs(t, y):
-            z, dz, r = y
-            fac = (r - 2.0 * m) / r
-            cubic = (
-                n * n * (n + 1.0) * r**3
-                + 3.0 * m * n * n * r * r
-                + 9.0 * m * m * n * r
-                + 9.0 * m**3
-            )
-            v = 2.0 * (r - 2.0 * m) * cubic / (r**4 * (n * r + 3.0 * m) ** 2)
-            return (dz, (v - sigma_sq) * z, fac)
+    def rhs(t, y):
+        z, dz, r = y
+        dz_dot = (v(r, m, param) - sigma_sq) * z
+        return np.asarray((dz, dz_dot, (r - 2.0 * m) / r), dtype=float)
 
-    return lambda t, y: np.asarray(rhs(t, y), dtype=float)
+    return rhs
 
 
 def _asymptotic_start(bg, mode, boundary, tol) -> tuple[float, float]:
@@ -520,6 +517,40 @@ def integrate_wave(
         _segments=tuple(segments),
         asymptotic_truncation=trunc,
     )
+
+
+def radial_coverage(bg: BackgroundParams, boundary, d_values) -> tuple[float, float]:
+    """Radii a solution needs for unit spheres centred at ``d_values``.
+
+    Each sphere spans radii d - 1 to d + 1 under either substitution; the
+    interval [min d - 1.5, max d + 1.5] adds a margin, with its lower end kept
+    at least halfway from the horizon to min d - 1 so that it stays outside
+    the horizon for every d > 2m + 1.  An AnchorBoundary widens the interval
+    to its anchor radius.
+    """
+    d_min, d_max = min(d_values), max(d_values)
+    lo = max(d_min - 1.5, 0.5 * (bg.horizon + d_min - 1.0))
+    hi = d_max + 1.5
+    if isinstance(boundary, AnchorBoundary):
+        # a globally anchored solution may sit far from the surfaces
+        r = boundary.r if boundary.r is not None else inverse_tortoise(boundary.r_star, bg)
+        lo, hi = min(lo, r), max(hi, r)
+    return lo, hi
+
+
+def solve_radial(
+    bg: BackgroundParams, mode, boundary, d_values, tol: float = 1e-10, r_range=None
+) -> RadialSolution:
+    """``integrate_wave`` over the radial coverage of the spheres at ``d_values``.
+
+    A SurfaceAnchorBoundary is resolved against the first distance; an
+    explicit ``r_range`` replaces the coverage interval.
+    """
+    if isinstance(boundary, SurfaceAnchorBoundary):
+        boundary = boundary.resolve(d_values[0])
+    if r_range is None:
+        r_range = radial_coverage(bg, boundary, d_values)
+    return integrate_wave(bg, mode, boundary, r_range, tol=tol)
 
 
 @dataclass(frozen=True)

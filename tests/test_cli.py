@@ -7,11 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quasilocal.radial
 from quasilocal.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from quasilocal.config import DEFAULT_CONFIG, apply_overrides, load_config, validate_config
+from quasilocal.config import (
+    DEFAULT_CONFIG,
+    SCHEMA,
+    apply_overrides,
+    load_config,
+    validate_config,
+)
 from quasilocal.errors import ConfigError
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SCENARIOS = DEMOS / "scenarios"
 
 FAST = [
     "--set", "surface.d=[50,100,200,400]",
@@ -65,6 +73,11 @@ def test_overrides():
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_shipped_scenarios_validate(name):
     load_config(SCENARIOS / name)
+
+
+def test_published_schema_matches():
+    published = json.loads((DEMOS / "schema.json").read_text(encoding="utf-8"))
+    assert published == json.loads(json.dumps(SCHEMA))
 
 
 # ----------------------------------------------------------------------
@@ -196,3 +209,124 @@ def test_set_override_changes_output(tmp_path, capsys):
     assert (out1 / "loop.csv").read_text() != (out2 / "loop.csv").read_text()
     doc = json.loads((out2 / "loop.json").read_text())
     assert doc["n_samples"] == 128
+
+
+# ----------------------------------------------------------------------
+# shipped scenarios end to end
+# ----------------------------------------------------------------------
+
+SCENARIO_COMMANDS = {
+    "axial_sweep": "sweep",
+    "embed_kernel": "embed",
+    "energy_timeseries": "energy",
+    "geometry_axial": "geometry",
+    "geometry_baseline": "geometry",
+    "loop_equator": "loop",
+    "polar_potential": "radial",
+    "radial_profile": "radial",
+}
+
+ARTIFACTS = {
+    "sweep": {"sweep.csv", "sweep.json", "sweep_falloff.svg"},
+    "embed": {"embed_tau.csv", "embed_n.csv", "embed.json"},
+    "energy": {"energy.csv", "energy.json", "energy_e_vs_t.svg"},
+    "geometry": {"geometry.csv", "geometry.json"},
+    "loop": {"loop.csv", "loop.json"},
+    "radial": {"radial.csv", "radial.json"},
+}
+
+A_COLUMNS = ("a", "a_prime", "a_double_prime")
+
+
+def _json_numbers(doc):
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _json_numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _json_numbers(v)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def test_scenario_table_covers_every_shipped_file():
+    assert sorted(SCENARIO_COMMANDS) == sorted(p.stem for p in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_COMMANDS))
+def test_shipped_scenario_runs(name, tmp_path, capsys):
+    command = SCENARIO_COMMANDS[name]
+    assert run([command, "--config", SCENARIOS / f"{name}.json", "--out", tmp_path]) == EXIT_OK
+    capsys.readouterr()
+    assert {p.name for p in tmp_path.iterdir()} == ARTIFACTS[command]
+    polar = load_config(SCENARIOS / f"{name}.json")["mode"]["kind"] == "polar"
+    for path in tmp_path.glob("*.csv"):
+        lines = path.read_text().splitlines()
+        values = np.array([line.split(",") for line in lines[2:]], dtype=float)
+        for column, col_values in zip(lines[1].split(","), values.T):
+            if polar and column in A_COLUMNS:
+                assert np.all(np.isnan(col_values))  # A(r) exists for axial modes only
+            else:
+                assert np.all(np.isfinite(col_values)), (path.name, column)
+    for path in tmp_path.glob("*.json"):
+        assert all(math.isfinite(x) for x in _json_numbers(json.loads(path.read_text())))
+
+
+# ----------------------------------------------------------------------
+# radial coverage and mode checks of the shared surface stage
+# ----------------------------------------------------------------------
+
+SURFACE_FIELDS = {
+    "source_tau": ["loop", "--set", "loop.field=source_tau"],
+    "source_n": ["loop", "--set", "loop.field=source_n"],
+    "rho_bracket": ["loop", "--set", "loop.field=rho_bracket"],
+}
+
+NEAR_HORIZON = {
+    "energy": ["energy"],
+    "embed": ["embed"],
+    "sweep": ["sweep"],
+    **SURFACE_FIELDS,
+    # the Gauss-Bonnet defect this close to the horizon is ~1e-2 at resolution 32
+    "geometry": ["geometry", "--set", "geometry.perturbation=axial_preset",
+                 "--set", "numerics.geometry_resolution=32",
+                 "--set", "geometry.gauss_bonnet_tol=0.05"],
+}
+
+
+@pytest.mark.parametrize("d", [3.05, 3.2])
+@pytest.mark.parametrize("case", sorted(NEAR_HORIZON))
+def test_surfaces_just_outside_the_horizon(case, d, tmp_path, capsys):
+    # the schema accepts every d > 2m + 1 = 3; the sphere then reaches r = d - 1
+    args = NEAR_HORIZON[case] + ["--set", f"surface.d=[{d}]", "--set", "numerics.l_max=8"]
+    assert run(args + ["--out", tmp_path]) == EXIT_OK, capsys.readouterr().err
+
+
+POLAR = ["--set", "mode.kind=polar", "--set", "mode.n=2.0"]
+
+
+@pytest.mark.parametrize("case", ["sweep", "energy", "embed", *SURFACE_FIELDS])
+def test_polar_mode_rejected_before_integrating(case, tmp_path, capsys, monkeypatch):
+    def no_integration(*a, **k):
+        raise AssertionError("integrated before rejecting the mode")
+
+    monkeypatch.setattr(quasilocal.radial, "integrate_wave", no_integration)
+    args = SURFACE_FIELDS.get(case, [case])
+    assert run(args + ["--out", tmp_path] + POLAR) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and "axial" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args", [["loop", "--set", "loop.field=constant"], ["radial"]], ids=["loop", "radial"]
+)
+def test_polar_mode_where_no_profile_is_needed(args, tmp_path, capsys):
+    assert run(args + ["--out", tmp_path, "--set", "numerics.radial_samples=40"] + POLAR) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_energy_writes_no_fit_so_a_degenerate_design_passes(tmp_path, capsys):
+    d = ["--set", "surface.d=[50,50.000000001,400,400.000000001]", "--set", "numerics.l_max=8"]
+    assert run(["energy", "--out", tmp_path / "energy"] + d) == EXIT_OK
+    assert run(["sweep", "--out", tmp_path / "sweep"] + d) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "FitError" and "degenerate design matrix" in err["message"]
+    assert list((tmp_path / "sweep").iterdir()) == []

@@ -32,7 +32,7 @@ from quasilocal import (
     synthesize,
 )
 from quasilocal.embedding import EmbeddingSolution, build_sources
-from quasilocal.energy import grad_outer_double_divergence
+from quasilocal.energy import fit_inverse_powers, grad_outer_double_divergence
 from quasilocal.sphere import HarmonicField
 
 from conftest import random_harmonic
@@ -286,6 +286,22 @@ def test_fit_decay_validation():
         fit_decay([(50.0, 1.0), (100.0, 2.0), (200.0, 1.0)])
     with pytest.raises(FitError):
         fit_decay([(50.0, 1.0), (60.0, 2.0), (70.0, 1.0), (80.0, 0.5)])
+
+
+def test_fit_decay_is_the_shared_inverse_power_fit():
+    samples = [(d, 3.0 / d - 2.0 / d**2 + 7.0 / d**3) for d in (40.0, 90.0, 170.0, 400.0)]
+    fit = fit_decay(samples)
+    coeffs, resid, condition = fit_inverse_powers(samples, (1, 2, 3))
+    assert [fit.c1, fit.c2, fit.c3] == coeffs
+    assert (fit.residual, fit.condition) == (resid, condition)
+
+
+def test_fit_inverse_powers_rejects_degenerate_design():
+    samples = [(50.0, 1.0), (50.000000001, 1.0), (400.0, 2.0), (400.000000001, 2.0)]
+    with pytest.raises(FitError, match="degenerate design matrix"):
+        fit_inverse_powers(samples, (1, 2, 3))
+    with pytest.raises(FitError):
+        fit_inverse_powers([(50.0, 1.0), (100.0, 2.0)], (0, 1))
 
 
 def test_fit_predict():

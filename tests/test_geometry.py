@@ -8,6 +8,7 @@ from quasilocal import (
     AxialMode,
     BackgroundParams,
     DomainError,
+    FitError,
     PerturbationProfiles,
     ResolutionError,
     SurfaceSpec,
@@ -261,6 +262,19 @@ def test_fit_powers_recovery():
     assert coeffs[1] == pytest.approx(3.0, abs=1e-7)
     assert coeffs[2] == pytest.approx(0.5, rel=1e-6)
     assert resid <= 1e-10
+
+
+def test_fit_powers_checks_condition():
+    samples = [(50.0, 1.0), (50.000000001, 1.0), (400.0, 2.0), (400.000000001, 2.0)]
+    with pytest.raises(FitError, match="degenerate design matrix"):
+        fit_powers(samples, powers=(0, 1, 2))
+
+
+def test_hawking_sweep_without_fit(bg_unit):
+    none = PerturbationProfiles.none()
+    sweep = hawking_sweep(bg_unit, none, [50.0], resolution=16, gauss_bonnet_tol=1e-4, powers=())
+    assert len(sweep["integrals"]) == 1
+    assert "coefficients" not in sweep and "residual" not in sweep
 
 
 def test_perturbation_validation():

@@ -20,6 +20,7 @@ from quasilocal import (
     potential_polar,
     tortoise,
 )
+from quasilocal.radial import _rhs_factory, radial_coverage, solve_radial
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +106,52 @@ def test_potential_large_r_correspondence(bg_unit):
     assert d1 <= 1e-6
     ratio = (d1 * 1e4**2) / (d2 * 1e5**2)
     assert ratio > 5.0  # scaled difference still decaying => faster than 1/r^2
+
+
+@pytest.mark.parametrize("mode", [AxialMode(ell=3, sigma=0.7), PolarMode(n=5.0, sigma=0.7)])
+def test_rhs_uses_the_public_potential(bg_unit, mode):
+    rhs = _rhs_factory(bg_unit, mode)
+    potential = potential_axial if mode.kind == "axial" else potential_polar
+    for r in (2.5, 7.0, 300.0):
+        z, dz = 0.3, -1.1
+        f = rhs(0.0, np.array([z, dz, r]))
+        v = potential(r, bg_unit, mode)
+        assert f[0] == dz
+        assert f[1] == pytest.approx((v - mode.sigma**2) * z, rel=1e-14)
+        assert f[2] == pytest.approx(1.0 - 2.0 / r, rel=1e-15)
+
+
+# ----------------------------------------------------------------------
+# radial coverage
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d_values", [[3.05], [3.2, 10.0], [50.0, 400.0], [1000.0]])
+def test_radial_coverage_contains_spheres_outside_horizon(bg_unit, d_values):
+    lo, hi = radial_coverage(bg_unit, SurfaceAnchorBoundary(z=0.0, dz=1.0), d_values)
+    assert bg_unit.horizon < lo <= min(d_values) - 1.0
+    assert hi >= max(d_values) + 1.0
+    if min(d_values) >= 4.0:
+        assert (lo, hi) == (min(d_values) - 1.5, max(d_values) + 1.5)
+
+
+def test_radial_coverage_widens_to_anchor(bg_unit):
+    assert radial_coverage(bg_unit, AnchorBoundary(z=0.0, dz=1.0, r=30.0), [100.0]) == (
+        30.0,
+        101.5,
+    )
+    lo, hi = radial_coverage(bg_unit, AnchorBoundary(z=0.0, dz=1.0, r_star=500.0), [50.0])
+    assert lo == 48.5
+    assert tortoise(hi, bg_unit) == pytest.approx(500.0, rel=1e-13)
+
+
+def test_solve_radial_resolves_surface_anchor(bg_unit, mode_l2):
+    bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0, offset=2.0)
+    sol = solve_radial(bg_unit, mode_l2, bnd, [3.1], tol=1e-9)
+    assert sol.r_min > bg_unit.horizon
+    assert sol.r_min <= 2.1 and sol.r_max >= 5.1  # sphere radii and the anchor at d + 2
+    z, dz = sol.eval_r(5.1)
+    assert z[0] == pytest.approx(0.0, abs=1e-12) and dz[0] == pytest.approx(1.0, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
