@@ -250,13 +250,11 @@ def run_energy(conf, out: Path, jobs: int) -> list[Path]:
     paths = [csv_path, json_path]
     if conf["outputs"]["svg"] and len(t_values) > 1:
         svg = out / "energy_e_vs_t.svg"
-        series = []
-        for j, d in enumerate(d_values):
-            series.append([r[2] for r in rows if r[1] == d])
+        order = np.argsort(report.t_values, kind="stable")
         line_plot(
             svg,
-            t_values,
-            series,
+            report.t_values[order],
+            [report.e[order, j] for j in range(len(d_values))],
             labels=[f"d={d:g}" for d in d_values],
             title="E(t)",
             xlabel="t",

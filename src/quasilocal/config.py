@@ -196,6 +196,14 @@ def _merge(base: dict, override: dict) -> dict:
     return base
 
 
+def _finite(token: str) -> float:
+    """JSON number hook: NaN, +-Infinity and overflowing literals such as 1e999 raise."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {token} in config")
+    return value
+
+
 def apply_overrides(doc: dict, pairs) -> dict:
     """Apply ``--set a.b.c=value`` overrides; values parse as JSON or string."""
     out = copy.deepcopy(doc)
@@ -204,7 +212,7 @@ def apply_overrides(doc: dict, pairs) -> dict:
             raise ConfigError(f"override {pair!r} is not of the form key=value")
         key, raw = pair.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_constant=_finite, parse_float=_finite)
         except json.JSONDecodeError:
             value = raw
         node = out
@@ -224,7 +232,7 @@ def load_config(path=None, overrides=()) -> dict:
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_constant=_finite, parse_float=_finite)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     doc = apply_overrides(doc, overrides)

@@ -279,9 +279,9 @@ def spatial_metric(
     """Constant-t slice metric and its t-derivative at (t, r, theta, phi).
 
     By default quadratic-in-epsilon terms are dropped (first order); with
-    ``exact=True`` the full squared one-form is kept, which the geometry
-    engine uses so that symmetric epsilon-differencing isolates the linear
-    response through one code path.
+    ``exact=True`` the full squared one-form is kept.  ``surface_geometry``
+    always uses the exact metric, so that symmetric epsilon-differencing
+    isolates the linear response through one code path.
     """
     t, r, theta, _phi = point
     g, _, dtg = _metric_sph(bg, pert, t, np.asarray(r, float), np.asarray(theta, float), exact)
@@ -521,7 +521,6 @@ def surface_geometry(
     resolution: int = 96,
     t: float | None = None,
     gauss_bonnet_tol: float = 1e-6,
-    exact_metric: bool = True,
 ) -> GeometryReport:
     """Induced metric, K, |H| and the Hawking line of the surface.
 
@@ -555,7 +554,7 @@ def surface_geometry(
     dd_phph = -st * (cp * e2 + sp * e3)
 
     r, theta, _phi, jac, chess = _spherical_chart(y)
-    g_sph, dg_sph, dtg_sph = _metric_sph(bg, pert, t, r, theta, exact_metric)
+    g_sph, dg_sph, dtg_sph = _metric_sph(bg, pert, t, r, theta, exact=True)
 
     g_cart = np.einsum("...ai,...ab,...bj->...ij", jac, g_sph, jac)
     # dG_cart/dy_k: chart-hessian terms plus chain rule through (r, theta)

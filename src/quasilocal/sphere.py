@@ -43,7 +43,6 @@ __all__ = [
     "apply_operator",
     "c_theta",
     "coordinate_fields",
-    "double_divergence",
     "evaluate",
     "gauss_legendre",
     "integrate",
@@ -123,50 +122,53 @@ def c_theta(ell: int, theta) -> np.ndarray | float:
     return float(val) if np.isscalar(theta) else val
 
 
-def _normalized_alp_tables(
+def _harmonic_tables(
     l_max: int, theta: np.ndarray, n_deriv: int = 2
 ) -> tuple[np.ndarray, ...]:
-    """Orthonormal Pbar_lm(cos theta) and theta-derivatives, shape (L+1, L+1, n).
+    """Real-harmonic theta factors Ybar_lm and theta-derivatives, shape (L+1, L+1, n).
 
-    Recurrences (no Condon-Shortley phase):
+    Ybar_l0 = Pbar_l0 and Ybar_lm = sqrt(2) Pbar_lm for m > 0, where Pbar_lm is
+    the orthonormal associated Legendre function of cos(theta) without the
+    Condon-Shortley phase.  Recurrences, each step over all m at once:
         Pbar_00 = sqrt(1/4pi)
-        Pbar_mm = sqrt((2m+1)/(2m)) sin(theta) Pbar_{m-1,m-1}
-        Pbar_{m+1,m} = sqrt(2m+3) cos(theta) Pbar_mm
+        Pbar_ll = sqrt((2l+1)/(2l)) sin(theta) Pbar_{l-1,l-1}
+        Pbar_{l,l-1} = sqrt(2l+1) cos(theta) Pbar_{l-1,l-1}
         Pbar_lm = a_lm [cos(theta) Pbar_{l-1,m} - b_lm Pbar_{l-2,m}]
     First derivative from the same-m relation, second from the ALP equation.
+    Entries with m > l are exactly zero.
     """
     theta = np.asarray(theta, dtype=float)
     x, s = np.cos(theta), np.sin(theta)
-    n = theta.size
     L = l_max
-    pbar = np.zeros((L + 1, L + 1, n))
+    pbar = np.zeros((L + 1, L + 1, theta.size))
     pbar[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
-    for m in range(1, L + 1):
-        pbar[m, m] = np.sqrt((2 * m + 1) / (2.0 * m)) * s * pbar[m - 1, m - 1]
-    for m in range(0, L):
-        pbar[m + 1, m] = np.sqrt(2 * m + 3.0) * x * pbar[m, m]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            pbar[l, m] = a * (x * pbar[l - 1, m] - b * pbar[l - 2, m])
-    if n_deriv == 0:
-        return (pbar,)
-    dpbar = np.zeros_like(pbar)
-    for m in range(0, L + 1):
-        for l in range(max(m, 1), L + 1):
-            c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-            below = pbar[l - 1, m] if l - 1 >= m else 0.0
-            dpbar[l, m] = (l * x * pbar[l, m] - c * below) / s
-    if n_deriv == 1:
-        return pbar, dpbar
-    d2pbar = np.zeros_like(pbar)
-    for m in range(0, L + 1):
-        for l in range(m, L + 1):
-            d2pbar[l, m] = -(x / s) * dpbar[l, m] - (
-                l * (l + 1.0) - (m * m) / (s * s)
-            ) * pbar[l, m]
-    return pbar, dpbar, d2pbar
+    for l in range(1, L + 1):
+        pbar[l, l] = np.sqrt((2 * l + 1) / (2.0 * l)) * s * pbar[l - 1, l - 1]
+        pbar[l, l - 1] = np.sqrt(2 * l + 1.0) * x * pbar[l - 1, l - 1]
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        pbar[l, : l - 1] = a * (x * pbar[l - 1, : l - 1] - b * pbar[l - 2, : l - 1])
+    tables = [pbar]
+    ell = np.arange(L + 1)[:, None, None]
+    m = np.arange(L + 1)[None, :, None]
+    upper = (ell < m)[..., 0]
+    if n_deriv >= 1:
+        c = np.sqrt(np.maximum(ell * ell - m * m, 0) * (2.0 * ell + 1.0) / (2.0 * ell - 1.0))
+        dpbar = ell * x * pbar
+        dpbar[1:] -= c[1:] * pbar[:-1]
+        dpbar /= s
+        dpbar[0] = 0.0
+        dpbar[upper] = 0.0
+        tables.append(dpbar)
+    if n_deriv >= 2:
+        d2pbar = -(x / s) * dpbar
+        d2pbar -= (ell * (ell + 1.0) - (m * m) / (s * s)) * pbar
+        d2pbar[upper] = 0.0
+        tables.append(d2pbar)
+    for table in tables:
+        table[:, 1:] *= np.sqrt(2.0)
+    return tuple(tables)
 
 
 class SphereGrid:
@@ -196,11 +198,7 @@ class SphereGrid:
         self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         self._dphi = 2.0 * np.pi / n_phi
 
-        pbar, dpbar, d2pbar = _normalized_alp_tables(l_max, self.nodes, 2)
-        norm = np.where(np.arange(l_max + 1) > 0, np.sqrt(2.0), 1.0)[None, :, None]
-        self._ybar = pbar * norm
-        self._dybar = dpbar * norm
-        self._d2ybar = d2pbar * norm
+        self._ybar, self._dybar, self._d2ybar = _harmonic_tables(l_max, self.nodes, 2)
         m = np.arange(l_max + 1)[:, None]
         self._cosm = np.cos(m * self.phi[None, :])
         self._sinm = np.sin(m * self.phi[None, :])
@@ -331,6 +329,13 @@ class HarmonicField:
                     writer.writerow([l, m, repr(float(self.coeffs[l, self.l_max + m]))])
 
 
+def _block_index(l_max: int):
+    """(l, m) of the cosine (m >= 0) and sine (m > 0) entries of the [l, m] blocks."""
+    l, m = np.tril_indices(l_max + 1)
+    sine = m > 0
+    return (l, m), (l[sine], m[sine])
+
+
 def analyze(field: GridField, l_max: int | None = None) -> HarmonicField:
     """Forward transform; exact for fields band-limited at the grid's l_max."""
     grid = field.grid
@@ -346,23 +351,22 @@ def analyze(field: GridField, l_max: int | None = None) -> HarmonicField:
     ac = np.einsum("lmj,jm->lm", yw, fc)
     as_ = np.einsum("lmj,jm->lm", yw, fs)
     coeffs = np.zeros((l_max + 1, 2 * l_max + 1))
-    for m in range(0, l_max + 1):
-        coeffs[m:, l_max + m] = ac[m : l_max + 1, m]
-        if m > 0:
-            coeffs[m:, l_max - m] = as_[m : l_max + 1, m]
+    (lc, mc), (ls, ms) = _block_index(l_max)
+    coeffs[lc, l_max + mc] = ac[lc, mc]
+    coeffs[ls, l_max - ms] = as_[ls, ms]
     return HarmonicField(l_max, coeffs)
 
 
-def _cos_sin_blocks(h: HarmonicField) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients repacked as (L+1, L+1) cosine/sine blocks indexed [l, m]."""
+def _theta_sums(h: HarmonicField, theta_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_l a_lm T_lm(theta) for the cosine and sine coefficients, each (L+1, n)."""
     L = h.l_max
     ac = np.zeros((L + 1, L + 1))
     as_ = np.zeros((L + 1, L + 1))
-    for m in range(0, L + 1):
-        ac[m:, m] = h.coeffs[m:, L + m]
-        if m > 0:
-            as_[m:, m] = h.coeffs[m:, L - m]
-    return ac, as_
+    (lc, mc), (ls, ms) = _block_index(L)
+    ac[lc, mc] = h.coeffs[lc, L + mc]
+    as_[ls, ms] = h.coeffs[ls, L - ms]
+    tab = theta_table[: L + 1, : L + 1, :]
+    return np.einsum("lmj,lm->mj", tab, ac), np.einsum("lmj,lm->mj", tab, as_)
 
 
 def _synthesize_from_tables(
@@ -377,10 +381,7 @@ def _synthesize_from_tables(
             f"grid supports l_max={grid.l_max}, field has {h.l_max}"
         )
     L = h.l_max
-    ac, as_ = _cos_sin_blocks(h)
-    tab = theta_table[: L + 1, : L + 1, :]
-    gc = np.einsum("lmj,lm->mj", tab, ac)
-    gs = np.einsum("lmj,lm->mj", tab, as_)
+    gc, gs = _theta_sums(h, theta_table)
     m = np.arange(L + 1, dtype=float)[:, None]
     cosm, sinm = grid._cosm[: L + 1], grid._sinm[: L + 1]
     if phi_deriv == 0:
@@ -405,12 +406,7 @@ def evaluate(h: HarmonicField, theta, phi) -> np.ndarray:
     """Evaluate the harmonic sum at arbitrary points (vectorized)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    (pbar,) = _normalized_alp_tables(h.l_max, theta, 0)
-    norm = np.where(np.arange(h.l_max + 1) > 0, np.sqrt(2.0), 1.0)[None, :, None]
-    ybar = pbar * norm
-    ac, as_ = _cos_sin_blocks(h)
-    gc = np.einsum("lmp,lm->mp", ybar, ac)
-    gs = np.einsum("lmp,lm->mp", ybar, as_)
+    gc, gs = _theta_sums(h, _harmonic_tables(h.l_max, theta, 0)[0])
     m = np.arange(h.l_max + 1, dtype=float)[:, None]
     return np.einsum("mp,mp->p", gc, np.cos(m * phi[None, :])) + np.einsum(
         "mp,mp->p", gs, np.sin(m * phi[None, :])
@@ -489,33 +485,6 @@ def grad_hess(field: GridField, l_max: int | None = None) -> SphereDerivatives:
         hess_sq=g(hess_tt**2 + 2.0 * hess_tp**2 + hess_pp**2),
         laplacian=g(hess_tt + hess_pp),
     )
-
-
-def double_divergence(
-    t_tt: GridField, t_tp: GridField, t_pp: GridField, l_max: int | None = None
-) -> GridField:
-    """nabla^a nabla^b T_ab for a symmetric 2-tensor in orthonormal components.
-
-    Computed weakly: each coefficient pairs T against the covariant Hessian
-    of a basis harmonic (two integrations by parts), so no frame component is
-    ever differentiated as a scalar (which would fail at the poles).  Exact
-    when the contraction integrands are polynomial within the quadrature band
-    limit; spectrally convergent otherwise.
-    """
-    grid = t_tt.grid
-    L = grid.l_max if l_max is None else l_max
-    coeffs = np.zeros((L + 1, 2 * L + 1))
-    basis = HarmonicField.zeros(L)
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            basis.coeffs[l, L + m] = 1.0
-            d = grad_hess(synthesize(basis, grid))
-            basis.coeffs[l, L + m] = 0.0
-            contraction = (
-                d.hess_tt * t_tt + 2.0 * (d.hess_tp * t_tp) + d.hess_pp * t_pp
-            )
-            coeffs[l, L + m] = integrate(contraction)
-    return synthesize(HarmonicField(L, coeffs), grid)
 
 
 def integrate(field: GridField) -> float:

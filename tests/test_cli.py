@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quasilocal.cli
 import quasilocal.radial
 from quasilocal.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from quasilocal.config import (
@@ -83,6 +84,23 @@ def test_published_schema_matches():
 # ----------------------------------------------------------------------
 # exit codes and error reporting
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_non_finite_numbers_rejected_at_load(literal, tmp_path):
+    # an infinite sigma would pass the schema and then hang the sweep
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_config(overrides=[f"mode.sigma={literal}"])
+    path = tmp_path / "scenario.json"
+    path.write_text('{"surface": {"d": [50, %s]}}' % literal)
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_config(path)
+
+
+def test_nan_override_exits_before_writing(tmp_path, capsys):
+    assert run(["sweep", "--out", tmp_path, "--set", "surface.t=NaN"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"]["category"] == "config"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_error_exit(tmp_path, capsys):
@@ -168,6 +186,23 @@ def test_energy_artifacts(tmp_path, capsys):
     assert (tmp_path / "energy_e_vs_t.svg").exists()
     svg = (tmp_path / "energy_e_vs_t.svg").read_text()
     assert "<desc>" in svg and "polyline" in svg
+
+
+@pytest.mark.parametrize("t, d", [("[0.7,0.1,2.0]", "[100]"), ("[0.1,0.7]", "[100,100]")])
+def test_energy_plot_matches_csv(t, d, tmp_path, capsys, monkeypatch):
+    # each plotted point must be the (t, d) entry of energy.csv, for any t order or repeated d
+    calls = []
+    monkeypatch.setattr(quasilocal.cli, "line_plot", lambda *a, **kw: calls.append((a, kw)))
+    assert run(["energy", "--out", tmp_path, "--set", f"surface.t={t}",
+                "--set", f"surface.d={d}", "--set", "numerics.l_max=8"]) == EXIT_OK
+    capsys.readouterr()
+    rows = [line.split(",") for line in (tmp_path / "energy.csv").read_text().splitlines()[2:]]
+    e_at = {(float(r[0]), float(r[1])): float(r[2]) for r in rows}
+    (_, x, series), kw = calls[0]
+    assert list(x) == sorted(json.loads(t))
+    assert kw["labels"] == [f"d={v:g}" for v in json.loads(d)]
+    for dj, ys in zip(json.loads(d), series):
+        assert list(ys) == [e_at[(ti, dj)] for ti in x]
 
 
 def test_geometry_artifacts(tmp_path, capsys):

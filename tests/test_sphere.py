@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import eval_legendre
+from scipy.special import eval_legendre, sph_legendre_p
 
 from quasilocal import (
     BandLimitError,
@@ -21,7 +21,7 @@ from quasilocal import (
     legendre_p_dtheta,
     synthesize,
 )
-from quasilocal.sphere import double_divergence, evaluate, rotate_frame
+from quasilocal.sphere import _harmonic_tables, evaluate, rotate_frame
 
 from conftest import random_harmonic
 
@@ -208,6 +208,24 @@ def test_orthonormality_gram():
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
 
+def test_harmonic_tables_match_scipy():
+    # independent oracle for values and both theta-derivatives at l_max = 64;
+    # scipy includes the Condon-Shortley phase and omits the sqrt(2) of m > 0.
+    # The bound scales with each (order, l, m) row's largest magnitude: near
+    # the poles scipy's own derivatives are off by up to 3.5e-12 (against
+    # 40-digit mpmath at l=43, m=6, theta=0.132), more than a pointwise 1e-12.
+    l_max = 64
+    theta = SphereGrid.for_band_limit(l_max).nodes
+    tables = np.stack(_harmonic_tables(l_max, theta, 2))
+    l, m = np.tril_indices(l_max + 1)
+    ref = sph_legendre_p(l[:, None], m[:, None], theta[None, :], diff_n=2)
+    ref = ref * np.where(m > 0, np.sqrt(2.0), 1.0)[:, None] * ((-1.0) ** m)[:, None]
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=-1, keepdims=True))
+    assert np.all(np.abs(tables[:, l, m, :] - ref) <= 1e-12 * scale)
+    upper = np.triu_indices(l_max + 1, 1)
+    assert not np.any(tables[:, upper[0], upper[1], :])
+
+
 def test_evaluate_matches_synthesize(grid16):
     h = random_harmonic(6, seed=11)
     f = synthesize(h, grid16)
@@ -267,19 +285,6 @@ def test_bochner_identity(seed):
     lhs = integrate(d.hess_sq)
     rhs = integrate(d.laplacian * d.laplacian) - integrate(d.grad_sq)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_double_divergence_pure_trace():
-    # T_ab = g_ab f has nabla^a nabla^b T_ab = Delta f, exactly representable
-    l_max = 8
-    grid = SphereGrid.for_band_limit(2 * l_max)
-    h = random_harmonic(l_max, seed=9)
-    f = synthesize(h, grid)
-    zero = GridField(np.zeros_like(f.values), grid)
-    dd = double_divergence(f, zero, f)
-    lap = synthesize(apply_operator(analyze(f), "laplacian"), grid)
-    scale = np.max(np.abs(lap.values))
-    assert np.max(np.abs(dd.values - lap.values)) <= 1e-10 * scale
 
 
 # ----------------------------------------------------------------------
