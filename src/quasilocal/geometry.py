@@ -1,10 +1,16 @@
 """Induced geometry of the unit sphere: Gauss curvature, |H|, Hawking line.
 
 Validation path for the energy pipeline.  The surface is parameterized by a
-unit sphere whose polar axis points along the center direction; ambient
-computations run in Cartesian components, where the embedding derivatives
-are exact trigonometry and the coordinate axis of the ambient spherical
-chart never intersects the surface for the default equatorial direction.
+unit sphere whose polar axis points along the center direction, so its
+Cartesian embedding and that embedding's first and second derivatives are
+exact trigonometry.  They are pushed into the ambient spherical chart
+(r, theta, phi) once, as 3-vectors per point: the tangents X_a and second
+derivatives X_ab.  Everything ambient is then a contraction of those
+against the chart metric g, its closed-form (r, theta) partials and its
+t-derivative: h_ab = X_a g X_b, the normal from X_theta x X_phi raised with
+the closed-form inverse of g, and II_ab = nu_c X_ab^c + nu^f Gamma_{f,de}
+X_a^d X_b^e.  The coordinate axis of the chart never meets the surface for
+the default equatorial direction.
 
 |H|^2 is computed from the decomposition |H|^2 = H_slice^2 - (tr_Sigma k)^2,
 valid because the surface lies in a constant-t slice of a metric with no
@@ -17,7 +23,11 @@ differences of the induced metric on the parameter grid; the perturbed
 induced metric is not band-limited, so differencing is preferred over
 spectral differentiation here.  Ghost rows across the parameter poles use
 the antipodal continuation f(-theta, phi) = f(theta, phi + pi) with the
-tensor-component sign flips it implies.
+tensor-component sign flips it implies.  Its 1/sin^4 amplifies round-off
+in h at the rows next to the parameter poles: any change in the order of
+the floating-point operations that build h may move K and the Hawking line
+there by up to ~1e-8 at resolution 96 (|H| moves only at round-off), and
+that is the tolerance to which those fields are pinned.
 """
 
 from __future__ import annotations
@@ -184,7 +194,9 @@ def _metric_sph(bg, pert, t, r, theta, exact: bool):
     """Slice metric in (r, theta, phi) components, its (r, theta) partials,
     and its t-derivative, vectorized over broadcastable r/theta arrays.
 
-    Returns (g, dg, dtg) with shapes (..., 3, 3), (..., 2, 3, 3), (..., 3, 3).
+    Component axes come first: (g, dg, dtg) have shapes (3, 3, ...),
+    (2, 3, 3, ...) and (3, 3, ...), dg[k] being the partial along r (k = 0)
+    or theta (k = 1); the metric does not depend on phi.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -195,17 +207,17 @@ def _metric_sph(bg, pert, t, r, theta, exact: bool):
     s, c = np.sin(theta), np.cos(theta)
     f = 1.0 - 2.0 * bg.m / r
 
-    g = np.zeros(shape + (3, 3))
-    dg = np.zeros(shape + (2, 3, 3))
-    dtg = np.zeros(shape + (3, 3))
+    g = np.zeros((3, 3) + shape)
+    dg = np.zeros((2, 3, 3) + shape)
+    dtg = np.zeros((3, 3) + shape)
 
-    g[..., 0, 0] = 1.0 / f
-    g[..., 1, 1] = r**2
-    g[..., 2, 2] = r**2 * s**2
-    dg[..., 0, 0, 0] = -2.0 * bg.m / (r**2 * f**2)
-    dg[..., 0, 1, 1] = 2.0 * r
-    dg[..., 0, 2, 2] = 2.0 * r * s**2
-    dg[..., 1, 2, 2] = 2.0 * r**2 * s * c
+    g[0, 0] = 1.0 / f
+    g[1, 1] = r**2
+    g[2, 2] = r**2 * s**2
+    dg[0, 0, 0] = -2.0 * bg.m / (r**2 * f**2)
+    dg[0, 1, 1] = 2.0 * r
+    dg[0, 2, 2] = 2.0 * r * s**2
+    dg[1, 2, 2] = 2.0 * r**2 * s * c
 
     if pert.kind == "none" or pert.epsilon == 0.0:
         return g, dg, dtg
@@ -216,55 +228,53 @@ def _metric_sph(bg, pert, t, r, theta, exact: bool):
     if pert.kind == "polar":
         if pert.diag is None:
             return g, dg, dtg
-        names = [(0, 0), (1, 1), (2, 2)]
         fd_pairs = [_fd_partials(p) for p in pert.diag]
-        for (i, j), p, (p_dr, p_dth) in zip(names, pert.diag, fd_pairs):
+        for i, p, (p_dr, p_dth) in zip(range(3), pert.diag, fd_pairs):
             pv = p(r, theta)
-            g[..., i, j] *= 1.0 + 2.0 * amp * pv
-            base = g[..., i, j] / (1.0 + 2.0 * amp * pv)
-            dg[..., 0, i, j] = dg[..., 0, i, j] * (1.0 + 2.0 * amp * pv) + base * 2.0 * amp * p_dr(r, theta)
-            dg[..., 1, i, j] = dg[..., 1, i, j] * (1.0 + 2.0 * amp * pv) + base * 2.0 * amp * p_dth(r, theta)
-            dtg[..., i, j] = base * 2.0 * damp * pv
+            g[i, i] *= 1.0 + 2.0 * amp * pv
+            base = g[i, i] / (1.0 + 2.0 * amp * pv)
+            dg[0, i, i] = dg[0, i, i] * (1.0 + 2.0 * amp * pv) + base * 2.0 * amp * p_dr(r, theta)
+            dg[1, i, i] = dg[1, i, i] * (1.0 + 2.0 * amp * pv) + base * 2.0 * amp * p_dth(r, theta)
+            dtg[i, i] = base * 2.0 * damp * pv
         return g, dg, dtg
 
-    # axial
+    # axial; each profile is evaluated once and shared by the t-derivative
     p_fac = r**2 * s**2
     dp_dr = 2.0 * r * s**2
     dp_dth = 2.0 * r**2 * s * c
-    q2v = amp * pert.q2(r, theta)
-    q3v = amp * pert.q3(r, theta)
+    q2, q3 = pert.q2(r, theta), pert.q3(r, theta)
+    q2v, q3v = amp * q2, amp * q3
     dq2_dr = amp * pert.dq2_dr(r, theta)
     dq2_dth = amp * pert.dq2_dtheta(r, theta)
     dq3_dr = amp * pert.dq3_dr(r, theta)
     dq3_dth = amp * pert.dq3_dtheta(r, theta)
-    dt_q2 = damp * pert.q2(r, theta)
-    dt_q3 = damp * pert.q3(r, theta)
+    dt_q2, dt_q3 = damp * q2, damp * q3
 
     def set_sym(target, i, j, val):
-        target[..., i, j] = val
-        target[..., j, i] = val
+        target[i, j] = val
+        target[j, i] = val
 
     set_sym(g, 0, 2, -p_fac * q2v)
     set_sym(g, 1, 2, -p_fac * q3v)
-    set_sym(dg[..., 0, :, :], 0, 2, -(dp_dr * q2v + p_fac * dq2_dr))
-    set_sym(dg[..., 0, :, :], 1, 2, -(dp_dr * q3v + p_fac * dq3_dr))
-    set_sym(dg[..., 1, :, :], 0, 2, -(dp_dth * q2v + p_fac * dq2_dth))
-    set_sym(dg[..., 1, :, :], 1, 2, -(dp_dth * q3v + p_fac * dq3_dth))
+    set_sym(dg[0], 0, 2, -(dp_dr * q2v + p_fac * dq2_dr))
+    set_sym(dg[0], 1, 2, -(dp_dr * q3v + p_fac * dq3_dr))
+    set_sym(dg[1], 0, 2, -(dp_dth * q2v + p_fac * dq2_dth))
+    set_sym(dg[1], 1, 2, -(dp_dth * q3v + p_fac * dq3_dth))
     set_sym(dtg, 0, 2, -p_fac * dt_q2)
     set_sym(dtg, 1, 2, -p_fac * dt_q3)
 
     if exact:
-        g[..., 0, 0] += p_fac * q2v**2
-        g[..., 1, 1] += p_fac * q3v**2
+        g[0, 0] += p_fac * q2v**2
+        g[1, 1] += p_fac * q3v**2
         set_sym(g, 0, 1, p_fac * q2v * q3v)
-        dg[..., 0, 0, 0] += dp_dr * q2v**2 + 2.0 * p_fac * q2v * dq2_dr
-        dg[..., 0, 1, 1] += dp_dr * q3v**2 + 2.0 * p_fac * q3v * dq3_dr
-        dg[..., 1, 0, 0] += dp_dth * q2v**2 + 2.0 * p_fac * q2v * dq2_dth
-        dg[..., 1, 1, 1] += dp_dth * q3v**2 + 2.0 * p_fac * q3v * dq3_dth
-        set_sym(dg[..., 0, :, :], 0, 1, dp_dr * q2v * q3v + p_fac * (dq2_dr * q3v + q2v * dq3_dr))
-        set_sym(dg[..., 1, :, :], 0, 1, dp_dth * q2v * q3v + p_fac * (dq2_dth * q3v + q2v * dq3_dth))
-        dtg[..., 0, 0] += 2.0 * p_fac * q2v * dt_q2
-        dtg[..., 1, 1] += 2.0 * p_fac * q3v * dt_q3
+        dg[0, 0, 0] += dp_dr * q2v**2 + 2.0 * p_fac * q2v * dq2_dr
+        dg[0, 1, 1] += dp_dr * q3v**2 + 2.0 * p_fac * q3v * dq3_dr
+        dg[1, 0, 0] += dp_dth * q2v**2 + 2.0 * p_fac * q2v * dq2_dth
+        dg[1, 1, 1] += dp_dth * q3v**2 + 2.0 * p_fac * q3v * dq3_dth
+        set_sym(dg[0], 0, 1, dp_dr * q2v * q3v + p_fac * (dq2_dr * q3v + q2v * dq3_dr))
+        set_sym(dg[1], 0, 1, dp_dth * q2v * q3v + p_fac * (dq2_dth * q3v + q2v * dq3_dth))
+        dtg[0, 0] += 2.0 * p_fac * q2v * dt_q2
+        dtg[1, 1] += 2.0 * p_fac * q3v * dt_q3
         set_sym(dtg, 0, 1, p_fac * (dt_q2 * q3v + q2v * dt_q3))
 
     return g, dg, dtg
@@ -285,6 +295,7 @@ def spatial_metric(
     """
     t, r, theta, _phi = point
     g, _, dtg = _metric_sph(bg, pert, t, np.asarray(r, float), np.asarray(theta, float), exact)
+    g, dtg = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (g, dtg))
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return g[0], dtg[0]
     return g, dtg
@@ -410,54 +421,43 @@ def _midpoint_sine_weights(n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# ambient chart derivatives
+# the embedding in the ambient spherical chart
 # ----------------------------------------------------------------------
 
 
-def _spherical_chart(y: np.ndarray):
-    """(r, theta, phi) with first and second partials w.r.t. Cartesian y.
+def _chart_embedding(y, tangents, seconds):
+    """The surface and its parameter derivatives in the (r, theta, phi) chart.
 
-    Axis convention matches y1 = r sin sin, y2 = r sin cos, y3 = r cos, i.e.
-    phi = atan2(y1, y2).  Shapes: coords (..., 3), jac (..., 3, 3) indexed
-    [a, i] = dx^a/dy^i, hess (..., 3, 3, 3) indexed [a, i, j].
+    ``y`` holds Cartesian points (3, ...) with y1 = r sin sin, y2 = r sin cos,
+    y3 = r cos (phi = atan2(y1, y2)); ``tangents`` the exact derivatives
+    along theta_s and phi_s, ``seconds`` the second derivatives (theta_s
+    theta_s, theta_s phi_s, phi_s phi_s).  Returns r, theta, the chart
+    tangents X (2, 3, ...) and second derivatives XX (2, 2, 3, ...).  The
+    chart Jacobian J acts on each vector once; the chart's own second
+    derivatives enter through the flat Christoffels of (r, theta, phi):
+    X_ab = J dd_ab - Gamma_flat(X_a, X_b).
     """
-    r = np.linalg.norm(y, axis=-1)
-    u = y / r[..., None]
-    c = u[..., 2]
+    r = np.sqrt(np.sum(y * y, axis=0))
+    u = y / r
+    c = u[2]
     s = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
     theta = np.arccos(np.clip(c, -1.0, 1.0))
-    phi = np.arctan2(y[..., 0], y[..., 1])
-    rho2 = y[..., 0] ** 2 + y[..., 1] ** 2
+    rho2 = y[0] ** 2 + y[1] ** 2
 
-    sh = y.shape[:-1]
-    eye = np.broadcast_to(np.eye(3), sh + (3, 3))
-    jac = np.zeros(sh + (3, 3))
-    jac[..., 0, :] = u
-    e3 = np.zeros(sh + (3,))
-    e3[..., 2] = 1.0
-    jac[..., 1, :] = (c[..., None] * u - e3) / (r * s)[..., None]
-    jac[..., 2, 0] = y[..., 1] / rho2
-    jac[..., 2, 1] = -y[..., 0] / rho2
-    # jac[..., 2, 2] stays 0
+    def chart(v):
+        v_r = np.sum(u * v, axis=0)
+        return np.stack([v_r, (c * v_r - v[2]) / (r * s), (y[1] * v[0] - y[0] * v[1]) / rho2])
 
-    hess = np.zeros(sh + (3, 3, 3))
-    du = (eye - u[..., :, None] * u[..., None, :]) / r[..., None, None]
-    hess[..., 0, :, :] = du
-    # theta block
-    T = jac[..., 1, :]
-    dc = (e3 - c[..., None] * u) / r[..., None]
-    inv_rs = 1.0 / (r * s)
-    d_inv_rs = -(u / r[..., None] + (c / s)[..., None] * T) * inv_rs[..., None]
-    hess[..., 1, :, :] = (
-        dc[..., None, :] * u[..., :, None]
-        + c[..., None, None] * du
-    ) * inv_rs[..., None, None] + (c[..., None] * u - e3)[..., :, None] * d_inv_rs[..., None, :]
-    # phi block
-    w = y.copy()
-    w[..., 2] = 0.0
-    hess[..., 2, 0, :] = eye[..., 1, :] / rho2[..., None] - 2.0 * y[..., 1, None] * w / rho2[..., None] ** 2
-    hess[..., 2, 1, :] = -eye[..., 0, :] / rho2[..., None] + 2.0 * y[..., 0, None] * w / rho2[..., None] ** 2
-    return r, theta, phi, jac, hess
+    X = np.stack([chart(v) for v in tangents])
+    XX = np.empty((2,) + X.shape)
+    for (a, b), dd in zip(((0, 0), (0, 1), (1, 1)), seconds):
+        xa, xb = X[a], X[b]
+        x = chart(dd)
+        x[0] += r * (xa[1] * xb[1] + s * s * xa[2] * xb[2])
+        x[1] += s * c * xa[2] * xb[2] - (xa[0] * xb[1] + xa[1] * xb[0]) / r
+        x[2] -= (xa[0] * xb[2] + xa[2] * xb[0]) / r + c / s * (xa[1] * xb[2] + xa[2] * xb[1])
+        XX[a, b] = XX[b, a] = x
+    return r, theta, X, XX
 
 
 def _direction_vector(theta_d: float, phi_d: float) -> np.ndarray:
@@ -483,6 +483,17 @@ def _orthonormal_completion(dhat: np.ndarray):
 # ----------------------------------------------------------------------
 
 
+def _surface_integrals(induced, theta_s, *values) -> list[float]:
+    """Integrals of pointwise grid quantities against dmu: the Fejer-type
+    rule in theta_s on sqrt(det h) / sin(theta_s), the trapezoid rule in phi_s."""
+    n_phi = induced.shape[1]
+    w = _midpoint_sine_weights(len(theta_s))
+    sqrt_h = np.sqrt(induced[..., 0, 0] * induced[..., 1, 1] - induced[..., 0, 1] ** 2)
+    ratio = sqrt_h / np.sin(theta_s)[:, None]
+    dphi = 2.0 * np.pi / n_phi
+    return [float(np.einsum("j,jk->", w, v * ratio) * dphi) for v in values]
+
+
 @dataclass(frozen=True)
 class GeometryReport:
     """Pointwise surface data and integrals on the parameter grid."""
@@ -504,14 +515,7 @@ class GeometryReport:
 
     def integrate(self, values: np.ndarray) -> float:
         """Surface integral of a pointwise grid quantity against dmu."""
-        w = _midpoint_sine_weights(self.n_theta)
-        sqrt_h = np.sqrt(
-            self.induced[..., 0, 0] * self.induced[..., 1, 1]
-            - self.induced[..., 0, 1] ** 2
-        )
-        dphi = 2.0 * np.pi / self.n_phi
-        ratio = sqrt_h / np.sin(self.theta_s)[:, None]
-        return float(np.einsum("j,jk->", w, values * ratio) * dphi)
+        return _surface_integrals(self.induced, self.theta_s, values)[0]
 
 
 def surface_geometry(
@@ -540,88 +544,61 @@ def surface_geometry(
     ph_s = np.arange(n_p) * dph
 
     dhat = _direction_vector(spec.theta_d, spec.phi_d)
-    e2, e3 = _orthonormal_completion(dhat)
-    ct, st = np.cos(th_s)[:, None, None], np.sin(th_s)[:, None, None]
-    cp, sp = np.cos(ph_s)[None, :, None], np.sin(ph_s)[None, :, None]
-    n_hat = ct * dhat + st * (cp * e2 + sp * e3)
-    y = spec.d * dhat + n_hat
-
-    # exact embedding derivatives
-    e_th = -st * dhat + ct * (cp * e2 + sp * e3)
-    e_ph = st * (-sp * e2 + cp * e3)
-    dd_thth = -n_hat
-    dd_thph = ct * (-sp * e2 + cp * e3)
-    dd_phph = -st * (cp * e2 + sp * e3)
-
-    r, theta, _phi, jac, chess = _spherical_chart(y)
-    g_sph, dg_sph, dtg_sph = _metric_sph(bg, pert, t, r, theta, exact=True)
-
-    g_cart = np.einsum("...ai,...ab,...bj->...ij", jac, g_sph, jac)
-    # dG_cart/dy_k: chart-hessian terms plus chain rule through (r, theta)
-    dg_chain = np.einsum("...cab,...ck->...kab", dg_sph, jac[..., :2, :])
-    dg_cart = (
-        np.einsum("...aik,...ab,...bj->...kij", chess, g_sph, jac)
-        + np.einsum("...ai,...ab,...bjk->...kij", jac, g_sph, chess)
-        + np.einsum("...ai,...kab,...bj->...kij", jac, dg_chain, jac)
+    dhat, e2, e3 = (v[:, None, None] for v in (dhat, *_orthonormal_completion(dhat)))
+    ct, st = np.cos(th_s)[:, None], np.sin(th_s)[:, None]
+    cp, sp = np.cos(ph_s), np.sin(ph_s)
+    out = cp * e2 + sp * e3
+    swirl = cp * e3 - sp * e2
+    n_hat = ct * dhat + st * out
+    r, theta, X, XX = _chart_embedding(
+        spec.d * dhat + n_hat,
+        (ct * out - st * dhat, st * swirl),
+        (-n_hat, ct * swirl, -st * out),
     )
-    dtg_cart = np.einsum("...ai,...ab,...bj->...ij", jac, dtg_sph, jac)
+    g, dg, dtg = _metric_sph(bg, pert, t, r, theta, exact=True)
 
-    g_inv = np.linalg.inv(g_cart)
-    # Christoffels of the slice metric in Cartesian components;
-    # dg_cart[..., k, i, j] = d_k g_ij
-    gamma = 0.5 * (
-        np.einsum("...kl,...ilj->...kij", g_inv, dg_cart)
-        + np.einsum("...kl,...jli->...kij", g_inv, dg_cart)
-        - np.einsum("...kl,...lij->...kij", g_inv, dg_cart)
+    def pull_back(m):
+        return np.einsum("ij...,ai...,bj...->ab...", m, X, X)
+
+    h = pull_back(g)
+    det_h = h[0, 0] * h[1, 1] - h[0, 1] ** 2
+    h_inv = np.stack([[h[1, 1], -h[0, 1]], [-h[0, 1], h[0, 0]]]) / det_h
+
+    # unit normal within the slice, outward from the surface center: the
+    # covector X_theta x X_phi annihilates both tangents, and the chart is
+    # left-handed against y, so the outward one is its negative; it is
+    # raised with the cofactors of the symmetric g over det g
+    nu_cov = -np.cross(X[0], X[1], axis=0)
+    k1, k2 = [1, 2, 0], [2, 0, 1]
+    cof = g[k1][:, k1] * g[k2][:, k2] - g[k1][:, k2] * g[k2][:, k1]
+    nu = np.einsum("ij...,j...->i...", cof, nu_cov) / np.sum(g[0] * cof[0], axis=0)
+    norm = np.sqrt(np.sum(nu * nu_cov, axis=0))
+    nu, nu_cov = nu / norm, nu_cov / norm
+
+    # II_ab = nu_c X_ab^c + nu^f Gamma_{f,de} X_a^d X_b^e, where the
+    # Christoffels of the first kind need only the (r, theta) partials.
+    # Only h^{ab} II_ab is used, so the two terms of Gamma_{f,de} that
+    # differentiate along X_a and X_b are taken as twice the first
+    dg_nu = np.einsum("kij...,j...->ki...", dg, nu)
+    d_nu_g = np.einsum("k...,kij...->ij...", nu[:2], dg)
+    ii = (
+        np.einsum("i...,abi...->ab...", nu_cov, XX)
+        + np.einsum("ak...,ki...,bi...->ab...", X[:, :2], dg_nu, X)
+        - 0.5 * pull_back(d_nu_g)
     )
-
-    # induced metric
-    tang = np.stack([e_th, e_ph], axis=-2)  # (..., 2, 3)
-    h = np.einsum("...ai,...ij,...bj->...ab", tang, g_cart, tang)
-    det_h = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] ** 2
-    h_inv = np.empty_like(h)
-    h_inv[..., 0, 0] = h[..., 1, 1] / det_h
-    h_inv[..., 1, 1] = h[..., 0, 0] / det_h
-    h_inv[..., 0, 1] = h_inv[..., 1, 0] = -h[..., 0, 1] / det_h
-
-    # unit normal within the slice (outward from the surface center)
-    cross = np.cross(e_th, e_ph)
-    nu = np.einsum("...ij,...j->...i", g_inv, cross)
-    nu_norm = np.sqrt(np.einsum("...i,...ij,...j->...", nu, g_cart, nu))
-    nu /= nu_norm[..., None]
-    orient = np.einsum("...i,...ij,...j->...", nu, g_cart, n_hat)
-    nu *= np.sign(orient)[..., None]
-    nu_cov = np.einsum("...ij,...j->...i", g_cart, nu)
-
-    def second_form(dd, ea, eb):
-        return np.einsum(
-            "...k,...k->...",
-            nu_cov,
-            dd + np.einsum("...kij,...i,...j->...k", gamma, ea, eb),
-        )
-
-    ii = np.empty(h.shape)
-    ii[..., 0, 0] = second_form(dd_thth, e_th, e_th)
-    ii[..., 0, 1] = ii[..., 1, 0] = second_form(dd_thph, e_th, e_ph)
-    ii[..., 1, 1] = second_form(dd_phph, e_ph, e_ph)
-    h_slice = -np.einsum("...ab,...ab->...", h_inv, ii)
+    h_slice = -np.einsum("ab...,ab...->...", h_inv, ii)
 
     lapse = np.sqrt(1.0 - 2.0 * bg.m / r)
-    k_cart = dtg_cart / (2.0 * lapse[..., None, None])
-    tr_k = np.einsum("...ab,...ai,...bj,...ij->...", h_inv, tang, tang, k_cart)
+    tr_k = np.einsum("ab...,ab...->...", h_inv, pull_back(dtg)) / (2.0 * lapse)
 
     mean_sq = h_slice**2 - tr_k**2
     mean_norm = np.sqrt(np.maximum(mean_sq, 0.0))
 
-    K = _brioschi_K(h[..., 0, 0], h[..., 0, 1], h[..., 1, 1], dth, dph, th_s)
+    K = _brioschi_K(h[0, 0], h[0, 1], h[1, 1], dth, dph, th_s)
     hawking = K - 0.25 * mean_sq - 0.25 * (mean_norm - 2.0) ** 2
 
-    w = _midpoint_sine_weights(n_t)
-    sqrt_h = np.sqrt(det_h)
-    ratio = sqrt_h / np.sin(th_s)[:, None]
-    area = float(np.einsum("j,jk->", w, ratio) * dph)
-    gauss_bonnet = float(np.einsum("j,jk->", w, K * ratio) * dph)
-    hawking_integral = float(np.einsum("j,jk->", w, hawking * ratio) * dph)
+    induced = np.moveaxis(h, (0, 1), (-2, -1))
+    area, gauss_bonnet, hawking_integral = _surface_integrals(induced, th_s, 1.0, K, hawking)
 
     defect = abs(gauss_bonnet - 4.0 * np.pi)
     if defect > gauss_bonnet_tol:
@@ -637,7 +614,7 @@ def surface_geometry(
         n_phi=n_p,
         theta_s=th_s,
         phi_s=ph_s,
-        induced=h,
+        induced=induced,
         gauss=K,
         mean_norm=mean_norm,
         hawking_line=hawking,

@@ -103,6 +103,23 @@ def test_nan_override_exits_before_writing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_tolerance_bounds_published():
+    bounds = {"type": "number", "minimum": 1e-13, "maximum": 1e-3}
+    assert SCHEMA["properties"]["numerics"]["properties"]["tolerance"] == bounds
+    published = json.loads((DEMOS / "schema.json").read_text(encoding="utf-8"))
+    assert published["properties"]["numerics"]["properties"]["tolerance"] == bounds
+
+
+@pytest.mark.parametrize("tolerance", ["1e-20", "0.5"])
+def test_tolerance_out_of_range_exits_before_writing(tolerance, tmp_path, capsys):
+    # below the bounds scipy clamps rtol; at 0.5 residual_max reaches 5.6e-4
+    code = run(["radial", "--out", tmp_path, "--set", f"numerics.tolerance={tolerance}"])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "config" and "tolerance" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_error_exit(tmp_path, capsys):
     code = run(["sweep", "--out", tmp_path, "--set", "background.m=-1"])
     assert code == EXIT_CONFIG

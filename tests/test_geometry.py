@@ -184,6 +184,71 @@ def test_gauss_bonnet_perturbed(bg_unit, preset):
     assert rep.flags == ("incomplete-perturbation",)
 
 
+# K, |H| and the Hawking line of the axial preset (t = 0.9, d = 25, res 32)
+# at rows 0, 1, n/2 and n-1 and columns 0, 17 and 40, recorded from the
+# earlier implementation that assembled Cartesian Christoffels.  Rows 0 and
+# n-1 sit next to the parameter poles, where the Brioschi formula's
+# 1/sin^4 amplifies round-off in the induced metric: evaluation order alone
+# moves K there by ~1e-10 at res 32 and ~5e-9 at res 96.
+_PINNED_ROWS, _PINNED_COLS = (0, 1, 16, 31), (0, 17, 40)
+_PINNED = {
+    "equatorial": (
+        np.pi / 2,
+        [
+            [1.0766679559153365, 1.0766680234634527, 1.076667609771077],
+            [1.0736659246920504, 1.073667301562032, 1.0736588733869104],
+            [0.919866918102413, 0.9199365583593019, 0.9195104734238143],
+            [1.0980891312984555, 1.098089179006639, 1.0980888869014307],
+        ],
+        [
+            [2.075142994918269, 2.075143162139818, 2.0751421385644493],
+            [2.0722513188256295, 2.0722528170346837, 2.072243646452999],
+            [1.9199337066010578, 1.92001365933678, 1.9195244704257166],
+            [2.095657690963887, 2.095657896665783, 2.0956566375369663],
+        ],
+        [
+            [-0.0012982738455760943, -0.0012983860845511234, -0.0012976992873918033],
+            [-0.0011955206696005743, -0.0011957502573753198, -0.001194345292501373],
+            [-0.00327209416796764, -0.0032760083238245873, -0.003252152432032949],
+            [-0.0021437565857027946, -0.002143934256404813, -0.0021428467879746845],
+        ],
+    ),
+    "tilted": (
+        0.3,
+        [
+            [1.0766679640743284, 1.0766682335202848, 1.0766677988690978],
+            [1.0736659339221999, 1.0736666447973553, 1.0736659593535862],
+            [0.9198669867300647, 0.9198593761483901, 0.9198992199687316],
+            [1.0980891437827722, 1.098089439717198, 1.0980889518954633],
+        ],
+        [
+            [2.075142962861481, 2.0751433297785633, 2.075142766592327],
+            [2.0722512883536464, 2.0722522745678797, 2.072251164857646],
+            [1.919933792019624, 1.9199246603718247, 1.9199710760229012],
+            [2.095657656800988, 2.0956580836712537, 2.09565743276114],
+        ],
+        [
+            [-0.001298231220953319, -0.0012983562633833402, -0.0012981854088035497],
+            [-0.0011954787658273048, -0.0011958253606406861, -0.0011953209157028481],
+            [-0.003272104119737727, -0.0032713142317184014, -0.0032741703906358295],
+            [-0.0021437066705435677, -0.0021438784398838313, -0.0021436530869024823],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("direction", sorted(_PINNED))
+def test_perturbed_fields_pinned_pointwise(bg_unit, preset, direction):
+    theta_d, gauss, mean_norm, hawking = _PINNED[direction]
+    rep = surface_geometry(
+        SurfaceSpec(t=0.9, d=25.0, theta_d=theta_d), bg_unit, preset, resolution=32
+    )
+    at = np.ix_(_PINNED_ROWS, _PINNED_COLS)
+    assert np.max(np.abs(rep.gauss[at] - gauss)) <= 1e-8
+    assert np.max(np.abs(rep.hawking_line[at] - hawking)) <= 1e-8
+    assert np.max(np.abs(rep.mean_norm[at] - mean_norm)) <= 1e-12
+
+
 def test_resolution_self_check(bg_unit):
     with pytest.raises(ResolutionError):
         surface_geometry(
