@@ -133,7 +133,7 @@ def run_radial(conf, out: Path, jobs: int) -> list[Path]:
     sol = solve_radial(bg, mode, _boundary(conf), d_values, num["tolerance"], r_range)
     n = num["radial_samples"]
     r = np.linspace(sol.r_min * (1 + 1e-12), sol.r_max * (1 - 1e-12), n)
-    states = sol.eval_rstar(tortoise(r, bg))
+    z, dz = sol.eval_r(r)
     v = potential(r, bg, mode)
     if sol.kind == "axial":
         prof = a_profile(sol)
@@ -144,8 +144,8 @@ def run_radial(conf, out: Path, jobs: int) -> list[Path]:
         (
             float(r[i]),
             float(tortoise(r[i], bg)),
-            float(states[0, i]),
-            float(states[1, i]),
+            float(z[i]),
+            float(dz[i]),
             float(v[i]),
             float(a[i]),
             float(ap[i]),

@@ -132,6 +132,10 @@ SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would check SCHEMA against its metaschema
+# on every call.  A test checks SCHEMA once instead.
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
 DEFAULT_CONFIG = {
     "background": {"m": 1.0},
     "mode": {
@@ -164,10 +168,9 @@ DEFAULT_CONFIG = {
 def validate_config(doc: dict) -> dict:
     """Schema plus semantic validation; returns the fully defaulted document."""
     merged = _merge(copy.deepcopy(DEFAULT_CONFIG), doc)
-    try:
-        jsonschema.validate(merged, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config invalid at {'/'.join(map(str, exc.path))}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(merged))
+    if error is not None:
+        raise ConfigError(f"config invalid at {'/'.join(map(str, error.path))}: {error.message}") from error
     mode = merged["mode"]
     if mode["kind"] == "axial" and "ell" not in mode:
         raise ConfigError("axial mode requires 'ell'")

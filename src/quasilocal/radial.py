@@ -9,6 +9,10 @@ system in (Z, dZ/dr*, r), with dr/dr* = 1 - 2m/r carried as an auxiliary
 state so the potential never needs a Newton inversion inside the right-hand
 side.  dZ/dr is always derived from dZ/dr* through the exact Jacobian
 r/(r - 2m), never by differencing samples.
+
+Dense output stacks each DOP853 leg's step interpolants in one table, bitwise
+equal to scipy's ``OdeSolution`` but evaluated for a batch of points at once;
+``eval_r`` keeps its last result, so A, A' and A'' share one pass.
 """
 
 from __future__ import annotations
@@ -286,6 +290,37 @@ class _HermiteSegment:
         return out.T
 
 
+class _Dop853Table:
+    """The DOP853 step interpolants of one ``solve_ivp`` leg, stacked.
+
+    Taken once from scipy's ``OdeSolution``.  A call picks each point's step
+    as ``OdeSolution.__call__`` does and repeats the elementwise arithmetic of
+    ``Dop853DenseOutput._call_impl``, so its values are bitwise scipy's; it
+    gathers one power of F at a time to keep its temporaries (n, 3).
+    """
+
+    def __init__(self, ode):
+        steps = ode.interpolants
+        self.side, self.ascending, self.ts_sorted = ode.side, ode.ascending, ode.ts_sorted
+        self.t_old = np.array([s.t_old for s in steps])
+        self.h = np.array([s.h for s in steps])
+        self.F = np.array([s.F for s in steps])  # (step, power, state)
+        self.y_old = np.array([s.y_old for s in steps])
+
+    def __call__(self, t):
+        n = len(self.h)
+        seg = np.clip(np.searchsorted(self.ts_sorted, t, side=self.side) - 1, 0, n - 1)
+        if not self.ascending:
+            seg = n - 1 - seg
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        y = np.zeros((len(t), self.y_old.shape[1]))
+        for i in range(self.F.shape[1]):
+            y += self.F[seg, -1 - i]
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old[seg]
+        return y.T
+
+
 @dataclass(frozen=True)
 class RadialSolution:
     """Sampled (Z, dZ/dr*) on an ascending tortoise grid with dense output."""
@@ -300,6 +335,8 @@ class RadialSolution:
     tol: float
     _segments: tuple = field(repr=False)
     asymptotic_truncation: float | None = None
+    # (r, z, dz) of the last eval_r call, one tuple so no thread sees a mixed entry
+    _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     @property
     def r_min(self) -> float:
@@ -312,39 +349,48 @@ class RadialSolution:
     def eval_rstar(self, rs) -> np.ndarray:
         """Dense-output states (z, dz, r) at tortoise coordinates.
 
-        Returns shape (3,) + rs.shape.
+        Returns shape (3,) + rs.shape.  A point goes to the first leg within
+        1e-12 (1 + |r*|) of it, else to the nearest leg end: the drift of the
+        integrated r lets radii in [r_min, r_max] map ~1e-9 past the legs.
         """
         rs_in = np.atleast_1d(np.asarray(rs, dtype=float))
         shape = rs_in.shape
         rs = rs_in.ravel()
         lo, hi = self.rstar[0], self.rstar[-1]
-        if np.any(rs < lo - 1e-9 * (1 + abs(lo))) or np.any(
-            rs > hi + 1e-9 * (1 + abs(hi))
-        ):
+        if not np.all((rs >= lo - 1e-9 * (1 + abs(lo))) & (rs <= hi + 1e-9 * (1 + abs(hi)))):
             raise CoverageError(
                 f"tortoise coordinate outside covered range [{lo}, {hi}]"
             )
+        inside = np.array([
+            (rs >= t_lo - 1e-12 * (1 + abs(t_lo))) & (rs <= t_hi + 1e-12 * (1 + abs(t_hi)))
+            for t_lo, t_hi, _ in self._segments
+        ])
+        gap = np.array([np.maximum(t_lo - rs, rs - t_hi) for t_lo, t_hi, _ in self._segments])
+        leg = np.where(inside.any(axis=0), inside.argmax(axis=0), gap.argmin(axis=0))
         out = np.empty((3, rs.size))
-        filled = np.zeros(rs.size, dtype=bool)
-        for t_lo, t_hi, seg in self._segments:
-            mask = ~filled & (rs >= t_lo - 1e-12 * (1 + abs(t_lo))) & (
-                rs <= t_hi + 1e-12 * (1 + abs(t_hi))
-            )
+        for i, (_, _, seg) in enumerate(self._segments):
+            mask = leg == i
             if np.any(mask):
                 out[:, mask] = seg(rs[mask])
-                filled |= mask
-        if not np.all(filled):
-            raise CoverageError("tortoise coordinate fell between segments")
         return out.reshape((3,) + shape)
 
     def eval_r(self, r) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, dZ/dr*) at Schwarzschild radius r (any array shape)."""
+        """(Z, dZ/dr*) at Schwarzschild radius r (any array shape).
+
+        A call with the same radii as the previous one returns the previous
+        (read-only) arrays without evaluating again.
+        """
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        last = self._last_eval[0]
+        if last is not None and last[0].shape == r_arr.shape and np.array_equal(last[0], r_arr):
+            return last[1], last[2]
         if np.any(r_arr < self.r_min - 1e-9) or np.any(r_arr > self.r_max + 1e-9):
             raise CoverageError(
                 f"radius outside covered range [{self.r_min}, {self.r_max}]"
             )
         states = self.eval_rstar(tortoise(r_arr, self.background))
+        states.flags.writeable = False
+        self._last_eval[0] = (r_arr.copy(), states[0], states[1])
         return states[0], states[1]
 
     def residual_max(self) -> float:
@@ -352,28 +398,27 @@ class RadialSolution:
 
         For each sample interval, compares y_{i+1} - y_i against the 10-point
         Gauss quadrature of the right-hand side evaluated on dense output.
+        Nodes go through the dense output 128 intervals per call, bounding its
+        temporaries; each interval keeps its own ``np.dot`` (a matrix product
+        would reorder the sum).  integrate_wave leaves no zero-length interval.
         """
         nodes, weights = np.polynomial.legendre.leggauss(10)
         scale = max(np.max(np.abs(self.z)), np.max(np.abs(self.dz)), 1e-300)
         sigma = self.mode.sigma
-        worst = 0.0
-        for i in range(len(self.rstar) - 1):
-            a, b = self.rstar[i], self.rstar[i + 1]
-            if b - a <= 0:
-                continue
-            ts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            st = self.eval_rstar(ts)
+        a, b = self.rstar[:-1], self.rstar[1:]
+        half = 0.5 * (b - a)
+        ts = half[:, None] * nodes + (0.5 * (a + b))[:, None]
+        int_z, int_dz = np.empty_like(half), np.empty_like(half)
+        for k in range(0, len(ts), 128):
+            st = self.eval_rstar(ts[k:k + 128])
             v = potential(np.maximum(st[2], self.background.horizon * (1 + 1e-15)), self.background, self.mode)
-            f_z = st[1]
-            f_dz = (v - sigma * sigma) * st[0]
-            int_z = 0.5 * (b - a) * np.dot(weights, f_z)
-            int_dz = 0.5 * (b - a) * np.dot(weights, f_dz)
-            res = max(
-                abs(self.z[i + 1] - self.z[i] - int_z),
-                abs(self.dz[i + 1] - self.dz[i] - int_dz),
-            )
-            worst = max(worst, res)
-        return worst / scale
+            int_z[k:k + 128] = [np.dot(weights, row) for row in st[1]]
+            int_dz[k:k + 128] = [np.dot(weights, row) for row in (v - sigma * sigma) * st[0]]
+        res = np.maximum(
+            np.abs(np.diff(self.z) - half * int_z),
+            np.abs(np.diff(self.dz) - half * int_dz),
+        )
+        return np.max(res, initial=0.0) / scale
 
 
 def _rhs_factory(bg: BackgroundParams, mode) -> Callable:
@@ -384,10 +429,11 @@ def _rhs_factory(bg: BackgroundParams, mode) -> Callable:
     else:
         v, param = _v_polar, mode.n
 
+    # Python floats: the same libm pow and IEEE operations as numpy scalars,
+    # without their per-operation overhead
     def rhs(t, y):
-        z, dz, r = y
-        dz_dot = (v(r, m, param) - sigma_sq) * z
-        return np.asarray((dz, dz_dot, (r - 2.0 * m) / r), dtype=float)
+        z, dz, r = y.tolist()
+        return np.array((dz, (v(r, m, param) - sigma_sq) * z, (r - 2.0 * m) / r))
 
     return rhs
 
@@ -492,7 +538,7 @@ def integrate_wave(
         )
         if not sol.success:
             raise IntegrationError(f"radial integration failed: {sol.message}")
-        segments.append((min(t0, t1), max(t0, t1), sol.sol))
+        segments.append((min(t0, t1), max(t0, t1), _Dop853Table(sol.sol)))
         samples.append((sol.t, sol.y.T))
 
     integrate_leg(rs0, rs_hi)

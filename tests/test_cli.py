@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -74,6 +75,24 @@ def test_overrides():
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_shipped_scenarios_validate(name):
     load_config(SCENARIOS / name)
+
+
+def test_schema_passes_its_metaschema():
+    # validate_config no longer checks SCHEMA on every call
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"numerics": {"l_maximum": 8}},
+     "config invalid at numerics: Additional properties are not allowed ('l_maximum' was unexpected)"),
+    # three errors: the message names the one jsonschema.validate would raise
+    ({"numerics": {"tolerance": 0.5, "l_max": -1}, "mode": {"sigma": "x"}},
+     "config invalid at numerics/tolerance: 0.5 is greater than the maximum of 0.001"),
+])
+def test_schema_error_text(doc, message):
+    with pytest.raises(ConfigError) as info:
+        validate_config(doc)
+    assert str(info.value) == message
 
 
 def test_published_schema_matches():
@@ -176,6 +195,42 @@ def test_radial_artifact_header(tmp_path, capsys):
     assert lines[1] == "r,r_star,z,dz_drstar,v,a,a_prime,a_double_prime"
     assert len(lines) == 2 + 30
     doc = json.loads((tmp_path / "radial.json").read_text())
+    assert doc["residual_max"] < 1e-7
+
+
+def test_radial_samples_take_one_dense_output_pass(tmp_path, capsys, monkeypatch):
+    # z, dz and A, A', A'' of the samples share one pass; the other calls are
+    # residual_max's, ten Gauss nodes per interval
+    calls = []
+    eval_rstar = quasilocal.radial.RadialSolution.eval_rstar
+    monkeypatch.setattr(
+        quasilocal.radial.RadialSolution, "eval_rstar",
+        lambda self, rs: calls.append(np.size(rs)) or eval_rstar(self, rs),
+    )
+    assert run(["radial", "--config", SCENARIOS / "radial_profile.json", "--out", tmp_path,
+                "--set", "numerics.radial_samples=37"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls.count(37) == 1
+    assert all(n % 10 == 0 for n in calls if n != 37)
+
+
+@pytest.mark.parametrize("phase", [0.0, 3.9138])
+def test_asymptotic_start_with_a_small_surface(phase, tmp_path, capsys):
+    # the sample grid starts ~1e-9 below the sampled tortoise range, which the
+    # drift of the integrated r allows; such points go to the nearest leg end
+    code = run([
+        "radial", "--out", tmp_path,
+        "--set", "mode.boundary.type=asymptotic",
+        "--set", f"mode.boundary.phase={phase}",
+        "--set", "surface.d=[5]",
+        "--set", "numerics.tolerance=1e-6",
+    ])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    lines = (tmp_path / "radial.csv").read_text().splitlines()
+    assert np.all(np.isfinite(np.array([line.split(",") for line in lines[2:]], dtype=float)))
+    doc = json.loads((tmp_path / "radial.json").read_text())
+    assert all(math.isfinite(x) for x in _json_numbers(doc))
     assert doc["residual_max"] < 1e-7
 
 

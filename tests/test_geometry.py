@@ -113,6 +113,20 @@ def test_axial_preset_pole_behavior(bg_unit, mode_l2):
     assert abs(vals[0]) < 2e-2 * abs(vals[1])  # ~ sin(1e-3)/sin(0.1)
 
 
+def test_axial_preset_one_dense_output_pass_per_surface(bg_unit, preset, monkeypatch):
+    # q3, dq3/dr and dq3/dtheta share the A and A' of one evaluation
+    from quasilocal.radial import RadialSolution
+
+    calls = []
+    eval_rstar = RadialSolution.eval_rstar
+    monkeypatch.setattr(
+        RadialSolution, "eval_rstar", lambda self, rs: calls.append(rs.shape) or eval_rstar(self, rs)
+    )
+    for d in (24.5, 25.0):
+        surface_geometry(SurfaceSpec(t=0.9, d=d), bg_unit, preset, resolution=32)
+    assert len(calls) == 2
+
+
 def test_axial_preset_regular_horizon_limit(bg_unit, mode_l2):
     # the prefactor (r^2 - 2mr)/r^4 vanishes at the horizon but d(rZ)/dr blows
     # up at the same rate; the regular combination tends to A(r)/r with

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.special import spherical_jn, spherical_yn
 
 from quasilocal import (
@@ -20,7 +21,8 @@ from quasilocal import (
     potential_polar,
     tortoise,
 )
-from quasilocal.radial import _rhs_factory, radial_coverage, solve_radial
+from quasilocal import radial
+from quasilocal.radial import RadialSolution, _rhs_factory, radial_coverage, solve_radial
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +294,148 @@ def test_coverage_errors(axial_solution):
         axial_solution.eval_r(10.0)
     with pytest.raises(CoverageError):
         axial_solution.eval_r(90.0)
+    with pytest.raises(CoverageError):
+        axial_solution.eval_rstar(np.nan)
+
+
+# ----------------------------------------------------------------------
+# stacked dense output
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def scipy_legs(monkeypatch):
+    """The OdeSolution of every leg integrate_wave stacks, beside its table."""
+    legs = []
+
+    class Recorded(radial._Dop853Table):
+        def __init__(self, ode):
+            super().__init__(ode)
+            legs.append((ode, self))
+
+    monkeypatch.setattr(radial, "_Dop853Table", Recorded)
+    return legs
+
+
+def _window(t_lo, t_hi, rs):
+    return (rs >= t_lo - 1e-12 * (1 + abs(t_lo))) & (rs <= t_hi + 1e-12 * (1 + abs(t_hi)))
+
+
+def _scipy_eval_rstar(sol, odes, rs):
+    """Reference: each point through scipy's OdeSolution of the first leg within 1e-12."""
+    out = np.empty((3, rs.size))
+    filled = np.zeros(rs.size, dtype=bool)
+    for (t_lo, t_hi, _), ode in zip(sol._segments, odes):
+        mask = ~filled & _window(t_lo, t_hi, rs)
+        out[:, mask] = ode(rs[mask])
+        filled |= mask
+    assert filled.all()
+    return out
+
+
+_STACKED_CASES = {
+    # anchored mid-range: an ascending and a descending leg
+    "anchor": (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
+               AnchorBoundary(z=0.0, dz=1.0, r=30.0), (20.0, 80.0), 1e-10),
+    "polar": (BackgroundParams(m=1.0), PolarMode(n=2.0, sigma=0.5),
+              AnchorBoundary(z=0.3, dz=-0.2, r=50.0), (10.0, 60.0), 1e-9),
+    # one descending leg of ~560 steps
+    "asymptotic": (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
+                   AsymptoticBoundary(amplitude=1.3), (20.0, 80.0), 1e-5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
+def test_stacked_dense_output_is_bitwise_scipy(case, scipy_legs):
+    bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
+    integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    assert len(scipy_legs) == (2 if isinstance(bnd, AnchorBoundary) else 1)
+    assert not scipy_legs[-1][0].ascending
+    rng = np.random.default_rng(7)
+    for ode, table in scipy_legs:
+        assert all(type(s) is Dop853DenseOutput for s in ode.interpolants)
+        lo, hi = ode.t_min, ode.t_max
+        span = 1e-12 * (1 + max(abs(lo), abs(hi)))
+        for t in (
+            rng.uniform(lo, hi, 2000),
+            ode.ts,
+            np.array([lo, hi, lo - span, hi + span]),
+        ):
+            assert table(t).tobytes() == ode(t).tobytes()
+
+
+def test_two_legs_meet_at_the_anchor(scipy_legs):
+    bg, mode, bnd, r_range, tol = _STACKED_CASES["anchor"]
+    sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    rs0 = tortoise(bnd.r, bg)
+    span = 1e-12 * (1 + abs(rs0))
+    rs = np.concatenate([
+        rs0 + span * np.array([-0.99, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.99]),
+        np.linspace(sol.rstar[0], sol.rstar[-1], 301),
+    ])
+    odes = [ode for ode, _ in scipy_legs]
+    assert sol.eval_rstar(rs).tobytes() == _scipy_eval_rstar(sol, odes, rs).tobytes()
+
+
+def test_point_past_every_leg_goes_to_the_nearest_end(scipy_legs):
+    # inside the 1e-9 coverage check, outside every leg's 1e-12 window: the
+    # integrated r drifts from the tortoise map by this much
+    bg, mode, bnd, r_range, tol = _STACKED_CASES["anchor"]
+    sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    (up, _), (down, _) = scipy_legs
+    lo, hi = sol.rstar[0], sol.rstar[-1]
+    below = np.array([lo - 1e-10 * (1 + abs(lo))])
+    above = np.array([hi + 1e-10 * (1 + abs(hi))])
+    assert sol.eval_rstar(below).tobytes() == down(below).tobytes()
+    assert sol.eval_rstar(above).tobytes() == up(above).tobytes()
+    assert np.all(np.isfinite(sol.eval_rstar(np.concatenate([below, above]))))
+
+
+def _residual_max_loop(sol):
+    """Reference: one dense-output call and one quadrature per sample interval."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    scale = max(np.max(np.abs(sol.z)), np.max(np.abs(sol.dz)), 1e-300)
+    sigma = sol.mode.sigma
+    worst = 0.0
+    for i in range(len(sol.rstar) - 1):
+        a, b = sol.rstar[i], sol.rstar[i + 1]
+        if b - a <= 0:
+            continue
+        st = sol.eval_rstar(0.5 * (b - a) * nodes + 0.5 * (a + b))
+        v = potential_axial if sol.kind == "axial" else potential_polar
+        v = v(np.maximum(st[2], sol.background.horizon * (1 + 1e-15)), sol.background, sol.mode)
+        int_z = 0.5 * (b - a) * np.dot(weights, st[1])
+        int_dz = 0.5 * (b - a) * np.dot(weights, (v - sigma * sigma) * st[0])
+        res = max(abs(sol.z[i + 1] - sol.z[i] - int_z), abs(sol.dz[i + 1] - sol.dz[i] - int_dz))
+        worst = max(worst, res)
+    return worst / scale
+
+
+@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
+def test_residual_max_is_bitwise_the_interval_loop(case):
+    bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
+    sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    assert sol.residual_max() == _residual_max_loop(sol)
+
+
+def test_residual_max_fixed_step_is_bitwise_the_interval_loop(bg_unit, mode_l2):
+    sol = integrate_wave(
+        bg_unit, mode_l2, AnchorBoundary(z=0.3, dz=0.1, r=30.0), (20.0, 60.0), fixed_step=200
+    )
+    assert sol.residual_max() == _residual_max_loop(sol)
+
+
+@pytest.mark.parametrize("mode", [AxialMode(ell=3, sigma=0.7), PolarMode(n=5.0, sigma=0.7)])
+def test_rhs_is_bitwise_the_numpy_scalar_arithmetic(bg_unit, mode):
+    rhs = _rhs_factory(bg_unit, mode)
+    v, param = (
+        (radial._v_axial, mode.mu_sq) if mode.kind == "axial" else (radial._v_polar, mode.n)
+    )
+    rng = np.random.default_rng(3)
+    for y in np.column_stack([rng.normal(size=200), rng.normal(size=200), rng.uniform(2.001, 5e4, 200)]):
+        z, dz, r = y
+        expect = np.asarray((dz, (v(r, 1.0, param) - mode.sigma**2) * z, (r - 2.0) / r), dtype=float)
+        assert rhs(0.0, y).tobytes() == expect.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -374,3 +518,28 @@ def test_a_profile_horizon_limit():
 def test_a_profile_coverage(axial_profile):
     with pytest.raises(CoverageError):
         axial_profile.a(500.0)
+
+
+def test_profile_shares_one_dense_output_pass(axial_solution, monkeypatch):
+    prof = a_profile(axial_solution)
+    r = np.linspace(21.0, 79.0, 57).reshape(3, 19)
+    other = np.linspace(22.0, 78.0, 11)
+    # each value from its own pass: evaluate other radii in between
+    expect = []
+    for fn in (prof.a, prof.a_prime, prof.a_double_prime):
+        axial_solution.eval_r(other)
+        expect.append(fn(r))
+    axial_solution.eval_r(other)
+    calls = []
+    eval_rstar = RadialSolution.eval_rstar
+    monkeypatch.setattr(
+        RadialSolution, "eval_rstar", lambda self, rs: calls.append(rs.shape) or eval_rstar(self, rs)
+    )
+    got = [prof.a(r.copy()), prof.a_prime(r.copy()), prof.a_double_prime(r)]
+    assert calls == [r.shape]
+    for g, e in zip(got, expect):
+        assert g.tobytes() == e.tobytes()
+    z, dz = axial_solution.eval_r(r)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        z[0, 0] = 0.0  # the kept result is shared, so it is read-only
