@@ -402,8 +402,8 @@ def _residual_max_loop(sol):
         if b - a <= 0:
             continue
         st = sol.eval_rstar(0.5 * (b - a) * nodes + 0.5 * (a + b))
-        v = potential_axial if sol.kind == "axial" else potential_polar
-        v = v(np.maximum(st[2], sol.background.horizon * (1 + 1e-15)), sol.background, sol.mode)
+        r = np.maximum(st[2], sol.background.horizon * (1 + 1e-15))
+        v = radial.potential(r, sol.background, sol.mode)
         int_z = 0.5 * (b - a) * np.dot(weights, st[1])
         int_dz = 0.5 * (b - a) * np.dot(weights, (v - sigma * sigma) * st[0])
         res = max(abs(sol.z[i + 1] - sol.z[i] - int_z), abs(sol.dz[i + 1] - sol.dz[i] - int_dz))
