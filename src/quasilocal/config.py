@@ -91,8 +91,8 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "l_max": {"type": "integer", "minimum": 2, "maximum": 64},
-                # scipy clamps a smaller rtol with a warning; at a larger one
-                # the radial residual is no longer small (5.6e-4 at 0.5)
+                # the DOP853 stepper clamps an rtol below 100 eps with a warning;
+                # at a larger one the radial residual is no longer small (5.6e-4 at 0.5)
                 "tolerance": {"type": "number", "minimum": 1e-13, "maximum": 1e-3},
                 "epsilon": _POSITIVE,
                 "geometry_resolution": {"type": "integer", "minimum": 16},

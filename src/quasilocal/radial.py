@@ -10,9 +10,10 @@ state so the potential never needs a Newton inversion inside the right-hand
 side.  dZ/dr is always derived from dZ/dr* through the exact Jacobian
 r/(r - 2m), never by differencing samples.
 
-Dense output stacks each DOP853 leg's step interpolants in one table, bitwise
-equal to scipy's ``OdeSolution`` but evaluated for a batch of points at once;
-``eval_r`` keeps its last result, so A, A' and A'' share one pass.
+Each leg is stepped by the package's own DOP853 (``_dop853``), bitwise equal
+to scipy's ``solve_ivp`` in steps, states and dense output.  The leg's step
+interpolants are stacked in one table and evaluated for a batch of points at
+once; ``eval_r`` keeps its last result, so A, A' and A'' share one pass.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._dop853 import dop853
 from .errors import CoverageError, DomainError, IntegrationError
 
 __all__ = [
@@ -290,37 +291,6 @@ class _HermiteSegment:
         return out.T
 
 
-class _Dop853Table:
-    """The DOP853 step interpolants of one ``solve_ivp`` leg, stacked.
-
-    Taken once from scipy's ``OdeSolution``.  A call picks each point's step
-    as ``OdeSolution.__call__`` does and repeats the elementwise arithmetic of
-    ``Dop853DenseOutput._call_impl``, so its values are bitwise scipy's; it
-    gathers one power of F at a time to keep its temporaries (n, 3).
-    """
-
-    def __init__(self, ode):
-        steps = ode.interpolants
-        self.side, self.ascending, self.ts_sorted = ode.side, ode.ascending, ode.ts_sorted
-        self.t_old = np.array([s.t_old for s in steps])
-        self.h = np.array([s.h for s in steps])
-        self.F = np.array([s.F for s in steps])  # (step, power, state)
-        self.y_old = np.array([s.y_old for s in steps])
-
-    def __call__(self, t):
-        n = len(self.h)
-        seg = np.clip(np.searchsorted(self.ts_sorted, t, side=self.side) - 1, 0, n - 1)
-        if not self.ascending:
-            seg = n - 1 - seg
-        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        y = np.zeros((len(t), self.y_old.shape[1]))
-        for i in range(self.F.shape[1]):
-            y += self.F[seg, -1 - i]
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old[seg]
-        return y.T
-
-
 @dataclass(frozen=True)
 class RadialSolution:
     """Sampled (Z, dZ/dr*) on an ascending tortoise grid with dense output."""
@@ -527,19 +497,9 @@ def integrate_wave(
             samples.append((ts, ys))
             return
         atol = np.array([tol * scale * 1e-2, tol * scale * 1e-2, tol * 1e-2 * max(r0, 1.0)])
-        sol = solve_ivp(
-            rhs,
-            (t0, t1),
-            y0,
-            method="DOP853",
-            rtol=tol,
-            atol=atol,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise IntegrationError(f"radial integration failed: {sol.message}")
-        segments.append((min(t0, t1), max(t0, t1), _Dop853Table(sol.sol)))
-        samples.append((sol.t, sol.y.T))
+        ts, ys, table = dop853(rhs, t0, t1, y0, rtol=tol, atol=atol)
+        segments.append((min(t0, t1), max(t0, t1), table))
+        samples.append((ts, ys))
 
     integrate_leg(rs0, rs_hi)
     integrate_leg(rs0, rs_lo)

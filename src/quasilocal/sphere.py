@@ -26,10 +26,10 @@ Conventions fixed here and used everywhere else in the package:
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import BandLimitError, DomainError
 
@@ -58,11 +58,35 @@ DEFAULT_FRAME = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending, in (-1, 1)) and weights of the n-point Gauss rule."""
+    """Nodes (ascending, in (-1, 1)) and weights of the n-point Gauss rule.
+
+    Newton's method on the three-term recurrence from Tricomi's guesses (Hale
+    & Townsend, SIAM J. Sci. Comput. 35, A652 (2013)) for the nonnegative
+    nodes, mirrored; weights 2 / ((1 - x^2) P_n'(x)^2), scaled to sum to 2.
+    """
     if n < 1:
         raise DomainError(f"need at least one node, got n={n}")
-    nodes, weights = roots_legendre(n)
-    return np.asarray(nodes), np.asarray(weights)
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for ell in range(2, n + 1):
+            p_prev, p = p, ((2 * ell - 1) * x * p - (ell - 1) * p_prev) / ell
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    x[n // 2:] = 0.0  # an odd n's middle node, zero by parity
+    weights = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    lo = slice(n // 2)  # the positive nodes
+    nodes = np.concatenate((-x[lo], x[n // 2:], x[lo][::-1]))
+    weights = np.concatenate((weights, weights[lo][::-1]))
+    return nodes, weights * (2.0 / weights.sum())
+
+
+# for SphereGrid, which copies what it takes: a sweep builds each grid once per d
+_grid_rule = functools.lru_cache(maxsize=64)(gauss_legendre)
 
 
 def _legendre_p_derivs(ell: int, x: np.ndarray, n_deriv: int) -> list[np.ndarray]:
@@ -189,7 +213,7 @@ class SphereGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         self.l_max = int(l_max)
-        x, w = gauss_legendre(n_theta)
+        x, w = _grid_rule(n_theta)
         # ascending colatitude <=> descending cos(theta)
         self.cos_theta = x[::-1].copy()
         self.weights = w[::-1].copy()

@@ -131,7 +131,7 @@ def test_tolerance_bounds_published():
 
 @pytest.mark.parametrize("tolerance", ["1e-20", "0.5"])
 def test_tolerance_out_of_range_exits_before_writing(tolerance, tmp_path, capsys):
-    # below the bounds scipy clamps rtol; at 0.5 residual_max reaches 5.6e-4
+    # below the bounds the stepper clamps rtol; at 0.5 residual_max reaches 5.6e-4
     code = run(["radial", "--out", tmp_path, "--set", f"numerics.tolerance={tolerance}"])
     assert code == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)["error"]

@@ -1,7 +1,10 @@
 """Tortoise map, potentials, wave integration, and the A(r) profile."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.special import spherical_jn, spherical_yn
 
@@ -21,7 +24,7 @@ from quasilocal import (
     potential_polar,
     tortoise,
 )
-from quasilocal import radial
+from quasilocal import _dop853, radial
 from quasilocal.radial import RadialSolution, _rhs_factory, radial_coverage, solve_radial
 
 
@@ -303,17 +306,29 @@ def test_coverage_errors(axial_solution):
 # ----------------------------------------------------------------------
 
 
+def _warned(call, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call(*args, **kwargs)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
 @pytest.fixture
-def scipy_legs(monkeypatch):
-    """The OdeSolution of every leg integrate_wave stacks, beside its table."""
+def legs(monkeypatch):
+    """Every leg integrate_wave steps: the in-repo stepper's result and
+    warnings beside those of solve_ivp on the same arguments."""
     legs = []
 
-    class Recorded(radial._Dop853Table):
-        def __init__(self, ode):
-            super().__init__(ode)
-            legs.append((ode, self))
+    def recorded(fun, t0, t_bound, y0, rtol, atol):
+        ours, warned = _warned(_dop853.dop853, fun, t0, t_bound, y0, rtol=rtol, atol=atol)
+        ref, ref_warned = _warned(
+            solve_ivp, fun, (t0, t_bound), y0, method="DOP853", rtol=rtol, atol=atol,
+            dense_output=True,
+        )
+        legs.append((ours, ref, warned, ref_warned))
+        return ours
 
-    monkeypatch.setattr(radial, "_Dop853Table", Recorded)
+    monkeypatch.setattr(radial, "dop853", recorded)
     return legs
 
 
@@ -343,17 +358,30 @@ _STACKED_CASES = {
     "asymptotic": (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
                    AsymptoticBoundary(amplitude=1.3), (20.0, 80.0), 1e-5),
 }
+# below 100 eps, where rtol is clamped with a warning
+_CLAMPED_CASE = (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
+                 AnchorBoundary(z=0.0, dz=1.0, r=30.0), (28.0, 33.0), 1e-15)
 
 
-@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
-def test_stacked_dense_output_is_bitwise_scipy(case, scipy_legs):
-    bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
+@pytest.mark.parametrize("case", sorted(_STACKED_CASES) + ["clamped"])
+def test_stepper_is_bitwise_solve_ivp(case, legs):
+    bg, mode, bnd, r_range, tol = _STACKED_CASES.get(case, _CLAMPED_CASE)
     integrate_wave(bg, mode, bnd, r_range, tol=tol)
-    assert len(scipy_legs) == (2 if isinstance(bnd, AnchorBoundary) else 1)
-    assert not scipy_legs[-1][0].ascending
+    assert len(legs) == (2 if isinstance(bnd, AnchorBoundary) else 1)
+    assert not legs[-1][1].sol.ascending
     rng = np.random.default_rng(7)
-    for ode, table in scipy_legs:
+    for (ts, ys, table), ref, warned, ref_warned in legs:
+        assert warned == ref_warned
+        assert len(warned) == (case == "clamped")
+        ode = ref.sol
         assert all(type(s) is Dop853DenseOutput for s in ode.interpolants)
+        assert ts.tobytes() == ref.t.tobytes()
+        assert ys.tobytes() == np.ascontiguousarray(ref.y.T).tobytes()
+        for name in ("t_old", "h", "F", "y_old"):
+            stacked = np.array([getattr(s, name) for s in ode.interpolants])
+            assert getattr(table, name).tobytes() == stacked.tobytes()
+        assert table.ts_sorted.tobytes() == ode.ts_sorted.tobytes()
+        assert (table.side, table.ascending) == (ode.side, ode.ascending)
         lo, hi = ode.t_min, ode.t_max
         span = 1e-12 * (1 + max(abs(lo), abs(hi)))
         for t in (
@@ -364,7 +392,7 @@ def test_stacked_dense_output_is_bitwise_scipy(case, scipy_legs):
             assert table(t).tobytes() == ode(t).tobytes()
 
 
-def test_two_legs_meet_at_the_anchor(scipy_legs):
+def test_two_legs_meet_at_the_anchor(legs):
     bg, mode, bnd, r_range, tol = _STACKED_CASES["anchor"]
     sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
     rs0 = tortoise(bnd.r, bg)
@@ -373,16 +401,16 @@ def test_two_legs_meet_at_the_anchor(scipy_legs):
         rs0 + span * np.array([-0.99, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.99]),
         np.linspace(sol.rstar[0], sol.rstar[-1], 301),
     ])
-    odes = [ode for ode, _ in scipy_legs]
+    odes = [ref.sol for _, ref, _, _ in legs]
     assert sol.eval_rstar(rs).tobytes() == _scipy_eval_rstar(sol, odes, rs).tobytes()
 
 
-def test_point_past_every_leg_goes_to_the_nearest_end(scipy_legs):
+def test_point_past_every_leg_goes_to_the_nearest_end(legs):
     # inside the 1e-9 coverage check, outside every leg's 1e-12 window: the
     # integrated r drifts from the tortoise map by this much
     bg, mode, bnd, r_range, tol = _STACKED_CASES["anchor"]
     sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
-    (up, _), (down, _) = scipy_legs
+    up, down = (ref.sol for _, ref, _, _ in legs)
     lo, hi = sol.rstar[0], sol.rstar[-1]
     below = np.array([lo - 1e-10 * (1 + abs(lo))])
     above = np.array([hi + 1e-10 * (1 + abs(hi))])
