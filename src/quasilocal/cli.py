@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config as cfg
 from .embedding import SurfaceSpec
-from .energy import LoopSpec, loop_integral, rho_bracket, surface_embedding, sweep_energy
+from .energy import LoopSpec, rho_bracket, surface_embedding, sweep_energy
 from .errors import ConfigError, QuasilocalError
 from .geometry import PerturbationProfiles, axial_preset, hawking_sweep
 from .radial import (
@@ -379,8 +379,8 @@ def run_loop(conf, out: Path, jobs: int) -> list[Path]:
         else:
             wgrid = SphereGrid.for_band_limit(2 * emb.l_max)
             h = analyze(rho_bracket(emb, wgrid, spec.d))
-    total = loop_integral(h, loop)
     vals = evaluate(h, loop.theta, loop.phi)
+    total = loop.quadrature(vals)
     rows = [
         (float(loop.s[i]), float(loop.theta[i]), float(loop.phi[i]), float(vals[i]))
         for i in range(loop.n_samples)

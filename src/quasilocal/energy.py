@@ -34,13 +34,14 @@ from .radial import AProfile, AxialMode, BackgroundParams, a_profile, solve_radi
 from .sphere import (
     GridField,
     HarmonicField,
+    SphereDerivatives,
     SphereGrid,
+    _harmonic_derivatives,
     analyze,
     apply_operator,
     c_theta,
     coordinate_fields,
     evaluate,
-    grad_hess,
     integrate,
     synthesize,
 )
@@ -160,18 +161,17 @@ def grad_outer_double_divergence(h: HarmonicField, grid: SphereGrid) -> GridFiel
     every term of which is available from the scalar spectral machinery, so
     the result is exact at grid points for band-limited tau.
     """
-    tau_g = synthesize(h, grid)
-    d = grad_hess(tau_g)
-    lap_h = apply_operator(h, "laplacian")
-    dl = grad_hess(synthesize(lap_h, grid))
+    return GridField(_double_divergence(h, _harmonic_derivatives(h, grid), grid), grid)
+
+
+def _double_divergence(h: HarmonicField, d: SphereDerivatives, grid: SphereGrid) -> np.ndarray:
+    """``grad_outer_double_divergence`` values, given the derivatives ``d`` of ``h``."""
+    dl = _harmonic_derivatives(apply_operator(h, "laplacian"), grid)
     cross = (
         d.grad_theta.values * dl.grad_theta.values
         + d.grad_phi.values * dl.grad_phi.values
     )
-    vals = (
-        d.hess_sq.values + d.laplacian.values**2 + d.grad_sq.values + 2.0 * cross
-    )
-    return GridField(vals, grid)
+    return d.hess_sq.values + d.laplacian.values**2 + d.grad_sq.values + 2.0 * cross
 
 
 def rho_bracket(emb: EmbeddingSolution, grid: SphereGrid, d: float) -> GridField:
@@ -183,12 +183,13 @@ def rho_bracket(emb: EmbeddingSolution, grid: SphereGrid, d: float) -> GridField
                       - Delta |grad tau|^2] }
 
     Quadrature of the result is exact when ``grid`` supports twice the
-    band limit of the embedding solution.
+    band limit of the embedding solution.  Derivatives are synthesized
+    straight from the solution's coefficients, each once.
     """
-    nd = grad_hess(synthesize(emb.n_field, grid))
-    td = grad_hess(synthesize(emb.tau, grid))
+    nd = _harmonic_derivatives(emb.n_field, grid)
+    td = _harmonic_derivatives(emb.tau, grid)
     op_n = synthesize(apply_operator(emb.n_field, "laplacian_plus_2"), grid).values
-    ddiv = grad_outer_double_divergence(emb.tau, grid).values
+    ddiv = _double_divergence(emb.tau, td, grid)
     # Delta |grad tau|^2: the squared gradient is band-limited at twice the
     # solution's l_max, so analysis on the working grid is exact.
     lap_gradsq = synthesize(
@@ -254,6 +255,10 @@ class LoopSpec:
     def arc_length(self) -> float:
         return float(np.mean(self.speed()))
 
+    def quadrature(self, vals: np.ndarray) -> float:
+        """Periodic rectangle rule for the arc-length integral of the samples ``vals``."""
+        return float(np.sum(vals * self.speed()) * (1.0 / self.n_samples))
+
     def arc_length_parameter(self) -> np.ndarray:
         """Cumulative arc length at the samples (starts at 0)."""
         sp = self.speed()
@@ -270,9 +275,7 @@ def loop_integral(fld, loop: LoopSpec) -> float:
     speed makes the scheme second-order in the sample count.
     """
     h = analyze(fld) if isinstance(fld, GridField) else fld
-    vals = evaluate(h, loop.theta, loop.phi)
-    ds = 1.0 / loop.n_samples
-    return float(np.sum(vals * loop.speed()) * ds)
+    return loop.quadrature(evaluate(h, loop.theta, loop.phi))
 
 
 @dataclass(frozen=True)

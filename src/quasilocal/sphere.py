@@ -353,11 +353,15 @@ class HarmonicField:
                     writer.writerow([l, m, repr(float(self.coeffs[l, self.l_max + m]))])
 
 
+@functools.lru_cache(maxsize=None)
 def _block_index(l_max: int):
     """(l, m) of the cosine (m >= 0) and sine (m > 0) entries of the [l, m] blocks."""
     l, m = np.tril_indices(l_max + 1)
     sine = m > 0
-    return (l, m), (l[sine], m[sine])
+    index = (l, m, l[sine], m[sine])
+    for a in index:
+        a.flags.writeable = False  # shared by every caller of the cache
+    return index[:2], index[2:]
 
 
 def analyze(field: GridField, l_max: int | None = None) -> HarmonicField:
@@ -427,10 +431,16 @@ def synthesize(h: HarmonicField, grid: SphereGrid) -> GridField:
 
 
 def evaluate(h: HarmonicField, theta, phi) -> np.ndarray:
-    """Evaluate the harmonic sum at arbitrary points (vectorized)."""
+    """Evaluate the harmonic sum at arbitrary points (vectorized).
+
+    The theta factors are built once per distinct colatitude and gathered back
+    per point, so a coordinate circle costs one Legendre table.
+    """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    gc, gs = _theta_sums(h, _harmonic_tables(h.l_max, theta, 0)[0])
+    nodes, inverse = np.unique(theta, return_inverse=True)
+    gc, gs = _theta_sums(h, _harmonic_tables(h.l_max, nodes, 0)[0])
+    gc, gs = gc[:, inverse], gs[:, inverse]
     m = np.arange(h.l_max + 1, dtype=float)[:, None]
     return np.einsum("mp,mp->p", gc, np.cos(m * phi[None, :])) + np.einsum(
         "mp,mp->p", gs, np.sin(m * phi[None, :])
@@ -484,8 +494,11 @@ def grad_hess(field: GridField, l_max: int | None = None) -> SphereDerivatives:
     synthesized from the analytic theta/phi derivatives of the harmonics, so
     results are exact at grid points for band-limited input.
     """
-    grid = field.grid
-    h = analyze(field, l_max)
+    return _harmonic_derivatives(analyze(field, l_max), field.grid)
+
+
+def _harmonic_derivatives(h: HarmonicField, grid: SphereGrid) -> SphereDerivatives:
+    """``grad_hess`` of the field with coefficients ``h``, on ``grid``."""
     ft = _synthesize_from_tables(h, grid, grid._dybar, 0)
     fp = _synthesize_from_tables(h, grid, grid._ybar, 1)
     ftt = _synthesize_from_tables(h, grid, grid._d2ybar, 0)

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import quasilocal.cli
+import quasilocal.energy
 import quasilocal.radial
+import quasilocal.sphere
+from quasilocal import LoopSpec, loop_integral
 from quasilocal.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from quasilocal.config import (
     DEFAULT_CONFIG,
@@ -385,6 +388,25 @@ SURFACE_FIELDS = {
     "source_n": ["loop", "--set", "loop.field=source_n"],
     "rho_bracket": ["loop", "--set", "loop.field=rho_bracket"],
 }
+
+
+def test_loop_evaluates_the_field_once(tmp_path, capsys, monkeypatch):
+    fields = []
+    real = quasilocal.sphere.evaluate
+
+    def counted(h, theta, phi):
+        fields.append(h)
+        return real(h, theta, phi)
+
+    for module in (quasilocal.sphere, quasilocal.energy, quasilocal.cli):
+        monkeypatch.setattr(module, "evaluate", counted)
+    args = SURFACE_FIELDS["rho_bracket"] + ["--set", "numerics.l_max=8", "--out", tmp_path]
+    assert run(args) == EXIT_OK
+    capsys.readouterr()
+    assert len(fields) == 1
+    doc = json.loads((tmp_path / "loop.json").read_text())
+    assert doc["total"] == loop_integral(fields[0], LoopSpec.equator(doc["n_samples"]))
+
 
 NEAR_HORIZON = {
     "energy": ["energy"],

@@ -199,6 +199,35 @@ def test_rho_bracket_symbolic_oracle_z2z3():
     assert integrate(rb) == pytest.approx(expect, rel=1e-10)
 
 
+def _rho_bracket_round_trip(emb, grid, d):
+    """The bracket with every derivative from grad_hess(synthesize(...)) on the grid."""
+    nd = grad_hess(synthesize(emb.n_field, grid))
+    td = grad_hess(synthesize(emb.tau, grid))
+    dl = grad_hess(synthesize(apply_operator(emb.tau, "laplacian"), grid))
+    op_n = synthesize(apply_operator(emb.n_field, "laplacian_plus_2"), grid).values
+    cross = td.grad_theta.values * dl.grad_theta.values + td.grad_phi.values * dl.grad_phi.values
+    ddiv = td.hess_sq.values + td.laplacian.values**2 + td.grad_sq.values + 2.0 * cross
+    lap_gradsq = synthesize(apply_operator(analyze(td.grad_sq), "laplacian"), grid).values
+    return (
+        0.5 * nd.hess_sq.values
+        + op_n**2
+        - 0.25 * nd.laplacian.values**2
+        - 0.25 * td.laplacian.values**2
+        + 0.5 * (ddiv - td.grad_sq.values - lap_gradsq)
+    ) / d**2
+
+
+@pytest.mark.parametrize("l_max", [4, 5, 6, 7, 8])
+def test_rho_bracket_matches_the_round_trip_formula(l_max):
+    grid = SphereGrid.for_band_limit(2 * l_max)
+    emb = EmbeddingSolution(
+        tau=random_harmonic(l_max, seed=60 + l_max), n_field=random_harmonic(l_max, seed=70 + l_max)
+    )
+    got = rho_bracket(emb, grid, 20.0).values
+    want = _rho_bracket_round_trip(emb, grid, 20.0)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_parity_integral_vanishes_but_loops_do_not(axial_profile, grid16):
     # Z2Z3-structured densities integrate to zero over S^2 by parity (and
     # along any constant-colatitude circle); a loop whose shape oscillates at

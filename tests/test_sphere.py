@@ -1,5 +1,8 @@
 """Spherical quadrature, special functions, transforms, and operators."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.special import eval_legendre, roots_legendre, sph_legendre_p
@@ -9,6 +12,7 @@ from quasilocal import (
     DomainError,
     GridField,
     HarmonicField,
+    LoopSpec,
     SphereGrid,
     analyze,
     apply_operator,
@@ -21,7 +25,15 @@ from quasilocal import (
     legendre_p_dtheta,
     synthesize,
 )
-from quasilocal.sphere import _harmonic_tables, evaluate, rotate_frame
+from quasilocal.sphere import (
+    SphereDerivatives,
+    _block_index,
+    _harmonic_derivatives,
+    _harmonic_tables,
+    _theta_sums,
+    evaluate,
+    rotate_frame,
+)
 
 from conftest import random_harmonic
 
@@ -258,6 +270,41 @@ def test_evaluate_matches_synthesize(grid16):
     assert pts == pytest.approx(f.values[:, 0], abs=1e-12)
 
 
+def _evaluate_every_point(h, theta, phi):
+    """``evaluate`` with a Legendre table column built for every point."""
+    gc, gs = _theta_sums(h, _harmonic_tables(h.l_max, theta, 0)[0])
+    m = np.arange(h.l_max + 1, dtype=float)[:, None]
+    return np.einsum("mp,mp->p", gc, np.cos(m * phi[None, :])) + np.einsum(
+        "mp,mp->p", gs, np.sin(m * phi[None, :])
+    )
+
+
+WAVY = LoopSpec(  # (4 s) % 1 is exact at s = k/512, so each colatitude recurs 4 times
+    lambda s: 1.2 + 0.3 * math.cos(2.0 * math.pi * ((4.0 * s) % 1.0)),
+    lambda s: 2.0 * math.pi * s + 0.1 * math.sin(2.0 * math.pi * s),
+    n_samples=512,
+)
+
+
+@pytest.mark.parametrize(
+    "loop, max_distinct", [(LoopSpec.circle(1.1, 512), 1), (WAVY, 128)], ids=["circle", "wavy"]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_evaluate_per_distinct_colatitude_is_bitwise(loop, max_distinct, seed):
+    assert np.unique(loop.theta).size <= max_distinct
+    h = random_harmonic(24, seed)
+    got = evaluate(h, loop.theta, loop.phi)
+    assert np.array_equal(got, _evaluate_every_point(h, loop.theta, loop.phi))
+
+
+def test_block_index_is_cached_and_read_only():
+    (lc, mc), (ls, ms) = _block_index(6)
+    assert _block_index(6)[0][0] is lc
+    for index in (lc, mc, ls, ms):
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+
 def test_band_limit_violation(grid16):
     h = random_harmonic(32, seed=1)
     with pytest.raises(BandLimitError):
@@ -299,6 +346,19 @@ def test_laplacian_commutes_with_analyze(grid16):
     lap_spec = apply_operator(h, "laplacian")
     scale = np.max(np.abs(lap_spec.coeffs)) or 1.0
     assert np.max(np.abs(lap_grid.coeffs - lap_spec.coeffs)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("l_max", [4, 5, 6, 7, 8])
+def test_derivatives_from_coefficients_match_the_round_trip(l_max):
+    # grad_hess(synthesize(h)) analyzes at the grid's 2L; the helper uses h's L
+    grid = SphereGrid.for_band_limit(2 * l_max)
+    h = random_harmonic(l_max, seed=40 + l_max)
+    got = _harmonic_derivatives(h, grid)
+    want = grad_hess(synthesize(h, grid))
+    for field in dataclasses.fields(SphereDerivatives):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert g.grid is grid
+        assert np.max(np.abs(g.values - w.values)) <= 1e-12 * np.max(np.abs(w.values)), field.name
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
