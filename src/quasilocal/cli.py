@@ -314,7 +314,7 @@ def run_geometry(conf, out: Path, jobs: int) -> list[Path]:
             raise ConfigError("axial_preset perturbation requires an axial mode")
         sol = solve_radial(bg, mode, _boundary(conf), d_values, num["tolerance"])
         pert = axial_preset(bg, mode, sol, epsilon=num["epsilon"])
-    n_d = len(d_values)
+    n_d = len(np.unique(d_values))  # as EnergyReport.fits counts them
     powers = (0, 1, 2, 3) if n_d >= 5 else (0, 1, 2) if n_d == 4 else ()
     sweep = hawking_sweep(
         bg,

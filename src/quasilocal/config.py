@@ -183,12 +183,16 @@ def validate_config(doc: dict) -> dict:
         "z" in bnd and "dz" in bnd
     ):
         raise ConfigError(f"{bnd['type']} boundary requires 'z' and 'dz'")
+    horizon = 2.0 * merged["background"]["m"]
+    r_range = merged["numerics"].get("radial_range")
+    if r_range is not None and not horizon < r_range[0] < r_range[1]:
+        raise ConfigError(
+            f"numerics.radial_range {r_range} must satisfy 2m = {horizon} < lo < hi"
+        )
     d_values = merged["surface"]["d"]
     d_min = min(d_values) if isinstance(d_values, list) else d_values
-    if d_min <= 2.0 * merged["background"]["m"] + 1.0:
-        raise ConfigError(
-            f"surface d={d_min} must exceed 2m + 1 = {2.0 * merged['background']['m'] + 1.0}"
-        )
+    if d_min <= horizon + 1.0:
+        raise ConfigError(f"surface d={d_min} must exceed 2m + 1 = {horizon + 1.0}")
     return merged
 
 

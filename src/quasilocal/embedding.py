@@ -95,7 +95,6 @@ def build_sources(
     a: AProfile,
     spec: SurfaceSpec,
     grid: SphereGrid,
-    frame: np.ndarray | None = None,
 ) -> tuple[GridField, GridField]:
     """Right-hand sides (S_tau, S_N) evaluated pointwise on the grid."""
     lo, hi = radius_range(spec)
@@ -104,7 +103,7 @@ def build_sources(
             f"surface needs A(r) on [{lo}, {hi}] but profile covers "
             f"[{a.r_min}, {a.r_max}]"
         )
-    z1, z2, z3 = coordinate_fields(grid, frame)
+    z1, z2, z3 = coordinate_fields(grid)
     r = radius_on_sphere(spec, z1.values)
     av = a.a(r)
     apv = a.a_prime(r)
@@ -129,18 +128,16 @@ class EmbeddingSolution:
         return self.tau.l_max
 
 
-def solve_embedding(
-    s_tau: GridField, s_n: GridField, l_max: int | None = None
-) -> EmbeddingSolution:
+def solve_embedding(s_tau: GridField, s_n: GridField) -> EmbeddingSolution:
     """Spectral division by the operator eigenvalues, kernel projected out.
 
     tau_(l,m) = s_(l,m) / [l(l+1)(l(l+1)-2)] for l >= 2 and zero on l <= 1;
     N_(l,m) = s_(l,m) / [2 - l(l+1)] for l != 1 and zero on l = 1.  Kernel
     magnitudes above KERNEL_TOLERANCE x source norm trigger a
-    SolvabilityWarning (an inconsistent source, e.g. a wrong frame binding).
+    SolvabilityWarning (an inconsistent source, e.g. one with a z1 component).
     """
-    h_tau = analyze(s_tau, l_max)
-    h_n = analyze(s_n, l_max)
+    h_tau = analyze(s_tau)
+    h_n = analyze(s_n)
     L = h_tau.l_max
     ls = np.arange(L + 1, dtype=float)
     lap = ls * (ls + 1.0)

@@ -81,9 +81,6 @@ def energy_coefficients(
     a: AProfile,
     spec: SurfaceSpec,
     emb: EmbeddingSolution,
-    grid: SphereGrid | None = None,
-    frame: np.ndarray | None = None,
-    freeze_at_center: bool = False,
 ) -> EnergyCoefficients:
     """Evaluate E1 and E2 on a product grid sized for quadratic integrands.
 
@@ -92,17 +89,13 @@ def energy_coefficients(
     E2 = int [A^2 z2^2 z3^2 - tau Delta(Delta + 2) tau]
 
     A and A' are evaluated with the same z1 substitution used for the
-    embedding sources, or frozen at r = d when ``freeze_at_center`` is set.
-    Operator terms are computed spectrally and integrated by quadrature.
+    embedding sources.  Operator terms are computed spectrally and
+    integrated by quadrature.
     """
-    if grid is None:
-        # sized for degree-2*l_max products (anti-aliased quadrature)
-        grid = SphereGrid.for_band_limit(2 * emb.l_max)
-    z1, z2, z3 = coordinate_fields(grid, frame)
-    if freeze_at_center:
-        r = np.full_like(z1.values, spec.d)
-    else:
-        r = radius_on_sphere(spec, z1.values)
+    # sized for degree-2*l_max products (anti-aliased quadrature)
+    grid = SphereGrid.for_band_limit(2 * emb.l_max)
+    z1, z2, z3 = coordinate_fields(grid)
+    r = radius_on_sphere(spec, z1.values)
     av = a.a(r)
     apv = a.a_prime(r)
 
@@ -259,12 +252,6 @@ class LoopSpec:
         """Periodic rectangle rule for the arc-length integral of the samples ``vals``."""
         return float(np.sum(vals * self.speed()) * (1.0 / self.n_samples))
 
-    def arc_length_parameter(self) -> np.ndarray:
-        """Cumulative arc length at the samples (starts at 0)."""
-        sp = self.speed()
-        ds = 1.0 / self.n_samples
-        return np.concatenate([[0.0], np.cumsum(sp[:-1] * ds)])
-
 
 def loop_integral(fld, loop: LoopSpec) -> float:
     """Arc-length line integral of a scalar field along the loop.
@@ -359,7 +346,6 @@ def surface_embedding(
     spec: SurfaceSpec,
     l_max: int = 16,
     tol: float = 1e-10,
-    frame: np.ndarray | None = None,
 ):
     """Radial solve, A(r), embedding sources and spectral solve for one surface.
 
@@ -374,7 +360,7 @@ def surface_embedding(
     spec.validate_outside_horizon(bg)
     unit_mode = dataclasses.replace(mode, amplitude=1.0)
     prof = a_profile(solve_radial(bg, unit_mode, boundary, [spec.d], tol))
-    s_tau, s_n = build_sources(prof, spec, SphereGrid.for_band_limit(l_max), frame)
+    s_tau, s_n = build_sources(prof, spec, SphereGrid.for_band_limit(l_max))
     return prof, s_tau, s_n, solve_embedding(s_tau, s_n)
 
 
@@ -387,7 +373,6 @@ def surface_energy(
     l_max: int = 16,
     tol: float = 1e-10,
     c_factor: float | None = None,
-    frame: np.ndarray | None = None,
 ) -> SurfaceEnergyResult:
     """``surface_embedding`` plus energy assembly for one surface.
 
@@ -395,8 +380,8 @@ def surface_energy(
     C_ell(theta_d)^2 * amplitude^2.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol, frame)
-    coeffs = energy_coefficients(prof, spec, emb, frame=frame)
+    prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol)
+    coeffs = energy_coefficients(prof, spec, emb)
     if c_factor is None:
         c_factor = default_c_factor(mode, spec)
     e, dedt = assemble_energy(coeffs, mode, spec, c_factor, t_values)

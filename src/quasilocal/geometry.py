@@ -148,12 +148,12 @@ def axial_preset(
 
     the second form being pole-safe (C_ell/sin = sin * P'').  The q2 profile
     is an injection point; passing none leaves it zero and flags every
-    downstream report "incomplete-perturbation".  ``q2_override`` may be a
-    callable Q2(r, theta) or a (Q2, dQ2_dr, dQ2_dtheta) triple.
+    downstream report "incomplete-perturbation".  ``q2_override`` is a
+    callable Q2(r, theta); its partials are taken by central differences.
     """
     if sol.kind != "axial":
         raise DomainError("axial preset needs an axial radial solution")
-    prof = a_profile(sol, bg, mode)
+    prof = a_profile(sol)
     ell = mode.ell
 
     def ang(theta):
@@ -183,10 +183,7 @@ def axial_preset(
         dq3_dtheta=dq3_dtheta,
     )
     if q2_override is not None:
-        if isinstance(q2_override, tuple):
-            kwargs["q2"], kwargs["dq2_dr"], kwargs["dq2_dtheta"] = q2_override
-        else:
-            kwargs["q2"] = q2_override
+        kwargs["q2"] = q2_override
     return PerturbationProfiles(**kwargs)
 
 

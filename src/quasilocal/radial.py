@@ -576,8 +576,6 @@ class AProfile:
     """
 
     solution: RadialSolution
-    background: BackgroundParams
-    mode: AxialMode
 
     @property
     def r_min(self) -> float:
@@ -594,13 +592,14 @@ class AProfile:
 
     def a(self, r):
         r_arr, z, dz = self._zz(r)
-        s2 = self.mode.sigma**2
-        out = (r_arr - 2.0 * self.background.m) / (s2 * r_arr**2) * z + dz / s2
+        m, s2 = self.solution.background.m, self.solution.mode.sigma**2
+        out = (r_arr - 2.0 * m) / (s2 * r_arr**2) * z + dz / s2
         return float(out[0]) if np.isscalar(r) else out
 
     def a_prime(self, r):
         r_arr, z, dz = self._zz(r)
-        m, s2, mu2 = self.background.m, self.mode.sigma**2, self.mode.mu_sq
+        m, mode = self.solution.background.m, self.solution.mode
+        s2, mu2 = mode.sigma**2, mode.mu_sq
         coef_z = ((mu2 + 1.0) * r_arr - 2.0 * m) / (s2 * r_arr**3) - r_arr / (
             r_arr - 2.0 * m
         )
@@ -609,7 +608,8 @@ class AProfile:
 
     def a_double_prime(self, r):
         r_arr, z, dz = self._zz(r)
-        m, s2, mu2 = self.background.m, self.mode.sigma**2, self.mode.mu_sq
+        m, mode = self.solution.background.m, self.solution.mode
+        s2, mu2 = mode.sigma**2, mode.mu_sq
         rm = r_arr - 2.0 * m
         coef_z = -mu2 / (s2 * r_arr**3) + 2.0 * m / rm**2 - 1.0 / rm
         coef_dz = mu2 / (s2 * r_arr * rm) - r_arr**2 / rm**2
@@ -617,12 +617,8 @@ class AProfile:
         return float(out[0]) if np.isscalar(r) else out
 
 
-def a_profile(sol: RadialSolution, bg=None, mode=None) -> AProfile:
+def a_profile(sol: RadialSolution) -> AProfile:
     """Construct the A(r) evaluator from an axial radial solution."""
     if sol.kind != "axial":
         raise DomainError("A(r) is defined for axial solutions only")
-    return AProfile(
-        solution=sol,
-        background=bg if bg is not None else sol.background,
-        mode=mode if mode is not None else sol.mode,
-    )
+    return AProfile(solution=sol)

@@ -14,8 +14,8 @@ Conventions fixed here and used everywhere else in the package:
 * The first-degree eigenfunctions z1, z2, z3 are the restrictions of the
   ambient coordinates to the sphere.  The default frame binds z1 = cos(theta)
   (polar axis toward the surface's center), z2 = sin(theta) cos(phi),
-  z3 = sin(theta) sin(phi); the frame is an explicit argument so any other
-  binding is a one-line change.
+  z3 = sin(theta) sin(phi).  The pipeline binds this DEFAULT_FRAME;
+  ``coordinate_fields`` and ``rotate_frame`` take any other frame.
 * Grids pair Gauss-Legendre colatitude nodes (poles excluded) with a uniform
   longitude grid; transforms are direct matrix contractions, exact for
   band-limited fields whenever n_theta >= l_max + 1 and n_phi >= 2 l_max + 1.
@@ -25,7 +25,6 @@ Conventions fixed here and used everywhere else in the package:
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -282,17 +281,6 @@ class GridField:
     def __neg__(self):
         return GridField(-self.values, self.grid)
 
-    def to_csv(self, path) -> None:
-        """One row per grid point: theta, phi, value."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "phi", "value"])
-            for j, th in enumerate(self.grid.nodes):
-                for k, ph in enumerate(self.grid.phi):
-                    writer.writerow(
-                        [repr(float(th)), repr(float(ph)), repr(float(self.values[j, k]))]
-                    )
-
 
 @dataclass(frozen=True)
 class HarmonicField:
@@ -330,9 +318,6 @@ class HarmonicField:
         """L2 norm of the degree-l block."""
         return float(np.sqrt(np.sum(self.coeffs[l] ** 2)))
 
-    def scaled(self, factor: float) -> "HarmonicField":
-        return HarmonicField(self.l_max, factor * self.coeffs)
-
     def __add__(self, other: "HarmonicField") -> "HarmonicField":
         if other.l_max != self.l_max:
             raise DomainError("band-limit mismatch in coefficient arithmetic")
@@ -342,15 +327,6 @@ class HarmonicField:
         if other.l_max != self.l_max:
             raise DomainError("band-limit mismatch in coefficient arithmetic")
         return HarmonicField(self.l_max, self.coeffs - other.coeffs)
-
-    def to_csv(self, path) -> None:
-        """One row per (l, m) entry."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["l", "m", "coefficient"])
-            for l in range(self.l_max + 1):
-                for m in range(-l, l + 1):
-                    writer.writerow([l, m, repr(float(self.coeffs[l, self.l_max + m]))])
 
 
 @functools.lru_cache(maxsize=None)

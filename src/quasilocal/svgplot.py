@@ -54,27 +54,19 @@ def line_plot(
     xlabel: str = "",
     ylabel: str = "",
     logx: bool = False,
-    logy: bool = False,
     desc: str | None = None,
 ) -> None:
     """Write a line plot of one or more series sharing the x axis.
 
-    ``ys`` is a sequence of arrays; log axes plot log10 of the data and
-    annotate the label (callers pass positive data for log scales).
+    ``ys`` is a sequence of arrays; ``logx`` plots log10 of x and annotates
+    the label (callers pass positive x for a log scale).
     """
-    x = np.asarray(x, dtype=float)
-    series = [np.asarray(y, dtype=float) for y in ys]
-    labels = list(labels) if labels else ["" for _ in series]
-
-    def tx(v, log):
-        return np.log10(v) if log else v
-
-    xv = tx(x, logx)
-    yv = [tx(s, logy) for s in series]
+    xv = np.asarray(x, dtype=float)
+    yv = [np.asarray(y, dtype=float) for y in ys]
+    labels = list(labels) if labels else ["" for _ in yv]
     if logx:
+        xv = np.log10(xv)
         xlabel = f"log10 {xlabel}" if xlabel else "log10 x"
-    if logy:
-        ylabel = f"log10 {ylabel}" if ylabel else "log10 y"
 
     x_lo, x_hi = float(np.min(xv)), float(np.max(xv))
     y_all = np.concatenate([v[np.isfinite(v)] for v in yv])

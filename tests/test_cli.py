@@ -142,6 +142,15 @@ def test_tolerance_out_of_range_exits_before_writing(tolerance, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("radial_range", ["[80,20]", "[1.5,20]", "[2.0,20]", "[20,20]"])
+def test_radial_range_outside_the_exterior_exits_before_writing(radial_range, tmp_path, capsys):
+    code = run(["radial", "--out", tmp_path, "--set", f"numerics.radial_range={radial_range}"])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "config" and "radial_range" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_error_exit(tmp_path, capsys):
     code = run(["sweep", "--out", tmp_path, "--set", "background.m=-1"])
     assert code == EXIT_CONFIG
@@ -157,11 +166,12 @@ def test_unknown_key_exit(tmp_path, capsys):
 
 
 def test_numerical_error_exit(tmp_path, capsys):
-    # radial range reaching inside the horizon is a numerical-domain failure
+    # an anchor inside the horizon stretches the computed radial coverage
+    # through it: a numerical-domain failure
     code = run([
         "radial", "--out", tmp_path,
-        "--set", "numerics.radial_range=[1.0,3.0]",
-        "--set", "mode.boundary.r=2.5",
+        "--set", "mode.boundary.type=anchor",
+        "--set", "mode.boundary.r=1.5",
     ])
     assert code == EXIT_NUMERICAL
     err = json.loads(capsys.readouterr().err)
@@ -291,6 +301,18 @@ def test_geometry_artifacts(tmp_path, capsys):
     assert len(lines) == 2 + 32 * 64
     doc = json.loads((tmp_path / "geometry.json").read_text())
     assert abs(doc["gauss_bonnet"][0] - 4 * math.pi) < 1e-4
+
+
+@pytest.mark.parametrize("d, powers", [("[25,25,30,40]", None), ("[25,25,30,40,50]", [0, 1, 2])])
+def test_geometry_fit_counts_distinct_d(d, powers, tmp_path, capsys):
+    # the fit basis follows the distinct d values, as the sweep's fits do
+    assert run(["geometry", "--out", tmp_path,
+                "--set", f"surface.d={d}",
+                "--set", "numerics.geometry_resolution=32",
+                "--set", "geometry.gauss_bonnet_tol=1e-4"]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "geometry.json").read_text())
+    assert doc.get("hawking_fit", {}).get("powers") == powers
 
 
 def test_loop_artifacts(tmp_path, capsys):

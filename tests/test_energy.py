@@ -88,15 +88,6 @@ def test_energy_spectral_convergence(bg_unit, mode_l2):
     assert res[8].e2 == pytest.approx(res[16].e2, rel=1e-8)
 
 
-def test_freeze_at_center_flag(axial_profile, grid16):
-    spec = SurfaceSpec(d=50.0)
-    emb = solve_embedding(*build_sources(axial_profile, spec, grid16))
-    moving = energy_coefficients(axial_profile, spec, emb)
-    frozen = energy_coefficients(axial_profile, spec, emb, freeze_at_center=True)
-    assert moving.e1 != frozen.e1  # same order, different reading
-    assert abs(moving.e1 - frozen.e1) < 0.5 * abs(moving.e1) + 1e-12
-
-
 # ----------------------------------------------------------------------
 # assembly
 # ----------------------------------------------------------------------
@@ -287,7 +278,6 @@ def test_loop_closure_and_winding():
     double = LoopSpec(lambda s: np.pi / 2, lambda s: 4 * np.pi * s, 256)
     assert double.winding == 2
     assert double.arc_length() == pytest.approx(4.0 * np.pi, abs=1e-10)
-    assert len(double.arc_length_parameter()) == 256
 
 
 # ----------------------------------------------------------------------

@@ -389,7 +389,7 @@ def test_integrate_moments(grid16):
 
 
 # ----------------------------------------------------------------------
-# frames and serialization
+# frames
 # ----------------------------------------------------------------------
 
 
@@ -405,20 +405,3 @@ def test_rotate_frame(grid16):
     assert z2r.values == pytest.approx(
         np.cos(ang) * z2.values + np.sin(ang) * z3.values, abs=1e-14
     )
-
-
-def test_csv_serialization(tmp_path, grid16):
-    h = random_harmonic(4, seed=2)
-    f = synthesize(h, SphereGrid.for_band_limit(4))
-    fp, hp = tmp_path / "grid.csv", tmp_path / "harm.csv"
-    f.to_csv(fp)
-    h.to_csv(hp)
-    grid_lines = fp.read_text().strip().splitlines()
-    assert grid_lines[0] == "theta,phi,value"
-    assert len(grid_lines) == 1 + 5 * 9
-    harm_lines = hp.read_text().strip().splitlines()
-    assert harm_lines[0] == "l,m,coefficient"
-    assert len(harm_lines) == 1 + sum(2 * l + 1 for l in range(5))
-    # values survive the round trip exactly (repr formatting)
-    lv = harm_lines[1].split(",")
-    assert float(lv[2]) == h.coefficient(0, 0)
