@@ -51,7 +51,7 @@ print(f"  fit 1/d^2    = {sweep['c_over_d2']:+.6f}")
 print("\n== axial perturbation (q2 injection point left empty) ==")
 mode = AxialMode(ell=2, sigma=0.5)
 sol = integrate_wave(bg, mode, AnchorBoundary(z=0.0, dz=1.0, r=25.0), (20.0, 30.0), tol=1e-11)
-pert = axial_preset(bg, mode, sol, epsilon=1e-3)
+pert = axial_preset(sol, epsilon=1e-3)
 rep = surface_geometry(SurfaceSpec(t=0.9, d=25.0), bg, pert, resolution=96, gauss_bonnet_tol=1e-8)
 print(f"  flags: {rep.flags}")
 print(f"  Gauss-Bonnet defect: {abs(rep.gauss_bonnet - 4 * np.pi):.3e}")

@@ -140,10 +140,11 @@ def run_radial(conf, out: Path, jobs: int) -> list[Path]:
         a, ap, app = prof.a(r), prof.a_prime(r), prof.a_double_prime(r)
     else:
         a = ap = app = np.full_like(r, np.nan)
+    r_star = tortoise(r, bg)
     rows = [
         (
             float(r[i]),
-            float(tortoise(r[i], bg)),
+            float(r_star[i]),
             float(z[i]),
             float(dz[i]),
             float(v[i]),
@@ -313,7 +314,7 @@ def run_geometry(conf, out: Path, jobs: int) -> list[Path]:
         if mode.kind != "axial":
             raise ConfigError("axial_preset perturbation requires an axial mode")
         sol = solve_radial(bg, mode, _boundary(conf), d_values, num["tolerance"])
-        pert = axial_preset(bg, mode, sol, epsilon=num["epsilon"])
+        pert = axial_preset(sol, epsilon=num["epsilon"])
     n_d = len(np.unique(d_values))  # as EnergyReport.fits counts them
     powers = (0, 1, 2, 3) if n_d >= 5 else (0, 1, 2) if n_d == 4 else ()
     sweep = hawking_sweep(

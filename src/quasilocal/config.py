@@ -184,6 +184,8 @@ def validate_config(doc: dict) -> dict:
     ):
         raise ConfigError(f"{bnd['type']} boundary requires 'z' and 'dz'")
     horizon = 2.0 * merged["background"]["m"]
+    if bnd["type"] == "anchor" and "r" in bnd and not bnd["r"] > horizon:
+        raise ConfigError(f"anchor boundary r={bnd['r']} must exceed 2m = {horizon}")
     r_range = merged["numerics"].get("radial_range")
     if r_range is not None and not horizon < r_range[0] < r_range[1]:
         raise ConfigError(

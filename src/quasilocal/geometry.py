@@ -41,7 +41,7 @@ import numpy as np
 from .embedding import SurfaceSpec
 from .energy import fit_inverse_powers
 from .errors import DomainError, ResolutionError
-from .radial import AxialMode, BackgroundParams, RadialSolution, a_profile
+from .radial import BackgroundParams, RadialSolution, a_profile
 from .sphere import _legendre_p_derivs
 
 __all__ = [
@@ -134,13 +134,9 @@ def _fd_partials(fn, h: float = 1e-6):
 
 
 def axial_preset(
-    bg: BackgroundParams,
-    mode: AxialMode,
-    sol: RadialSolution,
-    q2_override=None,
-    epsilon: float = 1e-3,
+    sol: RadialSolution, q2_override=None, epsilon: float = 1e-3
 ) -> PerturbationProfiles:
-    """Axial profiles from a radial solution:
+    """Axial profiles from a radial solution, with ell and sigma of ``sol.mode``:
 
         q3(t, r, theta) = sin(sigma t) C_ell(theta)/sin(theta) *
                           (r^2 - 2 m r)/(sigma^2 r^4) d(rZ)/dr
@@ -154,7 +150,7 @@ def axial_preset(
     if sol.kind != "axial":
         raise DomainError("axial preset needs an axial radial solution")
     prof = a_profile(sol)
-    ell = mode.ell
+    ell = sol.mode.ell
 
     def ang(theta):
         x = np.cos(theta)
@@ -176,7 +172,7 @@ def axial_preset(
 
     kwargs = dict(
         kind="axial",
-        sigma=mode.sigma,
+        sigma=sol.mode.sigma,
         epsilon=epsilon,
         q3=q3,
         dq3_dr=dq3_dr,
@@ -187,7 +183,7 @@ def axial_preset(
     return PerturbationProfiles(**kwargs)
 
 
-def _metric_sph(bg, pert, t, r, theta, exact: bool):
+def _metric_sph(bg, pert, t, r, theta):
     """Slice metric in (r, theta, phi) components, its (r, theta) partials,
     and its t-derivative, vectorized over broadcastable r/theta arrays.
 
@@ -260,38 +256,31 @@ def _metric_sph(bg, pert, t, r, theta, exact: bool):
     set_sym(dtg, 0, 2, -p_fac * dt_q2)
     set_sym(dtg, 1, 2, -p_fac * dt_q3)
 
-    if exact:
-        g[0, 0] += p_fac * q2v**2
-        g[1, 1] += p_fac * q3v**2
-        set_sym(g, 0, 1, p_fac * q2v * q3v)
-        dg[0, 0, 0] += dp_dr * q2v**2 + 2.0 * p_fac * q2v * dq2_dr
-        dg[0, 1, 1] += dp_dr * q3v**2 + 2.0 * p_fac * q3v * dq3_dr
-        dg[1, 0, 0] += dp_dth * q2v**2 + 2.0 * p_fac * q2v * dq2_dth
-        dg[1, 1, 1] += dp_dth * q3v**2 + 2.0 * p_fac * q3v * dq3_dth
-        set_sym(dg[0], 0, 1, dp_dr * q2v * q3v + p_fac * (dq2_dr * q3v + q2v * dq3_dr))
-        set_sym(dg[1], 0, 1, dp_dth * q2v * q3v + p_fac * (dq2_dth * q3v + q2v * dq3_dth))
-        dtg[0, 0] += 2.0 * p_fac * q2v * dt_q2
-        dtg[1, 1] += 2.0 * p_fac * q3v * dt_q3
-        set_sym(dtg, 0, 1, p_fac * (dt_q2 * q3v + q2v * dt_q3))
+    # the quadratic terms of the squared one-form
+    g[0, 0] += p_fac * q2v**2
+    g[1, 1] += p_fac * q3v**2
+    set_sym(g, 0, 1, p_fac * q2v * q3v)
+    dg[0, 0, 0] += dp_dr * q2v**2 + 2.0 * p_fac * q2v * dq2_dr
+    dg[0, 1, 1] += dp_dr * q3v**2 + 2.0 * p_fac * q3v * dq3_dr
+    dg[1, 0, 0] += dp_dth * q2v**2 + 2.0 * p_fac * q2v * dq2_dth
+    dg[1, 1, 1] += dp_dth * q3v**2 + 2.0 * p_fac * q3v * dq3_dth
+    set_sym(dg[0], 0, 1, dp_dr * q2v * q3v + p_fac * (dq2_dr * q3v + q2v * dq3_dr))
+    set_sym(dg[1], 0, 1, dp_dth * q2v * q3v + p_fac * (dq2_dth * q3v + q2v * dq3_dth))
+    dtg[0, 0] += 2.0 * p_fac * q2v * dt_q2
+    dtg[1, 1] += 2.0 * p_fac * q3v * dt_q3
+    set_sym(dtg, 0, 1, p_fac * (dt_q2 * q3v + q2v * dt_q3))
 
     return g, dg, dtg
 
 
-def spatial_metric(
-    bg: BackgroundParams,
-    pert: PerturbationProfiles,
-    point,
-    exact: bool = False,
-):
+def spatial_metric(bg: BackgroundParams, pert: PerturbationProfiles, point):
     """Constant-t slice metric and its t-derivative at (t, r, theta, phi).
 
-    By default quadratic-in-epsilon terms are dropped (first order); with
-    ``exact=True`` the full squared one-form is kept.  ``surface_geometry``
-    always uses the exact metric, so that symmetric epsilon-differencing
-    isolates the linear response through one code path.
+    The full metric, quadratic-in-epsilon terms included: the one that
+    ``surface_geometry`` uses.
     """
     t, r, theta, _phi = point
-    g, _, dtg = _metric_sph(bg, pert, t, np.asarray(r, float), np.asarray(theta, float), exact)
+    g, _, dtg = _metric_sph(bg, pert, t, np.asarray(r, float), np.asarray(theta, float))
     g, dtg = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (g, dtg))
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return g[0], dtg[0]
@@ -552,7 +541,7 @@ def surface_geometry(
         (ct * out - st * dhat, st * swirl),
         (-n_hat, ct * swirl, -st * out),
     )
-    g, dg, dtg = _metric_sph(bg, pert, t, r, theta, exact=True)
+    g, dg, dtg = _metric_sph(bg, pert, t, r, theta)
 
     def pull_back(m):
         return np.einsum("ij...,ai...,bj...->ab...", m, X, X)

@@ -240,57 +240,6 @@ class AsymptoticBoundary:
     v_threshold: float | None = None
 
 
-def _window_rk4(rhs, t0: float, t1: float, y0: np.ndarray, n_steps: int):
-    """Classical fixed-step RK4; returns nodes, states, and state derivatives."""
-    ts = np.linspace(t0, t1, n_steps + 1)
-    h = (t1 - t0) / n_steps
-    ys = np.empty((n_steps + 1, y0.size))
-    fs = np.empty_like(ys)
-    y = np.asarray(y0, dtype=float).copy()
-    for i, t in enumerate(ts):
-        f1 = rhs(t, y)
-        ys[i] = y
-        fs[i] = f1
-        if i == n_steps:
-            break
-        k1 = f1
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ts, ys, fs
-
-
-class _HermiteSegment:
-    """Cubic Hermite dense output over fixed-step nodes (exact derivatives)."""
-
-    def __init__(self, ts, ys, fs):
-        order = np.argsort(ts)
-        self.ts = ts[order]
-        self.ys = ys[order]
-        self.fs = fs[order]
-
-    def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.ts) - 2)
-        t0, t1 = self.ts[idx], self.ts[idx + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        y0, y1 = self.ys[idx], self.ys[idx + 1]
-        f0, f1 = self.fs[idx], self.fs[idx + 1]
-        out = (
-            h00[:, None] * y0
-            + (h * h10)[:, None] * f0
-            + h01[:, None] * y1
-            + (h * h11)[:, None] * f1
-        )
-        return out.T
-
-
 @dataclass(frozen=True)
 class RadialSolution:
     """Sampled (Z, dZ/dr*) on an ascending tortoise grid with dense output."""
@@ -303,7 +252,7 @@ class RadialSolution:
     dz: np.ndarray
     r: np.ndarray
     tol: float
-    _segments: tuple = field(repr=False)
+    _segments: tuple = field(repr=False)  # (r*_lo, r*_hi, Dop853Table) per leg
     asymptotic_truncation: float | None = None
     # (r, z, dz) of the last eval_r call, one tuple so no thread sees a mixed entry
     _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
@@ -432,16 +381,13 @@ def integrate_wave(
     boundary,
     r_range: tuple[float, float],
     tol: float = 1e-10,
-    fixed_step: int | None = None,
 ) -> RadialSolution:
     """March the radial wave equation over ``r_range`` (Schwarzschild radii).
 
     ``boundary`` is an AnchorBoundary (exact data at a point) or an
     AsymptoticBoundary (sinusoidal data where the potential is below
-    tol * sigma^2).  Boundary data is scaled by ``mode.amplitude``.  Adaptive
-    DOP853 with dense output by default; ``fixed_step`` switches to a
-    fixed-step RK4 with the given number of steps per direction, used by the
-    exact-linearity tests.
+    tol * sigma^2).  Boundary data is scaled by ``mode.amplitude``.  Each
+    direction from the start is one adaptive DOP853 leg with dense output.
     """
     r_lo, r_hi = float(r_range[0]), float(r_range[1])
     if not (bg.horizon < r_lo < r_hi):
@@ -490,11 +436,6 @@ def integrate_wave(
 
     def integrate_leg(t0, t1):
         if abs(t1 - t0) < 1e-14 * (1 + abs(t0)):
-            return
-        if fixed_step is not None:
-            ts, ys, fs = _window_rk4(rhs, t0, t1, y0, fixed_step)
-            segments.append((min(t0, t1), max(t0, t1), _HermiteSegment(ts, ys, fs)))
-            samples.append((ts, ys))
             return
         atol = np.array([tol * scale * 1e-2, tol * scale * 1e-2, tol * 1e-2 * max(r0, 1.0)])
         ts, ys, table = dop853(rhs, t0, t1, y0, rtol=tol, atol=atol)

@@ -247,7 +247,7 @@ def test_criterion_8_geometry_baselines():
     sol = integrate_wave(
         bg, mode, AnchorBoundary(z=0.0, dz=1.0, r=25.0), (20.0, 30.0), tol=1e-11
     )
-    pert = axial_preset(bg, mode, sol, epsilon=1e-3)
+    pert = axial_preset(sol, epsilon=1e-3)
     pert_rep = surface_geometry(
         SurfaceSpec(t=0.9, d=25.0), bg, pert, resolution=96, gauss_bonnet_tol=1e-8
     )

@@ -165,13 +165,26 @@ def test_unknown_key_exit(tmp_path, capsys):
     assert "bogus" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
-def test_numerical_error_exit(tmp_path, capsys):
-    # an anchor inside the horizon stretches the computed radial coverage
-    # through it: a numerical-domain failure
+@pytest.mark.parametrize("r", ["1.5", "2.0"])
+def test_anchor_inside_the_horizon_exits_before_writing(r, tmp_path, capsys):
     code = run([
         "radial", "--out", tmp_path,
         "--set", "mode.boundary.type=anchor",
-        "--set", "mode.boundary.r=1.5",
+        "--set", f"mode.boundary.r={r}",
+    ])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "config" and "anchor boundary" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numerical_error_exit(tmp_path, capsys):
+    # a Gauss-Bonnet tolerance that resolution 16 cannot meet
+    code = run([
+        "geometry", "--out", tmp_path,
+        "--set", "numerics.geometry_resolution=16",
+        "--set", "geometry.gauss_bonnet_tol=1e-12",
+        "--set", "surface.d=[50]",
     ])
     assert code == EXIT_NUMERICAL
     err = json.loads(capsys.readouterr().err)

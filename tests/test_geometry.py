@@ -30,7 +30,7 @@ def preset(bg_unit, mode_l2):
     sol = integrate_wave(
         bg_unit, mode_l2, AnchorBoundary(z=0.0, dz=1.0, r=25.0), (20.0, 30.0), tol=1e-11
     )
-    return axial_preset(bg_unit, mode_l2, sol, epsilon=1e-3)
+    return axial_preset(sol, epsilon=1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -69,13 +69,14 @@ def test_spatial_metric_epsilon_linearity(bg_unit, preset):
     pt = (0.9, 25.0, 1.1, 0.3)
     g1, dt1 = spatial_metric(bg_unit, preset, pt)
     g2, dt2 = spatial_metric(bg_unit, preset.with_epsilon(2e-3), pt)
-    # off-diagonal phi-theta and phi-r components scale exactly at first order
+    # the theta-phi component and its t-derivative are linear in epsilon
     assert g2[1, 2] == pytest.approx(2.0 * g1[1, 2], rel=1e-15)
     assert dt2[1, 2] == pytest.approx(2.0 * dt1[1, 2], rel=1e-15)
-    # exact mode adds the quadratic term r^2 sin^2 q3^2 = g_{theta phi}^2 / (r^2 sin^2)
-    ge, _ = spatial_metric(bg_unit, preset, pt, exact=True)
-    p_fac = pt[1] ** 2 * np.sin(pt[2]) ** 2
-    assert ge[1, 1] - g1[1, 1] == pytest.approx(g1[1, 2] ** 2 / p_fac, rel=1e-12)
+    # the full metric keeps the quadratic term r^2 sin^2 q3^2 = g_{theta phi}^2 / (r^2 sin^2);
+    # g_{theta theta} - r^2 is exact up to the one rounding of r^2 + that term
+    r2 = pt[1] ** 2
+    p_fac = r2 * np.sin(pt[2]) ** 2
+    assert g1[1, 1] - r2 == pytest.approx(g1[1, 2] ** 2 / p_fac, rel=1e-12, abs=np.spacing(r2))
 
 
 def test_spatial_metric_horizon_domain(bg_unit):
@@ -103,7 +104,7 @@ def test_axial_preset_pole_behavior(bg_unit, mode_l2):
     sol = integrate_wave(
         bg_unit, mode_l2, AnchorBoundary(z=0.0, dz=1.0, r=25.0), (20.0, 30.0), tol=1e-11
     )
-    pert = axial_preset(bg_unit, mode_l2, sol, epsilon=1e-3)
+    pert = axial_preset(sol, epsilon=1e-3)
     prof = a_profile(sol)
     r = np.full(4, 25.0)
     th = np.array([1e-3, 0.1, np.pi - 0.1, np.pi - 1e-3])
@@ -138,7 +139,7 @@ def test_axial_preset_regular_horizon_limit(bg_unit, mode_l2):
         (2.0 + 1e-6, 10.0),
         tol=1e-11,
     )
-    pert = axial_preset(bg_unit, mode_l2, sol, epsilon=1e-3)
+    pert = axial_preset(sol, epsilon=1e-3)
     r = 2.0 + 2e-6
     _, dz = sol.eval_r(r)
     expect_mag = abs(3.0 * (dz[0] / mode_l2.sigma**2) / r)  # ang(pi/2) = 3 sin P'' = 3
@@ -151,12 +152,10 @@ def test_axial_preset_q2_injection(bg_unit, mode_l2):
     sol = integrate_wave(
         bg_unit, mode_l2, AnchorBoundary(z=0.0, dz=1.0, r=25.0), (20.0, 30.0), tol=1e-11
     )
-    incomplete = axial_preset(bg_unit, mode_l2, sol)
+    incomplete = axial_preset(sol)
     assert incomplete.incomplete
     assert incomplete.flags() == ["incomplete-perturbation"]
-    complete = axial_preset(
-        bg_unit, mode_l2, sol, q2_override=lambda r, th: 0.01 * np.sin(th) / np.asarray(r)
-    )
+    complete = axial_preset(sol, q2_override=lambda r, th: 0.01 * np.sin(th) / np.asarray(r))
     assert not complete.incomplete
     assert complete.flags() == []
     # finite-difference fallback partials are installed for black-box q2

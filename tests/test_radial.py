@@ -193,42 +193,40 @@ def test_zero_initial_data(bg_unit, mode_l2):
     assert np.max(np.abs(sol.dz)) == 0.0
 
 
-def test_fixed_step_linearity(bg_unit, mode_l2):
-    kw = dict(r_range=(20.0, 60.0), fixed_step=800)
+def _assert_doubled(sol_b, sol_a, r):
+    # doubling is exact in floating point (power-of-two scaling): the error
+    # norm sees the same scaled states, so DOP853 takes the same steps
+    assert np.array_equal(sol_b.rstar, sol_a.rstar)
+    assert np.max(np.abs(sol_b.z - 2.0 * sol_a.z)) == 0.0
+    assert np.max(np.abs(sol_b.dz - 2.0 * sol_a.dz)) == 0.0
+    (za, dza), (zb, dzb) = sol_a.eval_r(r), sol_b.eval_r(r)
+    assert np.max(np.abs(zb - 2.0 * za)) == 0.0
+    assert np.max(np.abs(dzb - 2.0 * dza)) == 0.0
+
+
+def test_wave_linearity(bg_unit, mode_l2):
+    tol = 1e-12
+    kw = dict(r_range=(20.0, 60.0), tol=tol)
+    r = np.linspace(20.0, 60.0, 401)
     sol_a = integrate_wave(bg_unit, mode_l2, AnchorBoundary(z=0.3, dz=0.1, r=30.0), **kw)
     sol_b = integrate_wave(bg_unit, mode_l2, AnchorBoundary(z=0.6, dz=0.2, r=30.0), **kw)
-    # doubling is exact in floating point (power-of-two scaling)
-    assert np.max(np.abs(sol_b.z - 2.0 * sol_a.z)) == 0.0
+    _assert_doubled(sol_b, sol_a, r)
+    # superposition: the three solutions take different steps, so it holds to
+    # the integration tolerance only; compare the dense output at shared radii
     sol_c = integrate_wave(bg_unit, mode_l2, AnchorBoundary(z=-0.1, dz=0.5, r=30.0), **kw)
     sol_d = integrate_wave(bg_unit, mode_l2, AnchorBoundary(z=0.5, dz=0.7, r=30.0), **kw)
-    scale = np.max(np.abs(sol_d.z))
-    assert np.max(np.abs(sol_d.z - (sol_b.z + sol_c.z))) <= 1e-13 * scale
+    z_d = sol_d.eval_r(r)[0]
+    z_sum = sol_b.eval_r(r)[0] + sol_c.eval_r(r)[0]
+    assert np.max(np.abs(z_d - z_sum)) <= 100 * tol * np.max(np.abs(z_d))
 
 
 def test_amplitude_scaling_through_mode(bg_unit):
     m1 = AxialMode(ell=2, sigma=0.5, amplitude=1.0)
     m2 = AxialMode(ell=2, sigma=0.5, amplitude=2.0)
-    kw = dict(boundary=AnchorBoundary(z=0.5, dz=0.25, r=30.0), r_range=(25.0, 40.0), fixed_step=400)
+    kw = dict(boundary=AnchorBoundary(z=0.5, dz=0.25, r=30.0), r_range=(25.0, 40.0))
     s1 = integrate_wave(bg_unit, m1, **kw)
     s2 = integrate_wave(bg_unit, m2, **kw)
-    assert np.max(np.abs(s2.z - 2.0 * s1.z)) == 0.0
-
-
-def test_fixed_step_convergence_order():
-    # RK4: halving the step cuts the Bessel-oracle error ~16x
-    bg = BackgroundParams(m=0.0)
-    mode = AxialMode(ell=2, sigma=1.0, mu_sq=4.0)
-    z0 = spherical_jn(2, 5.0) * 5.0
-    dz0 = spherical_jn(2, 5.0) + 5.0 * spherical_jn(2, 5.0, derivative=True)
-    errs = []
-    for n in (200, 400):
-        sol = integrate_wave(
-            bg, mode, AnchorBoundary(z=z0, dz=dz0, r=5.0), (5.0, 40.0), fixed_step=n
-        )
-        ref = sol.r * spherical_jn(2, sol.r)
-        errs.append(np.max(np.abs(sol.z - ref)))
-    order = np.log2(errs[0] / errs[1])
-    assert 3.5 <= order <= 4.6
+    _assert_doubled(s2, s1, np.linspace(25.0, 40.0, 151))
 
 
 def test_adaptive_tolerance_scaling():
@@ -443,13 +441,6 @@ def _residual_max_loop(sol):
 def test_residual_max_is_bitwise_the_interval_loop(case):
     bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
     sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
-    assert sol.residual_max() == _residual_max_loop(sol)
-
-
-def test_residual_max_fixed_step_is_bitwise_the_interval_loop(bg_unit, mode_l2):
-    sol = integrate_wave(
-        bg_unit, mode_l2, AnchorBoundary(z=0.3, dz=0.1, r=30.0), (20.0, 60.0), fixed_step=200
-    )
     assert sol.residual_max() == _residual_max_loop(sol)
 
 
