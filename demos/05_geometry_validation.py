@@ -48,7 +48,7 @@ print(f"  fit constant = {sweep['constant']:+.3e}  (vanishing zeroth order)")
 print(f"  fit 1/d      = {sweep['c_over_d']:+.3e}")
 print(f"  fit 1/d^2    = {sweep['c_over_d2']:+.6f}")
 
-print("\n== axial perturbation (q2 injection point left empty) ==")
+print("\n== axial perturbation (q3 only; q2 is not modelled) ==")
 mode = AxialMode(ell=2, sigma=0.5)
 sol = integrate_wave(bg, mode, AnchorBoundary(z=0.0, dz=1.0, r=25.0), (20.0, 30.0), tol=1e-11)
 pert = axial_preset(sol, epsilon=1e-3)
@@ -56,5 +56,5 @@ rep = surface_geometry(SurfaceSpec(t=0.9, d=25.0), bg, pert, resolution=96, gaus
 print(f"  flags: {rep.flags}")
 print(f"  Gauss-Bonnet defect: {abs(rep.gauss_bonnet - 4 * np.pi):.3e}")
 print(f"  int hawking dmu    : {rep.hawking_integral:+.6e}")
-print("  (the vanishing-1/d claim needs a complete (q2, q3) vacuum pair;")
-print("   with q2 = 0 every report carries the incomplete-perturbation flag)")
+print("  (the vanishing-1/d claim needs a complete (q2, q3) vacuum pair, so it")
+print("   is not asserted; every axial report carries incomplete-perturbation)")

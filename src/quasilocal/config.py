@@ -195,6 +195,11 @@ def validate_config(doc: dict) -> dict:
     d_min = min(d_values) if isinstance(d_values, list) else d_values
     if d_min <= horizon + 1.0:
         raise ConfigError(f"surface d={d_min} must exceed 2m + 1 = {horizon + 1.0}")
+    anchor_r = d_min + bnd.get("offset", 0.0)
+    if bnd["type"] == "surface_anchor" and not anchor_r > horizon:
+        raise ConfigError(
+            f"surface_anchor boundary at min(d) + offset = {anchor_r} must exceed 2m = {horizon}"
+        )
     return merged
 
 

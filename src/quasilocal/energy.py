@@ -275,10 +275,6 @@ class DecayFit:
     residual: float
     condition: float
 
-    def predict(self, d) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        return self.c1 / d + self.c2 / d**2 + self.c3 / d**3
-
 
 def fit_inverse_powers(samples, powers):
     """Least squares of sum_k c_k / d^k on (d, value) pairs, by normal equations.

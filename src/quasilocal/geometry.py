@@ -58,56 +58,33 @@ __all__ = [
 INCOMPLETE_FLAG = "incomplete-perturbation"
 
 
-def _zero_profile(r, theta):
-    return np.zeros(np.broadcast(np.asarray(r), np.asarray(theta)).shape)
-
-
 @dataclass(frozen=True)
 class PerturbationProfiles:
-    """Metric perturbation profiles with a sin(sigma t) time convention.
+    """Axial metric perturbation with a sin(sigma t) time convention.
 
-    For the axial kind the off-diagonal functions are q_i(t, r, theta) =
-    epsilon sin(sigma t) Q_i(r, theta); ``q2``/``q3`` hold the spatial
-    profiles Q_i and the *_dr/*_dtheta entries their analytic partials
-    (finite-difference fallbacks are installed when omitted).  The polar
-    kind is user-supplied only (no closed form is available here) as
-    relative diagonal profiles: g_ii -> g_ii (1 + 2 epsilon sin(sigma t)
-    p_ii) for i in (rr, thth, phph).  ``epsilon`` must stay small enough
-    that quadratic terms sit below validation tolerances.
+    The axial kind sets g_{theta phi} = -r^2 sin^2(theta) q3 with q3(t, r,
+    theta) = epsilon sin(sigma t) Q3(r, theta); ``q3`` holds the spatial
+    profile Q3 and ``dq3_dr``/``dq3_dtheta`` its analytic partials, and all
+    three are required.  The r-phi profile q2 is not modelled, so every
+    axial profile carries the "incomplete-perturbation" flag.  ``epsilon``
+    must stay small enough that quadratic terms sit below validation
+    tolerances.
     """
 
     kind: str = "none"
     sigma: float = 0.5
     epsilon: float = 1e-3
-    q2: object | None = None
     q3: object | None = None
-    dq2_dr: object | None = None
-    dq2_dtheta: object | None = None
     dq3_dr: object | None = None
     dq3_dtheta: object | None = None
-    diag: tuple | None = None  # polar: (p_rr, p_thth, p_phph) callables
-    incomplete: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("none", "axial", "polar"):
+        if self.kind not in ("none", "axial"):
             raise DomainError(f"unknown perturbation kind {self.kind!r}")
         if abs(self.epsilon) > 1e-2:
             raise DomainError("epsilon outside the linearization regime (|eps| <= 1e-2)")
-        if self.kind == "axial":
-            fd = _fd_partials
-            if self.q2 is None:
-                object.__setattr__(self, "q2", _zero_profile)
-                object.__setattr__(self, "incomplete", True)
-            if self.q3 is None:
-                raise DomainError("axial perturbation needs a q3 profile")
-            if self.dq2_dr is None or self.dq2_dtheta is None:
-                dr, dth = fd(self.q2)
-                object.__setattr__(self, "dq2_dr", self.dq2_dr or dr)
-                object.__setattr__(self, "dq2_dtheta", self.dq2_dtheta or dth)
-            if self.dq3_dr is None or self.dq3_dtheta is None:
-                dr, dth = fd(self.q3)
-                object.__setattr__(self, "dq3_dr", self.dq3_dr or dr)
-                object.__setattr__(self, "dq3_dtheta", self.dq3_dtheta or dth)
+        if self.kind == "axial" and None in (self.q3, self.dq3_dr, self.dq3_dtheta):
+            raise DomainError("axial perturbation needs q3, dq3_dr and dq3_dtheta")
 
     @classmethod
     def none(cls) -> "PerturbationProfiles":
@@ -117,35 +94,18 @@ class PerturbationProfiles:
         return dataclasses.replace(self, epsilon=epsilon)
 
     def flags(self) -> list[str]:
-        return [INCOMPLETE_FLAG] if self.incomplete else []
+        return [INCOMPLETE_FLAG] if self.kind == "axial" else []
 
 
-def _fd_partials(fn, h: float = 1e-6):
-    """Centered finite-difference partials for a black-box (r, theta) profile."""
-
-    def d_r(r, theta):
-        step = h * np.maximum(1.0, np.abs(r))
-        return (fn(r + step, theta) - fn(r - step, theta)) / (2.0 * step)
-
-    def d_theta(r, theta):
-        return (fn(r, theta + h) - fn(r, theta - h)) / (2.0 * h)
-
-    return d_r, d_theta
-
-
-def axial_preset(
-    sol: RadialSolution, q2_override=None, epsilon: float = 1e-3
-) -> PerturbationProfiles:
+def axial_preset(sol: RadialSolution, epsilon: float = 1e-3) -> PerturbationProfiles:
     """Axial profiles from a radial solution, with ell and sigma of ``sol.mode``:
 
         q3(t, r, theta) = sin(sigma t) C_ell(theta)/sin(theta) *
                           (r^2 - 2 m r)/(sigma^2 r^4) d(rZ)/dr
                         = sin(sigma t) [sin(theta) P''_ell(cos theta)] A(r)/r,
 
-    the second form being pole-safe (C_ell/sin = sin * P'').  The q2 profile
-    is an injection point; passing none leaves it zero and flags every
-    downstream report "incomplete-perturbation".  ``q2_override`` is a
-    callable Q2(r, theta); its partials are taken by central differences.
+    the second form being pole-safe (C_ell/sin = sin * P'').  The partials
+    of q3 are closed forms in A and A'.
     """
     if sol.kind != "axial":
         raise DomainError("axial preset needs an axial radial solution")
@@ -170,7 +130,7 @@ def axial_preset(
     def dq3_dtheta(r, theta):
         return ang_dtheta(theta) * prof.a(r) / r
 
-    kwargs = dict(
+    return PerturbationProfiles(
         kind="axial",
         sigma=sol.mode.sigma,
         epsilon=epsilon,
@@ -178,9 +138,6 @@ def axial_preset(
         dq3_dr=dq3_dr,
         dq3_dtheta=dq3_dtheta,
     )
-    if q2_override is not None:
-        kwargs["q2"] = q2_override
-    return PerturbationProfiles(**kwargs)
 
 
 def _metric_sph(bg, pert, t, r, theta):
@@ -218,57 +175,27 @@ def _metric_sph(bg, pert, t, r, theta):
     amp = pert.epsilon * math.sin(pert.sigma * t)
     damp = pert.epsilon * pert.sigma * math.cos(pert.sigma * t)
 
-    if pert.kind == "polar":
-        if pert.diag is None:
-            return g, dg, dtg
-        fd_pairs = [_fd_partials(p) for p in pert.diag]
-        for i, p, (p_dr, p_dth) in zip(range(3), pert.diag, fd_pairs):
-            pv = p(r, theta)
-            g[i, i] *= 1.0 + 2.0 * amp * pv
-            base = g[i, i] / (1.0 + 2.0 * amp * pv)
-            dg[0, i, i] = dg[0, i, i] * (1.0 + 2.0 * amp * pv) + base * 2.0 * amp * p_dr(r, theta)
-            dg[1, i, i] = dg[1, i, i] * (1.0 + 2.0 * amp * pv) + base * 2.0 * amp * p_dth(r, theta)
-            dtg[i, i] = base * 2.0 * damp * pv
-        return g, dg, dtg
-
-    # axial; each profile is evaluated once and shared by the t-derivative
-    p_fac = r**2 * s**2
-    dp_dr = 2.0 * r * s**2
-    dp_dth = 2.0 * r**2 * s * c
-    q2, q3 = pert.q2(r, theta), pert.q3(r, theta)
-    q2v, q3v = amp * q2, amp * q3
-    dq2_dr = amp * pert.dq2_dr(r, theta)
-    dq2_dth = amp * pert.dq2_dtheta(r, theta)
+    # axial: g_{theta phi} = -g_{phi phi} q3, with q3 evaluated once and
+    # shared by the t-derivative
+    p_fac, dp_dr, dp_dth = g[2, 2], dg[0, 2, 2], dg[1, 2, 2]
+    q3 = pert.q3(r, theta)
+    q3v, dt_q3 = amp * q3, damp * q3
     dq3_dr = amp * pert.dq3_dr(r, theta)
     dq3_dth = amp * pert.dq3_dtheta(r, theta)
-    dt_q2, dt_q3 = damp * q2, damp * q3
 
-    def set_sym(target, i, j, val):
-        target[i, j] = val
-        target[j, i] = val
+    for target, val in (
+        (g, -p_fac * q3v),
+        (dg[0], -(dp_dr * q3v + p_fac * dq3_dr)),
+        (dg[1], -(dp_dth * q3v + p_fac * dq3_dth)),
+        (dtg, -p_fac * dt_q3),
+    ):
+        target[1, 2] = target[2, 1] = val
 
-    set_sym(g, 0, 2, -p_fac * q2v)
-    set_sym(g, 1, 2, -p_fac * q3v)
-    set_sym(dg[0], 0, 2, -(dp_dr * q2v + p_fac * dq2_dr))
-    set_sym(dg[0], 1, 2, -(dp_dr * q3v + p_fac * dq3_dr))
-    set_sym(dg[1], 0, 2, -(dp_dth * q2v + p_fac * dq2_dth))
-    set_sym(dg[1], 1, 2, -(dp_dth * q3v + p_fac * dq3_dth))
-    set_sym(dtg, 0, 2, -p_fac * dt_q2)
-    set_sym(dtg, 1, 2, -p_fac * dt_q3)
-
-    # the quadratic terms of the squared one-form
-    g[0, 0] += p_fac * q2v**2
+    # the quadratic term of the squared one-form
     g[1, 1] += p_fac * q3v**2
-    set_sym(g, 0, 1, p_fac * q2v * q3v)
-    dg[0, 0, 0] += dp_dr * q2v**2 + 2.0 * p_fac * q2v * dq2_dr
     dg[0, 1, 1] += dp_dr * q3v**2 + 2.0 * p_fac * q3v * dq3_dr
-    dg[1, 0, 0] += dp_dth * q2v**2 + 2.0 * p_fac * q2v * dq2_dth
     dg[1, 1, 1] += dp_dth * q3v**2 + 2.0 * p_fac * q3v * dq3_dth
-    set_sym(dg[0], 0, 1, dp_dr * q2v * q3v + p_fac * (dq2_dr * q3v + q2v * dq3_dr))
-    set_sym(dg[1], 0, 1, dp_dth * q2v * q3v + p_fac * (dq2_dth * q3v + q2v * dq3_dth))
-    dtg[0, 0] += 2.0 * p_fac * q2v * dt_q2
     dtg[1, 1] += 2.0 * p_fac * q3v * dt_q3
-    set_sym(dtg, 0, 1, p_fac * (dt_q2 * q3v + q2v * dt_q3))
 
     return g, dg, dtg
 
@@ -498,10 +425,6 @@ class GeometryReport:
     gauss_bonnet: float  # integral of K dmu
     hawking_integral: float
     flags: tuple = ()
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Surface integral of a pointwise grid quantity against dmu."""
-        return _surface_integrals(self.induced, self.theta_s, values)[0]
 
 
 def surface_geometry(

@@ -24,18 +24,21 @@ def escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
+    """Round-valued ticks in [lo, hi], at most 12.
+
+    A range that is not finite, or only a few ulps wide, gets the single
+    tick ``lo``: a step below half an ulp would not advance the loop.
+    """
+    span = hi - lo
+    if not math.isfinite(span) or span <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(abs(raw)))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    start = math.ceil(lo / step) * step
+    raw = span / max(n - 1, 1)
+    mag = 10.0 ** math.floor(math.log10(raw))
+    # a subnormal raw can underflow mag to zero: then the step is raw itself
+    step = next((k * mag for k in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= k * mag), raw)
     ticks = []
-    v = start
-    while v <= hi + 1e-12 * abs(step):
+    v = math.ceil(lo / step) * step
+    while v - hi <= 1e-12 * step and len(ticks) < 12:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return ticks or [lo]

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -165,17 +168,34 @@ def test_unknown_key_exit(tmp_path, capsys):
     assert "bogus" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
-@pytest.mark.parametrize("r", ["1.5", "2.0"])
-def test_anchor_inside_the_horizon_exits_before_writing(r, tmp_path, capsys):
-    code = run([
-        "radial", "--out", tmp_path,
-        "--set", "mode.boundary.type=anchor",
-        "--set", f"mode.boundary.r={r}",
-    ])
+@pytest.mark.parametrize("boundary", [
+    pytest.param({"type": "anchor", "r": 1.5}, id="1.5"),
+    pytest.param({"type": "anchor", "r": 2.0}, id="2.0"),
+    # the default surface_anchor boundary at the smallest default d = 50
+    pytest.param({"offset": -49}, id="offset=-49"),
+    pytest.param({"offset": -48}, id="offset=-48"),
+])
+def test_anchor_inside_the_horizon_exits_before_writing(boundary, tmp_path, capsys):
+    sets = [a for key, v in boundary.items() for a in ("--set", f"mode.boundary.{key}={v}")]
+    code = run(["radial", "--out", tmp_path, *sets])
     assert code == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["category"] == "config" and "anchor boundary" in err["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_one_ulp_energy_range_plots_and_exits(tmp_path):
+    # t one period (4 pi) apart: the two E values differ by one ulp, and the
+    # SVG tick loop must not step by less than half an ulp of them forever
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasilocal.cli", "energy", "--out", str(tmp_path),
+         "--set", "surface.t=[0.1,12.666370614359172]", "--set", "surface.d=[100]"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    assert {p.name for p in tmp_path.iterdir()} == ARTIFACTS["energy"]
 
 
 def test_numerical_error_exit(tmp_path, capsys):

@@ -148,22 +148,6 @@ def test_axial_preset_regular_horizon_limit(bg_unit, mode_l2):
     )
 
 
-def test_axial_preset_q2_injection(bg_unit, mode_l2):
-    sol = integrate_wave(
-        bg_unit, mode_l2, AnchorBoundary(z=0.0, dz=1.0, r=25.0), (20.0, 30.0), tol=1e-11
-    )
-    incomplete = axial_preset(sol)
-    assert incomplete.incomplete
-    assert incomplete.flags() == ["incomplete-perturbation"]
-    complete = axial_preset(sol, q2_override=lambda r, th: 0.01 * np.sin(th) / np.asarray(r))
-    assert not complete.incomplete
-    assert complete.flags() == []
-    # finite-difference fallback partials are installed for black-box q2
-    r, th = np.array([25.0]), np.array([1.0])
-    fd = (complete.q2(r + 1e-6 * 25, th) - complete.q2(r - 1e-6 * 25, th)) / (2e-6 * 25)
-    assert complete.dq2_dr(r, th)[0] == pytest.approx(fd[0], rel=1e-6)
-
-
 # ----------------------------------------------------------------------
 # surface geometry baselines
 # ----------------------------------------------------------------------
@@ -314,23 +298,6 @@ def test_epsilon_derivative_convergence_order(bg_unit, preset):
     assert order >= 2.0
 
 
-def test_polar_diag_perturbation_runs(bg_unit):
-    pert = PerturbationProfiles(
-        kind="polar",
-        sigma=0.5,
-        epsilon=1e-3,
-        diag=(
-            lambda r, th: 1.0 / np.asarray(r),
-            lambda r, th: 0.5 / np.asarray(r),
-            lambda r, th: 0.25 / np.asarray(r),
-        ),
-    )
-    rep = surface_geometry(
-        SurfaceSpec(t=0.9, d=50.0), bg_unit, pert, resolution=64, gauss_bonnet_tol=1e-7
-    )
-    assert abs(rep.gauss_bonnet - 4.0 * np.pi) <= 1e-7
-
-
 def test_fit_powers_recovery():
     coeffs, resid, cond = fit_powers(
         [(d, 2.0 + 3.0 / d + 0.5 / d**2) for d in (25.0, 50.0, 100.0, 200.0)],
@@ -358,6 +325,11 @@ def test_hawking_sweep_without_fit(bg_unit):
 def test_perturbation_validation():
     with pytest.raises(DomainError):
         PerturbationProfiles(kind="axial", epsilon=1e-3)  # q3 missing
+    with pytest.raises(DomainError):
+        # the partials of q3 are required, not differenced
+        PerturbationProfiles(kind="axial", q3=lambda r, th: np.sin(th) / r)
+    with pytest.raises(DomainError):
+        PerturbationProfiles(kind="polar")  # no polar metric perturbation
     with pytest.raises(DomainError):
         PerturbationProfiles(kind="none", epsilon=0.5)  # epsilon too large
     with pytest.raises(DomainError):
