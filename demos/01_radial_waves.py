@@ -9,6 +9,8 @@ j2(sigma r), which pins down the integrator error exactly.
 Run from the repository root:  python demos/01_radial_waves.py
 """
 
+from pathlib import Path
+
 import numpy as np
 from scipy.special import spherical_jn
 
@@ -44,11 +46,11 @@ print(f"  V-(3) = {potential_axial(3.0, bg, ax):.12f}   (= 4/27)")
 print(f"  V+(3) = {potential_polar(3.0, bg, po):.12f}   (= 2970/19683)")
 print(f"  both vanish at the horizon: {potential_axial(2.0, bg, ax)}, "
       f"{potential_polar(2.0, bg, po)}")
-line_plot(
-    "demo_potentials.svg", r, [v_minus, v_plus],
+Path("demo_potentials.svg").write_text(line_plot(
+    r, [v_minus, v_plus],
     labels=["odd parity", "even parity"], title="radial potentials (m=1, l=2)",
     xlabel="r", ylabel="V",
-)
+), encoding="utf-8")
 print("  wrote demo_potentials.svg")
 
 print("\n== flat-space oracle ==")
@@ -67,10 +69,10 @@ print("\n== A(r) profile on a Schwarzschild background ==")
 sol_bh = integrate_wave(bg, ax, AnchorBoundary(z=0.0, dz=1.0, r=30.0), (20.0, 80.0), tol=1e-12)
 prof = a_profile(sol_bh)
 r = np.linspace(21.0, 79.0, 500)
-line_plot(
-    "demo_a_profile.svg", r, [prof.a(r), prof.a_prime(r), prof.a_double_prime(r)],
+Path("demo_a_profile.svg").write_text(line_plot(
+    r, [prof.a(r), prof.a_prime(r), prof.a_double_prime(r)],
     labels=["A", "A'", "A''"], title="A(r) and derivatives", xlabel="r", ylabel="",
-)
+), encoding="utf-8")
 h = 1e-4
 fd = (prof.a(50.0 + h) - prof.a(50.0 - h)) / (2 * h)
 print(f"  A'(50) analytic vs centered difference: rel err {abs(prof.a_prime(50.0)/fd - 1):.2e}")

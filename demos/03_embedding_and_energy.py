@@ -8,6 +8,8 @@ time derivative over a full period at fixed distance.
 Run from the repository root:  python demos/03_embedding_and_energy.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from quasilocal import (
@@ -46,8 +48,8 @@ print(f"  period pi/sigma = {period:.4f}: E(0) - E(period) = "
       f"{res.e[0] - res.e[80]:.2e}")
 zero_idx = np.argmin(np.abs(t - (np.pi / 2) / mode.sigma))
 print(f"  dE/dt at sigma t = pi/2: {res.dedt[zero_idx]:.2e}")
-line_plot(
-    "demo_energy_vs_t.svg", t, [res.e, res.dedt],
+Path("demo_energy_vs_t.svg").write_text(line_plot(
+    t, [res.e, res.dedt],
     labels=["E", "dE/dt"], title="E(t) at d=100", xlabel="t", ylabel="",
-)
+), encoding="utf-8")
 print("  wrote demo_energy_vs_t.svg")

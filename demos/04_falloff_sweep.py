@@ -16,6 +16,8 @@ Two sweeps over d in {50, 100, 200, 400}:
 Run from the repository root:  python demos/04_falloff_sweep.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from quasilocal import (
@@ -55,10 +57,10 @@ print("  E d^2:", " ".join(f"{v:+.6f}" for v in scaled_global))
 print("  the radial phase sigma r*(d) walks through the sweep; compare the"
       " spread above with the anchored column")
 
-line_plot(
-    "demo_falloff.svg", d_values,
+Path("demo_falloff.svg").write_text(line_plot(
+    d_values,
     [np.abs(scaled_anchored), np.abs(scaled_global)],
     labels=["anchored at the sphere", "one global solution"],
     title="|E d^2| across the sweep", xlabel="d", ylabel="|E d^2|", logx=True,
-)
+), encoding="utf-8")
 print("\nwrote demo_falloff.svg")

@@ -3,9 +3,11 @@
 Artifacts are deterministic: identical configs give byte-identical CSV and
 JSON, and SVG plots carry no timestamps.  Every artifact embeds the fully
 resolved config (a ``# config:`` comment line in CSV, a ``config`` key in
-JSON, a <desc> element in SVG).  Exit codes: 0 success, 2 config error,
-3 numerical failure; failures print a machine-readable error JSON to
-stderr.
+JSON, a <desc> element in SVG), and JSON artifacts hold finite numbers only.
+Exit codes: 0 success, 2 config error, 3 numerical failure; failures print a
+machine-readable error JSON to stderr.  Every artifact is rendered before the
+first is written, so a run exiting 2 or 3 writes none; the ``--out``
+directory may still be created, empty.
 """
 
 from __future__ import annotations
@@ -96,37 +98,11 @@ def _surface(conf):
 
 
 # ----------------------------------------------------------------------
-# artifact writers
+# subcommands: each returns {file name: content}; main renders and writes
 # ----------------------------------------------------------------------
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows, config_doc) -> None:
-    lines = ["# config: " + cfg.canonical_json(config_doc)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_json(path: Path, payload: dict, config_doc) -> None:
-    doc = {"config": config_doc, **payload}
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-# ----------------------------------------------------------------------
-# subcommands
-# ----------------------------------------------------------------------
-
-
-def run_radial(conf, out: Path, jobs: int) -> list[Path]:
+def run_radial(conf, jobs: int) -> dict:
     bg, mode, num = _background(conf), _mode(conf), conf["numerics"]
     _, d_values, _ = _surface(conf)
     r_range = num.get("radial_range")
@@ -140,31 +116,13 @@ def run_radial(conf, out: Path, jobs: int) -> list[Path]:
         a, ap, app = prof.a(r), prof.a_prime(r), prof.a_double_prime(r)
     else:
         a = ap = app = np.full_like(r, np.nan)
-    r_star = tortoise(r, bg)
-    rows = [
-        (
-            float(r[i]),
-            float(r_star[i]),
-            float(z[i]),
-            float(dz[i]),
-            float(v[i]),
-            float(a[i]),
-            float(ap[i]),
-            float(app[i]),
-        )
-        for i in range(len(r))
-    ]
-    csv_path = out / "radial.csv"
-    _write_csv(
-        csv_path,
-        ["r", "r_star", "z", "dz_drstar", "v", "a", "a_prime", "a_double_prime"],
-        rows,
-        conf,
-    )
-    json_path = out / "radial.json"
-    _write_json(
-        json_path,
-        {
+    columns = (r, tortoise(r, bg), z, dz, v, a, ap, app)
+    return {
+        "radial.csv": (
+            ["r", "r_star", "z", "dz_drstar", "v", "a", "a_prime", "a_double_prime"],
+            zip(*(c.tolist() for c in columns)),
+        ),
+        "radial.json": {
             "kind": sol.kind,
             "r_min": sol.r_min,
             "r_max": sol.r_max,
@@ -172,9 +130,7 @@ def run_radial(conf, out: Path, jobs: int) -> list[Path]:
             "residual_max": sol.residual_max(),
             "asymptotic_truncation": sol.asymptotic_truncation,
         },
-        conf,
-    )
-    return [csv_path, json_path]
+    }
 
 
 def _surface_embedding(conf):
@@ -185,32 +141,24 @@ def _surface_embedding(conf):
     return (spec, *surface_embedding(bg, mode, bnd, spec, num["l_max"], num["tolerance"]))
 
 
-def run_embed(conf, out: Path, jobs: int) -> list[Path]:
+def run_embed(conf, jobs: int) -> dict:
     spec, _prof, _s_tau, _s_n, emb = _surface_embedding(conf)
-    paths = []
-    for name, h in (("embed_tau", emb.tau), ("embed_n", emb.n_field)):
-        rows = [
-            (l, m, float(h.coeffs[l, h.l_max + m]))
-            for l in range(h.l_max + 1)
-            for m in range(-l, l + 1)
-        ]
-        p = out / f"{name}.csv"
-        _write_csv(p, ["l", "m", "coefficient"], rows, conf)
-        paths.append(p)
-    jp = out / "embed.json"
-    _write_json(
-        jp,
-        {
-            "kernel_residual_tau": {str(k): v for k, v in emb.kernel_residual_tau.items()},
-            "kernel_residual_n": emb.kernel_residual_n,
-            "l_max": emb.l_max,
-            "t": spec.t,
-            "d": spec.d,
-        },
-        conf,
-    )
-    paths.append(jp)
-    return paths
+    L = emb.l_max
+    # every stored (l, m), l-major and m ascending
+    l, col = np.nonzero(np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None])
+    lm = (l.tolist(), (col - L).tolist())
+    artifacts = {
+        f"{name}.csv": (["l", "m", "coefficient"], zip(*lm, h.coeffs[l, col].tolist()))
+        for name, h in (("embed_tau", emb.tau), ("embed_n", emb.n_field))
+    }
+    artifacts["embed.json"] = {
+        "kernel_residual_tau": {str(k): v for k, v in emb.kernel_residual_tau.items()},
+        "kernel_residual_n": emb.kernel_residual_n,
+        "l_max": L,
+        "t": spec.t,
+        "d": spec.d,
+    }
+    return artifacts
 
 
 def _sweep(conf, jobs):
@@ -231,29 +179,21 @@ def _sweep(conf, jobs):
     )
 
 
-def run_energy(conf, out: Path, jobs: int) -> list[Path]:
+def run_energy(conf, jobs: int) -> dict:
     report = _sweep(conf, jobs)
     t_values, d_values = report.t_values.tolist(), report.d_values.tolist()
-    rows = sorted(report.rows(), key=lambda r: (r[0], r[1]))
-    csv_path = out / "energy.csv"
-    _write_csv(csv_path, ["t", "d", "e", "dedt"], rows, conf)
-    json_path = out / "energy.json"
-    _write_json(
-        json_path,
-        {
+    artifacts = {
+        "energy.csv": (["t", "d", "e", "dedt"], sorted(report.rows(), key=lambda r: (r[0], r[1]))),
+        "energy.json": {
             "d_values": d_values,
             "t_values": t_values,
-            "e1": [float(v) for v in report.e1],
-            "e2": [float(v) for v in report.e2],
+            "e1": report.e1.tolist(),
+            "e2": report.e2.tolist(),
         },
-        conf,
-    )
-    paths = [csv_path, json_path]
+    }
     if conf["outputs"]["svg"] and len(t_values) > 1:
-        svg = out / "energy_e_vs_t.svg"
         order = np.argsort(report.t_values, kind="stable")
-        line_plot(
-            svg,
+        artifacts["energy_e_vs_t.svg"] = line_plot(
             report.t_values[order],
             [report.e[order, j] for j in range(len(d_values))],
             labels=[f"d={d:g}" for d in d_values],
@@ -262,37 +202,27 @@ def run_energy(conf, out: Path, jobs: int) -> list[Path]:
             ylabel="E",
             desc=cfg.canonical_json(conf),
         )
-        paths.append(svg)
-    return paths
+    return artifacts
 
 
-def run_sweep(conf, out: Path, jobs: int) -> list[Path]:
+def run_sweep(conf, jobs: int) -> dict:
     report = _sweep(conf, jobs)
-    fits = [{"t": float(t), **asdict(f)} for t, f in zip(report.t_values, report.fits)]
-    csv_path = out / "sweep.csv"
-    _write_csv(csv_path, ["t", "d", "e", "dedt"], list(report.rows()), conf)
-    json_path = out / "sweep.json"
-    _write_json(
-        json_path,
-        {
-            "d_values": [float(d) for d in report.d_values],
-            "t_values": [float(t) for t in report.t_values],
-            "e1": [float(v) for v in report.e1],
-            "e2": [float(v) for v in report.e2],
-            "kernel_residual_tau": [float(v) for v in report.kernel_residual_tau],
-            "kernel_residual_n": [float(v) for v in report.kernel_residual_n],
-            "fits": fits,
+    artifacts = {
+        "sweep.csv": (["t", "d", "e", "dedt"], report.rows()),
+        "sweep.json": {
+            "d_values": report.d_values.tolist(),
+            "t_values": report.t_values.tolist(),
+            "e1": report.e1.tolist(),
+            "e2": report.e2.tolist(),
+            "kernel_residual_tau": report.kernel_residual_tau.tolist(),
+            "kernel_residual_n": report.kernel_residual_n.tolist(),
+            "fits": [{"t": t, **asdict(f)} for t, f in zip(report.t_values.tolist(), report.fits)],
         },
-        conf,
-    )
-    paths = [csv_path, json_path]
+    }
     if conf["outputs"]["svg"]:
-        svg = out / "sweep_falloff.svg"
-        scaled = np.abs(report.e[0] * report.d_values**2)
-        line_plot(
-            svg,
+        artifacts["sweep_falloff.svg"] = line_plot(
             report.d_values,
-            [scaled],
+            [np.abs(report.e[0] * report.d_values**2)],
             labels=[f"t={report.t_values[0]:g}"],
             title="|E d^2| vs d",
             xlabel="d",
@@ -300,11 +230,10 @@ def run_sweep(conf, out: Path, jobs: int) -> list[Path]:
             logx=True,
             desc=cfg.canonical_json(conf),
         )
-        paths.append(svg)
-    return paths
+    return artifacts
 
 
-def run_geometry(conf, out: Path, jobs: int) -> list[Path]:
+def run_geometry(conf, jobs: int) -> dict:
     bg, mode = _background(conf), _mode(conf)
     _, d_values, template = _surface(conf)
     num, geo_conf = conf["numerics"], conf["geometry"]
@@ -328,19 +257,8 @@ def run_geometry(conf, out: Path, jobs: int) -> list[Path]:
     )
     reports = sweep["reports"]
     first = reports[0]
-    rows = [
-        (
-            float(first.theta_s[j]),
-            float(first.phi_s[k]),
-            float(first.gauss[j, k]),
-            float(first.mean_norm[j, k]),
-            float(first.hawking_line[j, k]),
-        )
-        for j in range(first.n_theta)
-        for k in range(first.n_phi)
-    ]
-    csv_path = out / "geometry.csv"
-    _write_csv(csv_path, ["theta", "phi", "k_gauss", "h_norm", "hawking_line"], rows, conf)
+    theta, phi = np.meshgrid(first.theta_s, first.phi_s, indexing="ij")
+    columns = (theta, phi, first.gauss, first.mean_norm, first.hawking_line)
     payload = {
         "d_values": d_values,
         "area": [r.area for r in reports],
@@ -356,12 +274,16 @@ def run_geometry(conf, out: Path, jobs: int) -> list[Path]:
             "residual": sweep["residual"],
             "condition": sweep["condition"],
         }
-    json_path = out / "geometry.json"
-    _write_json(json_path, payload, conf)
-    return [csv_path, json_path]
+    return {
+        "geometry.csv": (
+            ["theta", "phi", "k_gauss", "h_norm", "hawking_line"],
+            zip(*(c.ravel().tolist() for c in columns)),
+        ),
+        "geometry.json": payload,
+    }
 
 
-def run_loop(conf, out: Path, jobs: int) -> list[Path]:
+def run_loop(conf, jobs: int) -> dict:
     loop_conf = conf["loop"]
     if loop_conf["kind"] == "equator":
         loop = LoopSpec.equator(loop_conf["n_samples"])
@@ -381,25 +303,33 @@ def run_loop(conf, out: Path, jobs: int) -> list[Path]:
             wgrid = SphereGrid.for_band_limit(2 * emb.l_max)
             h = analyze(rho_bracket(emb, wgrid, spec.d))
     vals = evaluate(h, loop.theta, loop.phi)
-    total = loop.quadrature(vals)
-    rows = [
-        (float(loop.s[i]), float(loop.theta[i]), float(loop.phi[i]), float(vals[i]))
-        for i in range(loop.n_samples)
-    ]
-    csv_path = out / "loop.csv"
-    _write_csv(csv_path, ["s", "theta", "phi", "integrand"], rows, conf)
-    json_path = out / "loop.json"
-    _write_json(
-        json_path,
-        {
-            "total": total,
+    columns = (loop.s, loop.theta, loop.phi, vals)
+    return {
+        "loop.csv": (["s", "theta", "phi", "integrand"], zip(*(c.tolist() for c in columns))),
+        "loop.json": {
+            "total": loop.quadrature(vals),
             "arc_length": loop.arc_length(),
             "field": field_name,
             "n_samples": loop.n_samples,
         },
-        conf,
-    )
-    return [csv_path, json_path]
+    }
+
+
+def _render(name: str, content, conf) -> str:
+    """The text of one artifact, with the resolved config embedded.
+
+    A CSV is ``(header, rows)``: ``str`` of a float is its ``repr``.  A JSON
+    payload must be finite.  An SVG is already text.
+    """
+    if name.endswith(".csv"):
+        header, rows = content
+        lines = ["# config: " + cfg.canonical_json(conf), ",".join(header)]
+        lines += [",".join(map(str, row)) for row in rows]
+        return "\n".join(lines) + "\n"
+    if name.endswith(".json"):
+        doc = {"config": conf, **content}
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return content
 
 
 _RUNNERS = {
@@ -451,15 +381,18 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        written = _RUNNERS[args.command](conf, out, max(1, args.jobs))
+        artifacts = _RUNNERS[args.command](conf, max(1, args.jobs))
+        texts = {name: _render(name, content, conf) for name, content in artifacts.items()}
     except ConfigError as exc:
         return fail(exc, "config", EXIT_CONFIG)
     except QuasilocalError as exc:
         return fail(exc, "numerical", EXIT_NUMERICAL)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return fail(exc, "numerical", EXIT_NUMERICAL)
-    for p in written:
-        print(p)
+    for name, text in texts.items():
+        path = out / name
+        path.write_text(text, encoding="utf-8")
+        print(path)
     return EXIT_OK
 
 

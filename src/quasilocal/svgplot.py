@@ -1,7 +1,7 @@
 """Minimal deterministic SVG line plots: polylines, axes, tick labels.
 
 No timestamps and no external plotting dependency; identical inputs give
-byte-identical files.  An optional ``desc`` string (the resolved scenario
+byte-identical text.  An optional ``desc`` string (the resolved scenario
 config) is embedded in a <desc> element for provenance.
 """
 
@@ -23,16 +23,21 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _narrow(lo: float, hi: float) -> bool:
+    """Whether the span [lo, hi] is not finite or only a few ulps wide."""
+    span = hi - lo
+    return not math.isfinite(span) or span <= 4.0 * math.ulp(max(abs(lo), abs(hi)))
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     """Round-valued ticks in [lo, hi], at most 12.
 
-    A range that is not finite, or only a few ulps wide, gets the single
-    tick ``lo``: a step below half an ulp would not advance the loop.
+    A narrow range gets the single tick ``lo``: a step below half an ulp
+    would not advance the loop.
     """
-    span = hi - lo
-    if not math.isfinite(span) or span <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
+    if _narrow(lo, hi):
         return [lo]
-    raw = span / max(n - 1, 1)
+    raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     # a subnormal raw can underflow mag to zero: then the step is raw itself
     step = next((k * mag for k in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= k * mag), raw)
@@ -48,8 +53,15 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """A narrow span widened symmetrically, so a flat series sits mid-axis."""
+    if not _narrow(lo, hi):
+        return lo, hi
+    w = max(1.0, abs(lo), abs(hi))
+    return lo - w, hi + w
+
+
 def line_plot(
-    path,
     x,
     ys,
     labels=None,
@@ -58,8 +70,8 @@ def line_plot(
     ylabel: str = "",
     logx: bool = False,
     desc: str | None = None,
-) -> None:
-    """Write a line plot of one or more series sharing the x axis.
+) -> str:
+    """The SVG text of a line plot of one or more series sharing the x axis.
 
     ``ys`` is a sequence of arrays; ``logx`` plots log10 of x and annotates
     the label (callers pass positive x for a log scale).
@@ -71,13 +83,9 @@ def line_plot(
         xv = np.log10(xv)
         xlabel = f"log10 {xlabel}" if xlabel else "log10 x"
 
-    x_lo, x_hi = float(np.min(xv)), float(np.max(xv))
+    x_lo, x_hi = _widen(float(np.min(xv)), float(np.max(xv)))
     y_all = np.concatenate([v[np.isfinite(v)] for v in yv])
-    y_lo, y_hi = float(np.min(y_all)), float(np.max(y_all))
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    y_lo, y_hi = _widen(float(np.min(y_all)), float(np.max(y_all)))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -148,5 +156,4 @@ def line_plot(
             f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.0f})">{escape(ylabel)}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

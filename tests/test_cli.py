@@ -24,7 +24,7 @@ from quasilocal.config import (
     load_config,
     validate_config,
 )
-from quasilocal.errors import ConfigError
+from quasilocal.errors import ConfigError, IntegrationError
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SCENARIOS = DEMOS / "scenarios"
@@ -198,6 +198,50 @@ def test_one_ulp_energy_range_plots_and_exits(tmp_path):
     assert {p.name for p in tmp_path.iterdir()} == ARTIFACTS["energy"]
 
 
+def _raise(exc):
+    def raiser(*a, **kw):
+        raise exc
+
+    return raiser
+
+
+# a c_factor near the float maximum overflows E at d = 3.05: the falloff plot
+# has no finite point, and the fit coefficients are NaN
+HUGE_C = ["sweep", "--set", "surface.d=[3.05,10,20,40]", "--set", "numerics.l_max=8"]
+
+
+@pytest.mark.parametrize("args, patch", [
+    pytest.param(HUGE_C + ["--set", "numerics.c_factor=1e308"], None, id="sweep-overflow"),
+    pytest.param(HUGE_C + ["--set", "numerics.c_factor=1.7e308", "--set", "outputs.svg=false"],
+                 None, id="sweep-nan-json"),
+    pytest.param(["radial"], (quasilocal.radial.RadialSolution, "residual_max",
+                              _raise(IntegrationError("stub"))), id="radial-residual"),
+    pytest.param(["energy", "--set", "surface.t=[0.0,0.4]", "--set", "numerics.l_max=8"],
+                 (quasilocal.cli, "line_plot", _raise(FloatingPointError("stub"))),
+                 id="energy-plot"),
+])
+def test_failed_run_writes_no_artifact(args, patch, tmp_path, capsys, monkeypatch):
+    # every artifact is rendered before the first one is written
+    if patch:
+        monkeypatch.setattr(*patch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(args + ["--out", tmp_path]) == EXIT_NUMERICAL
+    assert json.loads(capsys.readouterr().err)["error"]["category"] == "numerical"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stdout_lists_the_written_files_in_order(tmp_path, capsys, monkeypatch):
+    written = []
+    write_text = Path.write_text
+    monkeypatch.setattr(Path, "write_text", lambda self, *a, **kw: written.append(str(self))
+                        or write_text(self, *a, **kw))
+    assert run(["energy", "--out", tmp_path, "--set", "surface.t=[0.0,0.4]",
+                "--set", "surface.d=[100.0]", "--set", "numerics.l_max=8"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == written
+    assert sorted(written) == sorted(str(p) for p in tmp_path.iterdir())
+    assert {Path(p).name for p in written} == ARTIFACTS["energy"]
+
+
 def test_numerical_error_exit(tmp_path, capsys):
     # a Gauss-Bonnet tolerance that resolution 16 cannot meet
     code = run([
@@ -310,13 +354,13 @@ def test_energy_artifacts(tmp_path, capsys):
 def test_energy_plot_matches_csv(t, d, tmp_path, capsys, monkeypatch):
     # each plotted point must be the (t, d) entry of energy.csv, for any t order or repeated d
     calls = []
-    monkeypatch.setattr(quasilocal.cli, "line_plot", lambda *a, **kw: calls.append((a, kw)))
+    monkeypatch.setattr(quasilocal.cli, "line_plot", lambda *a, **kw: calls.append((a, kw)) or "")
     assert run(["energy", "--out", tmp_path, "--set", f"surface.t={t}",
                 "--set", f"surface.d={d}", "--set", "numerics.l_max=8"]) == EXIT_OK
     capsys.readouterr()
     rows = [line.split(",") for line in (tmp_path / "energy.csv").read_text().splitlines()[2:]]
     e_at = {(float(r[0]), float(r[1])): float(r[2]) for r in rows}
-    (_, x, series), kw = calls[0]
+    (x, series), kw = calls[0]
     assert list(x) == sorted(json.loads(t))
     assert kw["labels"] == [f"d={v:g}" for v in json.loads(d)]
     for dj, ys in zip(json.loads(d), series):

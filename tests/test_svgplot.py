@@ -1,6 +1,7 @@
-"""Tick placement of the SVG writer over the whole finite float range."""
+"""Tick placement and point placement of the SVG writer over the finite float range."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from quasilocal.svgplot import _ticks
+from quasilocal.svgplot import _ticks, line_plot
 
 # The example database is off below, but after collection the pytest plugin
 # still caches the literals it mines from local source in its storage
@@ -47,3 +48,21 @@ def test_ticks_finite_ascending_and_bounded(bounds):
     assert 1 <= len(ticks) <= 12
     assert all(math.isfinite(v) for v in ticks)
     assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+
+_BOUNDED = _ranges().filter(lambda b: max(abs(b[0]), abs(b[1])) <= 1e300)
+
+
+@settings(database=None, deadline=None, max_examples=400)
+@given(_BOUNDED, _BOUNDED)
+def test_two_point_series_lands_inside_the_plot(xs, ys):
+    # a flat or few-ulps span is widened, so it is drawn mid-axis, not across it
+    svg = line_plot(xs, [ys])
+    (points,) = re.findall(r'<polyline points="([^"]*)"', svg)
+    coords = [float(v) for pair in points.split() for v in pair.split(",")]
+    assert len(coords) == 4
+    assert all(math.isfinite(v) for v in coords)
+    assert all(72.0 <= v <= 696.0 for v in coords[::2])
+    assert all(40.0 <= v <= 424.0 for v in coords[1::2])
+    if ys[1] - ys[0] <= 4.0 * math.ulp(max(abs(ys[0]), abs(ys[1]))):
+        assert coords[1] == coords[3] == 232.0  # mid-height
