@@ -5,9 +5,9 @@ JSON, and SVG plots carry no timestamps.  Every artifact embeds the fully
 resolved config (a ``# config:`` comment line in CSV, a ``config`` key in
 JSON, a <desc> element in SVG), and JSON artifacts hold finite numbers only.
 Exit codes: 0 success, 2 config error, 3 numerical failure; failures print a
-machine-readable error JSON to stderr.  Every artifact is rendered before the
-first is written, so a run exiting 2 or 3 writes none; the ``--out``
-directory may still be created, empty.
+machine-readable error JSON to stderr.  Config checks run before ``--out`` is
+made and every artifact is rendered before the first is written, so a run
+exiting 2 or 3 writes none; after exit 3 ``--out`` may exist, empty.
 """
 
 from __future__ import annotations
@@ -237,11 +237,8 @@ def run_geometry(conf, jobs: int) -> dict:
     bg, mode = _background(conf), _mode(conf)
     _, d_values, template = _surface(conf)
     num, geo_conf = conf["numerics"], conf["geometry"]
-    if geo_conf["perturbation"] == "none":
-        pert = PerturbationProfiles.none()
-    else:
-        if mode.kind != "axial":
-            raise ConfigError("axial_preset perturbation requires an axial mode")
+    pert = PerturbationProfiles.none()
+    if geo_conf["perturbation"] == "axial_preset":
         sol = solve_radial(bg, mode, _boundary(conf), d_values, num["tolerance"])
         pert = axial_preset(sol, epsilon=num["epsilon"])
     n_d = len(np.unique(d_values))  # as EnergyReport.fits counts them
@@ -332,6 +329,15 @@ def _render(name: str, content, conf) -> str:
     return content
 
 
+def _builds_a_profile(command: str, conf) -> bool:
+    """Whether the command builds A(r), which exists for axial modes only."""
+    return (
+        command in ("embed", "energy", "sweep")
+        or command == "loop" and conf["loop"]["field"] != "constant"
+        or command == "geometry" and conf["geometry"]["perturbation"] == "axial_preset"
+    )
+
+
 _RUNNERS = {
     "radial": run_radial,
     "embed": run_embed,
@@ -376,6 +382,8 @@ def main(argv=None) -> int:
 
     try:
         conf = cfg.load_config(args.config, args.overrides)
+        if conf["mode"]["kind"] != "axial" and _builds_a_profile(args.command, conf):
+            raise ConfigError(f"{args.command} builds A(r), which needs an axial mode")
     except ConfigError as exc:
         return fail(exc, "config", EXIT_CONFIG)
     out = Path(args.out)

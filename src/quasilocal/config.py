@@ -1,8 +1,11 @@
 """Scenario configuration: JSON schema, validation, defaults, overrides.
 
 Configs are validated against SCHEMA before any computation; unknown keys
-are rejected at every level.  ``--set key=value`` overrides use dotted
-paths into the document, with values parsed as JSON when possible.
+are rejected at every level.  The schema is checked in-repo by a draft-7
+walker over the keywords SCHEMA uses, with jsonschema's error choice and
+message text; jsonschema itself is only the tests' oracle.  ``--set
+key=value`` overrides use dotted paths into the document, with values parsed
+as JSON when possible.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-
-import jsonschema
+import numbers
+import operator
 
 from .errors import ConfigError
 
@@ -132,10 +135,6 @@ SCHEMA = {
     },
 }
 
-# Built once: jsonschema.validate would check SCHEMA against its metaschema
-# on every call.  A test checks SCHEMA once instead.
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
-
 DEFAULT_CONFIG = {
     "background": {"m": 1.0},
     "mode": {
@@ -168,9 +167,8 @@ DEFAULT_CONFIG = {
 def validate_config(doc: dict) -> dict:
     """Schema plus semantic validation; returns the fully defaulted document."""
     merged = _merge(copy.deepcopy(DEFAULT_CONFIG), doc)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(merged))
-    if error is not None:
-        raise ConfigError(f"config invalid at {'/'.join(map(str, error.path))}: {error.message}") from error
+    if error := _best_match(_errors(merged, SCHEMA)):
+        raise ConfigError(f"config invalid at {'/'.join(map(str, error[0]))}: {error[2]}")
     mode = merged["mode"]
     if mode["kind"] == "axial" and "ell" not in mode:
         raise ConfigError("axial mode requires 'ell'")
@@ -201,6 +199,66 @@ def validate_config(doc: dict) -> dict:
             f"surface_anchor boundary at min(d) + offset = {anchor_r} must exceed 2m = {horizon}"
         )
     return merged
+
+
+_TYPES = {  # draft 7: a bool is not a number, and an integral float is an integer
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (
+        v.is_integer() if isinstance(v, float) else _TYPES["number"](v) and isinstance(v, int)
+    ),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+
+
+def _errors(value, schema: dict, path=()):
+    """jsonschema 4.26's errors in its order: (path, keyword, message, type matches, context)."""
+    type_ok = "type" in schema and _TYPES[schema["type"]](value)
+    for kw, arg in schema.items():
+        err = lambda msg, context=(): (path, kw, msg, type_ok, context)  # noqa: E731
+        if kw == "type" and not _TYPES[arg](value):
+            yield err(f"{value!r} is not of type {arg!r}")
+        elif kw == "enum" and value not in arg:
+            yield err(f"{value!r} is not one of {arg!r}")
+        elif kw in _BOUNDS and _TYPES["number"](value) and _BOUNDS[kw][0](value, arg):
+            yield err(f"{value!r} {_BOUNDS[kw][1]} {arg!r}")
+        elif kw == "anyOf" and all(branches := [list(_errors(value, sub)) for sub in arg]):
+            context = [error for errors in branches for error in errors]  # paths relative to here
+            yield err(f"{value!r} is not valid under any of the given schemas", context)
+        elif isinstance(value, dict) and kw == "properties":
+            for key in (key for key in arg if key in value):
+                yield from _errors(value[key], arg[key], (*path, key))
+        elif isinstance(value, dict) and kw == "additionalProperties" and arg is False:
+            if extras := sorted(set(value) - set(schema.get("properties", {})), key=str):
+                names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                yield err(f"Additional properties are not allowed ({names} {verb} unexpected)")
+        elif isinstance(value, dict) and kw == "required":
+            yield from (err(f"{key!r} is a required property") for key in arg if key not in value)
+        elif isinstance(value, list) and kw == "items":
+            yield from (e for i, item in enumerate(value) for e in _errors(item, arg, (*path, i)))
+        elif isinstance(value, list) and kw == "minItems" and len(value) < arg:
+            yield err(f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+        elif isinstance(value, list) and kw == "maxItems" and len(value) > arg:
+            yield err(f"{value!r} is too long")
+
+
+def _best_match(errors):
+    """The error ``jsonschema.exceptions.best_match`` picks, descending into anyOf contexts."""
+    relevance = lambda e: (-len(e[0]), e[0], e[1] != "anyOf", not e[3])  # noqa: E731
+    best = max(errors, key=relevance, default=None)
+    while best is not None and best[4]:
+        context = sorted(best[4], key=relevance)
+        if len(context) > 1 and relevance(context[0]) == relevance(context[1]):
+            break
+        best = context[0]
+    return best
 
 
 def _merge(base: dict, override: dict) -> dict:

@@ -455,6 +455,8 @@ def sweep_energy(
 
     e = np.stack([r.e for r in results], axis=1)
     dedt = np.stack([r.dedt for r in results], axis=1)
+    if not (np.isfinite(e).all() and np.isfinite(dedt).all()):
+        raise DomainError(f"E or dE/dt is not finite with numerics.c_factor = {c_factor}")
     return EnergyReport(
         t_values=t_values,
         d_values=d_values,

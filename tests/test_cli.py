@@ -1,5 +1,6 @@
 """CLI contract: determinism, exit codes, artifacts, config validation."""
 
+import copy
 import json
 import math
 import os
@@ -10,8 +11,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quasilocal.cli
+import quasilocal.config
 import quasilocal.energy
 import quasilocal.radial
 import quasilocal.sphere
@@ -104,6 +108,101 @@ def test_schema_error_text(doc, message):
 def test_published_schema_matches():
     published = json.loads((DEMOS / "schema.json").read_text(encoding="utf-8"))
     assert published == json.loads(json.dumps(SCHEMA))
+
+
+# ----------------------------------------------------------------------
+# the in-repo schema check against jsonschema, the oracle
+# ----------------------------------------------------------------------
+
+ORACLE = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+# valid full documents to mutate: the defaults and every shipped scenario
+VALID_DOCS = [validate_config({})] + [load_config(p) for p in sorted(SCENARIOS.glob("*.json"))]
+_POOL = [True, False, None, "x", {}, [], 0, 1, 2, 2.0, 2.5, -1, -0.5, 1e308, [2.0, 3.0]]
+
+
+def _schema_nodes(schema, path=()):
+    """(path, subschema) of every property SCHEMA names, at every depth."""
+    for key, sub in schema.get("properties", {}).items():
+        yield (*path, key), sub
+        yield from _schema_nodes(sub, (*path, key))
+
+
+_BOUNDS = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
+# bounded, anyOf and array nodes weighted up: they hold the most distinct errors
+NODES = [(path, sub) for path, sub in _schema_nodes(SCHEMA)
+         for _ in range(4 if {"anyOf", "items"} & set(sub) else 3 if _BOUNDS & set(sub) else 1)]
+
+
+def _edge_values(schema):
+    """The type pool, each enum member, values at and across every bound, each anyOf branch."""
+    values = _POOL + schema.get("enum", [])
+    for b in (schema[kw] for kw in sorted(_BOUNDS & set(schema))):
+        values += [b, float(b), b - 1, b + 1, math.nextafter(b, -math.inf),
+                   math.nextafter(b, math.inf)] + ([int(b)] if float(b).is_integer() else [])
+    for sub in [*schema.get("anyOf", []), schema.get("items", {})]:
+        values += _edge_values(sub) if sub else []
+    return values
+
+
+def _values(schema):
+    """Scalars from ``_edge_values`` or short lists of the item edge values (empty, overfull)."""
+    items = [b["items"] for b in [schema, *schema.get("anyOf", [])] if "items" in b]
+    scalars = st.sampled_from(_edge_values(schema))
+    if not items:
+        return scalars
+    return scalars | st.lists(st.sampled_from(_edge_values(items[0])), max_size=4)
+
+
+@st.composite
+def _mutated_docs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 2))):
+        path, schema = draw(st.sampled_from(NODES))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        op = draw(st.sampled_from(["drop", "add", "set", "set", "set"]))
+        if op == "drop":
+            parent.pop(path[-1], None)
+        elif op == "add":  # an unknown key, or a known one from another level
+            parent[draw(st.sampled_from(["bogus", "ell", "kind", "type", "l_maximum"]))] = 1
+        else:
+            parent[path[-1]] = draw(_values(schema))
+    return doc
+
+
+def _oracle(doc):
+    error = jsonschema.exceptions.best_match(ORACLE.iter_errors(doc))
+    return None if error is None else (tuple(error.path), error.message)
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(_mutated_docs())
+@example({})  # every required key missing before the merge
+@example({"surface": {"t": "x"}})  # both anyOf branches fail alike: the anyOf error itself
+@example({"surface": {"d": [50.0, 0.5]}})  # descent into the anyOf context, relative path
+@example({"surface": {"d": 0.5}})  # the context error whose branch type matches wins
+@example({"numerics": {"l_max": 8.0, "radial_range": [5.0, 9.0]}})  # an integral float is an integer
+@example({"numerics": {"l_max": True}, "mode": {"sigma": False}})  # a bool is not a number
+@example({"numerics": {"radial_range": [5.0, 6.0, 9.0]}, "loop": {"theta0": math.pi}})
+@example({"numerics": {1: 2, "b": 3, "a": 4}})  # extra names sorted as strings
+def test_schema_check_agrees_with_jsonschema(doc):
+    # the walker alone, on the document as drawn (dropped required keys stay dropped)
+    mine = quasilocal.config._best_match(quasilocal.config._errors(doc, SCHEMA))
+    assert (mine and (mine[0], mine[2])) == _oracle(doc)
+    # validate_config, on the document merged onto the defaults
+    expected = _oracle(quasilocal.config._merge(copy.deepcopy(DEFAULT_CONFIG), copy.deepcopy(doc)))
+    try:
+        validate_config(doc)
+        message = None
+    except ConfigError as exc:
+        message = str(exc)
+    if expected is None:
+        assert message is None or not message.startswith("config invalid at")
+    else:
+        assert message == f"config invalid at {'/'.join(map(str, expected[0]))}: {expected[1]}"
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +318,9 @@ HUGE_C = ["sweep", "--set", "surface.d=[3.05,10,20,40]", "--set", "numerics.l_ma
     pytest.param(["energy", "--set", "surface.t=[0.0,0.4]", "--set", "numerics.l_max=8"],
                  (quasilocal.cli, "line_plot", _raise(FloatingPointError("stub"))),
                  id="energy-plot"),
+    pytest.param(["energy", "--set", "numerics.c_factor=1.7e308", "--set", "surface.d=[3.05]",
+                  "--set", "numerics.l_max=8", "--set", "outputs.svg=false"],
+                 None, id="energy-overflow"),
 ])
 def test_failed_run_writes_no_artifact(args, patch, tmp_path, capsys, monkeypatch):
     # every artifact is rendered before the first one is written
@@ -228,6 +330,18 @@ def test_failed_run_writes_no_artifact(args, patch, tmp_path, capsys, monkeypatc
         assert run(args + ["--out", tmp_path]) == EXIT_NUMERICAL
     assert json.loads(capsys.readouterr().err)["error"]["category"] == "numerical"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["energy", "--set", "surface.d=[3.05]", "--set", "numerics.l_max=8"], id="energy"),
+    pytest.param(HUGE_C, id="sweep"),
+])
+def test_non_finite_energy_names_c_factor(args, tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(args + ["--set", "numerics.c_factor=1.7e308", "--out", tmp_path])
+    assert code == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError" and "numerics.c_factor" in err["message"]
 
 
 def test_stdout_lists_the_written_files_in_order(tmp_path, capsys, monkeypatch):
@@ -530,17 +644,21 @@ def test_surfaces_just_outside_the_horizon(case, d, tmp_path, capsys):
 POLAR = ["--set", "mode.kind=polar", "--set", "mode.n=2.0"]
 
 
-@pytest.mark.parametrize("case", ["sweep", "energy", "embed", *SURFACE_FIELDS])
+# the commands that build A(r), which needs an axial mode
+A_PROFILE = {**SURFACE_FIELDS, "geometry": ["geometry", "--set", "geometry.perturbation=axial_preset"]}
+
+
+@pytest.mark.parametrize("case", ["sweep", "energy", "embed", *A_PROFILE])
 def test_polar_mode_rejected_before_integrating(case, tmp_path, capsys, monkeypatch):
     def no_integration(*a, **k):
         raise AssertionError("integrated before rejecting the mode")
 
     monkeypatch.setattr(quasilocal.radial, "integrate_wave", no_integration)
-    args = SURFACE_FIELDS.get(case, [case])
-    assert run(args + ["--out", tmp_path] + POLAR) == EXIT_CONFIG
+    out = tmp_path / "out"
+    assert run(A_PROFILE.get(case, [case]) + ["--out", out] + POLAR) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "ConfigError" and "axial" in err["message"]
-    assert list(tmp_path.iterdir()) == []
+    assert err["type"] == "ConfigError" and err["category"] == "config" and "axial" in err["message"]
+    assert not out.exists()  # checked before --out is created
 
 
 @pytest.mark.parametrize(
