@@ -174,6 +174,8 @@ def validate_config(doc: dict) -> dict:
         raise ConfigError("axial mode requires 'ell'")
     if mode["kind"] == "polar" and "n" not in mode:
         raise ConfigError("polar mode requires 'n'")
+    if merged["loop"]["kind"] == "circle" and "theta0" not in merged["loop"]:
+        raise ConfigError("circle loop requires 'theta0'")
     bnd = mode["boundary"]
     if bnd["type"] == "anchor" and ("r" in bnd) == ("r_star" in bnd):
         raise ConfigError("anchor boundary requires exactly one of 'r', 'r_star'")

@@ -29,7 +29,7 @@ from .embedding import (
     radius_on_sphere,
     solve_embedding,
 )
-from .errors import ConfigError, DomainError, FitError
+from .errors import DomainError, FitError
 from .radial import AProfile, AxialMode, BackgroundParams, a_profile, solve_radial
 from .sphere import (
     GridField,
@@ -350,7 +350,7 @@ def surface_embedding(
     for axial modes only, so any other mode is rejected before integrating.
     """
     if mode.kind != "axial":
-        raise ConfigError(
+        raise DomainError(
             f"A(r) is defined for axial solutions only; mode kind is {mode.kind!r}"
         )
     spec.validate_outside_horizon(bg)

@@ -41,7 +41,7 @@ import numpy as np
 from .embedding import SurfaceSpec
 from .energy import fit_inverse_powers
 from .errors import DomainError, ResolutionError
-from .radial import BackgroundParams, RadialSolution, a_profile
+from .radial import AProfile, BackgroundParams, RadialSolution, a_profile
 from .sphere import _legendre_p_derivs
 
 __all__ = [
@@ -60,84 +60,54 @@ INCOMPLETE_FLAG = "incomplete-perturbation"
 
 @dataclass(frozen=True)
 class PerturbationProfiles:
-    """Axial metric perturbation with a sin(sigma t) time convention.
+    """Axial metric perturbation from A(r) of an axial radial solution, or none.
 
-    The axial kind sets g_{theta phi} = -r^2 sin^2(theta) q3 with q3(t, r,
-    theta) = epsilon sin(sigma t) Q3(r, theta); ``q3`` holds the spatial
-    profile Q3 and ``dq3_dr``/``dq3_dtheta`` its analytic partials, and all
-    three are required.  The r-phi profile q2 is not modelled, so every
-    axial profile carries the "incomplete-perturbation" flag.  ``epsilon``
-    must stay small enough that quadratic terms sit below validation
-    tolerances.
+    With ell and sigma of ``profile.solution.mode``, g_{theta phi} = -r^2
+    sin^2(theta) q3 with q3 = epsilon sin(sigma t) Q3(r, theta) and
+
+        Q3 = C_ell(theta)/sin(theta) (r^2 - 2 m r)/(sigma^2 r^4) d(rZ)/dr
+           = [sin(theta) P''_ell(cos theta)] A(r)/r,
+
+    the second form pole-safe (C_ell/sin = sin * P'').  The r-phi profile q2
+    is not modelled, so an axial profile carries the "incomplete-perturbation"
+    flag.  ``epsilon`` must keep quadratic terms below validation tolerances.
     """
 
-    kind: str = "none"
-    sigma: float = 0.5
+    profile: AProfile | None = None
     epsilon: float = 1e-3
-    q3: object | None = None
-    dq3_dr: object | None = None
-    dq3_dtheta: object | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "axial"):
-            raise DomainError(f"unknown perturbation kind {self.kind!r}")
         if abs(self.epsilon) > 1e-2:
             raise DomainError("epsilon outside the linearization regime (|eps| <= 1e-2)")
-        if self.kind == "axial" and None in (self.q3, self.dq3_dr, self.dq3_dtheta):
-            raise DomainError("axial perturbation needs q3, dq3_dr and dq3_dtheta")
+        if self.profile is not None and self.profile.solution.kind != "axial":
+            raise DomainError("the perturbation needs A(r) of an axial radial solution")
 
     @classmethod
     def none(cls) -> "PerturbationProfiles":
-        return cls(kind="none", epsilon=0.0)
+        return cls(epsilon=0.0)
 
     def with_epsilon(self, epsilon: float) -> "PerturbationProfiles":
         return dataclasses.replace(self, epsilon=epsilon)
 
     def flags(self) -> list[str]:
-        return [INCOMPLETE_FLAG] if self.kind == "axial" else []
+        return [] if self.profile is None else [INCOMPLETE_FLAG]
+
+    def spatial_profile(self, r, theta):
+        """(Q3, dQ3/dr, dQ3/dtheta) at broadcastable r, theta; closed forms in A and A'."""
+        x, s = np.cos(theta), np.sin(theta)
+        _, _, d2, d3 = _legendre_p_derivs(self.profile.solution.mode.ell, x, 3)
+        ang = s * d2
+        a, a_prime = self.profile.a(r), self.profile.a_prime(r)
+        return (
+            ang * a / r,
+            ang * (a_prime / r - a / r**2),
+            (x * d2 - s * s * d3) * a / r,
+        )
 
 
 def axial_preset(sol: RadialSolution, epsilon: float = 1e-3) -> PerturbationProfiles:
-    """Axial profiles from a radial solution, with ell and sigma of ``sol.mode``:
-
-        q3(t, r, theta) = sin(sigma t) C_ell(theta)/sin(theta) *
-                          (r^2 - 2 m r)/(sigma^2 r^4) d(rZ)/dr
-                        = sin(sigma t) [sin(theta) P''_ell(cos theta)] A(r)/r,
-
-    the second form being pole-safe (C_ell/sin = sin * P'').  The partials
-    of q3 are closed forms in A and A'.
-    """
-    if sol.kind != "axial":
-        raise DomainError("axial preset needs an axial radial solution")
-    prof = a_profile(sol)
-    ell = sol.mode.ell
-
-    def ang(theta):
-        x = np.cos(theta)
-        return np.sin(theta) * _legendre_p_derivs(ell, x, 2)[2]
-
-    def ang_dtheta(theta):
-        x, s = np.cos(theta), np.sin(theta)
-        _, _, d2, d3 = _legendre_p_derivs(ell, x, 3)
-        return x * d2 - s * s * d3
-
-    def q3(r, theta):
-        return ang(theta) * prof.a(r) / r
-
-    def dq3_dr(r, theta):
-        return ang(theta) * (prof.a_prime(r) / r - prof.a(r) / r**2)
-
-    def dq3_dtheta(r, theta):
-        return ang_dtheta(theta) * prof.a(r) / r
-
-    return PerturbationProfiles(
-        kind="axial",
-        sigma=sol.mode.sigma,
-        epsilon=epsilon,
-        q3=q3,
-        dq3_dr=dq3_dr,
-        dq3_dtheta=dq3_dtheta,
-    )
+    """The ``PerturbationProfiles`` of ``a_profile(sol)``, which rejects a polar solution."""
+    return PerturbationProfiles(profile=a_profile(sol), epsilon=epsilon)
 
 
 def _metric_sph(bg, pert, t, r, theta):
@@ -169,19 +139,19 @@ def _metric_sph(bg, pert, t, r, theta):
     dg[0, 2, 2] = 2.0 * r * s**2
     dg[1, 2, 2] = 2.0 * r**2 * s * c
 
-    if pert.kind == "none" or pert.epsilon == 0.0:
+    if pert.profile is None or pert.epsilon == 0.0:
         return g, dg, dtg
 
-    amp = pert.epsilon * math.sin(pert.sigma * t)
-    damp = pert.epsilon * pert.sigma * math.cos(pert.sigma * t)
+    sigma = pert.profile.solution.mode.sigma
+    amp = pert.epsilon * math.sin(sigma * t)
+    damp = pert.epsilon * sigma * math.cos(sigma * t)
 
-    # axial: g_{theta phi} = -g_{phi phi} q3, with q3 evaluated once and
+    # axial: g_{theta phi} = -g_{phi phi} q3, with Q3 evaluated once and
     # shared by the t-derivative
     p_fac, dp_dr, dp_dth = g[2, 2], dg[0, 2, 2], dg[1, 2, 2]
-    q3 = pert.q3(r, theta)
+    q3, dq3_dr, dq3_dth = pert.spatial_profile(r, theta)
     q3v, dt_q3 = amp * q3, damp * q3
-    dq3_dr = amp * pert.dq3_dr(r, theta)
-    dq3_dth = amp * pert.dq3_dtheta(r, theta)
+    dq3_dr, dq3_dth = amp * dq3_dr, amp * dq3_dth
 
     for target, val in (
         (g, -p_fac * q3v),

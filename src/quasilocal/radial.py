@@ -252,7 +252,7 @@ class RadialSolution:
     dz: np.ndarray
     r: np.ndarray
     tol: float
-    _segments: tuple = field(repr=False)  # (r*_lo, r*_hi, Dop853Table) per leg
+    _legs: tuple = field(repr=False)  # (r*0, descending, ascending); a missing leg is None
     asymptotic_truncation: float | None = None
     # (r, z, dz) of the last eval_r call, one tuple so no thread sees a mixed entry
     _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
@@ -268,8 +268,9 @@ class RadialSolution:
     def eval_rstar(self, rs) -> np.ndarray:
         """Dense-output states (z, dz, r) at tortoise coordinates.
 
-        Returns shape (3,) + rs.shape.  A point goes to the first leg within
-        1e-12 (1 + |r*|) of it, else to the nearest leg end: the drift of the
+        Returns shape (3,) + rs.shape.  A point goes to the ascending leg if r*
+        >= r*0 - 1e-12 (1 + |r*0|), else to the descending one (or to the only
+        leg), whose last step extrapolates past its end: the drift of the
         integrated r lets radii in [r_min, r_max] map ~1e-9 past the legs.
         """
         rs_in = np.atleast_1d(np.asarray(rs, dtype=float))
@@ -280,17 +281,14 @@ class RadialSolution:
             raise CoverageError(
                 f"tortoise coordinate outside covered range [{lo}, {hi}]"
             )
-        inside = np.array([
-            (rs >= t_lo - 1e-12 * (1 + abs(t_lo))) & (rs <= t_hi + 1e-12 * (1 + abs(t_hi)))
-            for t_lo, t_hi, _ in self._segments
-        ])
-        gap = np.array([np.maximum(t_lo - rs, rs - t_hi) for t_lo, t_hi, _ in self._segments])
-        leg = np.where(inside.any(axis=0), inside.argmax(axis=0), gap.argmin(axis=0))
+        rs0, down, up = self._legs
+        if down is None or up is None:
+            return (up or down)(rs).reshape((3,) + shape)
+        above = rs >= rs0 - 1e-12 * (1 + abs(rs0))
         out = np.empty((3, rs.size))
-        for i, (_, _, seg) in enumerate(self._segments):
-            mask = leg == i
+        for leg, mask in ((up, above), (down, ~above)):
             if np.any(mask):
-                out[:, mask] = seg(rs[mask])
+                out[:, mask] = leg(rs[mask])
         return out.reshape((3,) + shape)
 
     def eval_r(self, r) -> tuple[np.ndarray, np.ndarray]:
@@ -431,26 +429,20 @@ def integrate_wave(
     rhs = _rhs_factory(bg, mode)
     scale = max(abs(z0), abs(dz0) / mode.sigma, 1e-30)
 
-    segments = []
-    samples = []
-
-    def integrate_leg(t0, t1):
-        if abs(t1 - t0) < 1e-14 * (1 + abs(t0)):
-            return
+    def integrate_leg(t1):
+        if abs(t1 - rs0) < 1e-14 * (1 + abs(rs0)):
+            return None
         atol = np.array([tol * scale * 1e-2, tol * scale * 1e-2, tol * 1e-2 * max(r0, 1.0)])
-        ts, ys, table = dop853(rhs, t0, t1, y0, rtol=tol, atol=atol)
-        segments.append((min(t0, t1), max(t0, t1), table))
-        samples.append((ts, ys))
+        return dop853(rhs, rs0, t1, y0, rtol=tol, atol=atol)
 
-    integrate_leg(rs0, rs_hi)
-    integrate_leg(rs0, rs_lo)
-
-    ts_all = np.concatenate([s[0] for s in samples])
-    ys_all = np.concatenate([s[1] for s in samples])
-    order = np.argsort(ts_all)
-    ts_all, ys_all = ts_all[order], ys_all[order]
-    keep = np.concatenate([[True], np.diff(ts_all) > 0])
-    ts_all, ys_all = ts_all[keep], ys_all[keep]
+    up, down = integrate_leg(rs_hi), integrate_leg(rs_lo)
+    if up is None and down is None:
+        raise DomainError(f"radial range {r_range} is too short for an integration leg")
+    # ascending nodes: the descending leg reversed, then the ascending leg past r*0
+    parts = [(down[0][::-1], down[1][::-1])] if down else []
+    if up:
+        parts.append((up[0][len(parts):], up[1][len(parts):]))
+    ts_all, ys_all = (np.concatenate(a) for a in zip(*parts))
 
     return RadialSolution(
         kind=mode.kind,
@@ -461,7 +453,7 @@ def integrate_wave(
         dz=ys_all[:, 1],
         r=ys_all[:, 2],
         tol=tol,
-        _segments=tuple(segments),
+        _legs=(rs0, down and down[2], up and up[2]),
         asymptotic_truncation=trunc,
     )
 

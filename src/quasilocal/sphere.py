@@ -373,37 +373,21 @@ def _theta_sums(h: HarmonicField, theta_table: np.ndarray) -> tuple[np.ndarray, 
     return np.einsum("lmj,lm->mj", tab, ac), np.einsum("lmj,lm->mj", tab, as_)
 
 
-def _synthesize_from_tables(
-    h: HarmonicField,
-    grid: SphereGrid,
-    theta_table: np.ndarray,
-    phi_deriv: int,
-) -> np.ndarray:
-    """Evaluate sum a_lm * T_lm(theta) * trig(m phi) with optional d/dphi's."""
+def _check_band(h: HarmonicField, grid: SphereGrid) -> None:
     if h.l_max > grid.l_max:
-        raise BandLimitError(
-            f"grid supports l_max={grid.l_max}, field has {h.l_max}"
-        )
-    L = h.l_max
-    gc, gs = _theta_sums(h, theta_table)
-    m = np.arange(L + 1, dtype=float)[:, None]
-    cosm, sinm = grid._cosm[: L + 1], grid._sinm[: L + 1]
-    if phi_deriv == 0:
-        return np.einsum("mj,mk->jk", gc, cosm) + np.einsum("mj,mk->jk", gs, sinm)
-    if phi_deriv == 1:
-        return np.einsum("mj,mk->jk", -m * gc, sinm) + np.einsum(
-            "mj,mk->jk", m * gs, cosm
-        )
-    if phi_deriv == 2:
-        return np.einsum("mj,mk->jk", -(m**2) * gc, cosm) + np.einsum(
-            "mj,mk->jk", -(m**2) * gs, sinm
-        )
-    raise DomainError(f"unsupported phi derivative order {phi_deriv}")
+        raise BandLimitError(f"grid supports l_max={grid.l_max}, field has {h.l_max}")
+
+
+def _phi_stage(gc: np.ndarray, gs: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """sum_m [gc_m cos(m phi) + gs_m sin(m phi)] on the grid longitudes."""
+    n = len(gc)
+    return np.einsum("mj,mk->jk", gc, grid._cosm[:n]) + np.einsum("mj,mk->jk", gs, grid._sinm[:n])
 
 
 def synthesize(h: HarmonicField, grid: SphereGrid) -> GridField:
     """Inverse transform onto the grid."""
-    return GridField(_synthesize_from_tables(h, grid, grid._ybar, 0), grid)
+    _check_band(h, grid)
+    return GridField(_phi_stage(*_theta_sums(h, grid._ybar), grid), grid)
 
 
 def evaluate(h: HarmonicField, theta, phi) -> np.ndarray:
@@ -475,18 +459,22 @@ def grad_hess(field: GridField, l_max: int | None = None) -> SphereDerivatives:
 
 def _harmonic_derivatives(h: HarmonicField, grid: SphereGrid) -> SphereDerivatives:
     """``grad_hess`` of the field with coefficients ``h``, on ``grid``."""
-    ft = _synthesize_from_tables(h, grid, grid._dybar, 0)
-    fp = _synthesize_from_tables(h, grid, grid._ybar, 1)
-    ftt = _synthesize_from_tables(h, grid, grid._d2ybar, 0)
-    ftp = _synthesize_from_tables(h, grid, grid._dybar, 1)
-    fpp = _synthesize_from_tables(h, grid, grid._ybar, 2)
+    _check_band(h, grid)
+    (c0, s0), (c1, s1), (c2, s2) = (
+        _theta_sums(h, table) for table in (grid._ybar, grid._dybar, grid._d2ybar)
+    )
+    # d/dphi takes (gc, gs) to m (gs, -gc)
+    m = np.arange(h.l_max + 1, dtype=float)[:, None]
+    grad_theta = _phi_stage(c1, s1, grid)
+    fp = _phi_stage(m * s0, -m * c0, grid)
+    hess_tt = _phi_stage(c2, s2, grid)
+    ftp = _phi_stage(m * s1, -m * c1, grid)
+    fpp = _phi_stage(-(m**2) * c0, -(m**2) * s0, grid)
     s = grid.sin_theta[:, None]
     c = grid.cos_theta[:, None]
-    grad_theta = ft
     grad_phi = fp / s
-    hess_tt = ftt
     hess_tp = (ftp - (c / s) * fp) / s
-    hess_pp = fpp / (s * s) + (c / s) * ft
+    hess_pp = fpp / (s * s) + (c / s) * grad_theta
     g = lambda v: GridField(v, grid)
     return SphereDerivatives(
         grad_theta=g(grad_theta),

@@ -1,7 +1,11 @@
 """Shared fixtures: backgrounds, modes, cached radial solutions and grids."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from quasilocal import (
     AnchorBoundary,
@@ -11,6 +15,12 @@ from quasilocal import (
     a_profile,
     integrate_wave,
 )
+
+# The property tests run with the example database off, but after collection
+# the pytest plugin still caches the literals it mines from local source in
+# its storage directory, by default ./.hypothesis; keep that cache out of the
+# tree for every test module.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "quasilocal-hypothesis")
 
 
 @pytest.fixture(scope="session")

@@ -369,6 +369,28 @@ def test_numerical_error_exit(tmp_path, capsys):
     assert err["error"]["category"] == "numerical"
 
 
+def test_radial_range_too_short_for_any_leg(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run([
+        "radial", "--out", out,
+        "--set", "mode.boundary.type=anchor", "--set", "mode.boundary.r=20",
+        "--set", "numerics.radial_range=[20,20.0000000000001]",
+    ])
+    assert code == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError" and err["category"] == "numerical"
+    assert "20.0000000000001" in err["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_circle_loop_needs_theta0(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["loop", "--out", out, "--set", "loop.kind=circle"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and "theta0" in err["message"]
+    assert not out.exists()  # checked before --out is created
+
+
 # ----------------------------------------------------------------------
 # artifacts
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import quasilocal.radial
 from quasilocal import (
     AnchorBoundary,
     AxialMode,
@@ -13,6 +14,7 @@ from quasilocal import (
     EnergyCoefficients,
     FitError,
     LoopSpec,
+    PolarMode,
     SphereGrid,
     SurfaceAnchorBoundary,
     SurfaceSpec,
@@ -86,6 +88,19 @@ def test_energy_spectral_convergence(bg_unit, mode_l2):
         res[l_max] = r.coefficients
     assert res[8].e1 == pytest.approx(res[16].e1, rel=1e-8)
     assert res[8].e2 == pytest.approx(res[16].e2, rel=1e-8)
+
+
+def test_polar_mode_rejected_before_integrating(bg_unit, monkeypatch):
+    # the same DomainError as a_profile, raised before any radial work
+    def no_integration(*a, **k):
+        raise AssertionError("integrated before rejecting the mode")
+
+    monkeypatch.setattr(quasilocal.radial, "integrate_wave", no_integration)
+    with pytest.raises(DomainError, match="axial"):
+        surface_energy(
+            bg_unit, PolarMode(n=2.0, sigma=0.5), SurfaceAnchorBoundary(z=0.0, dz=1.0),
+            SurfaceSpec(t=0.3, d=50.0), [0.3], l_max=8,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from quasilocal import (
+    AProfile,
     AnchorBoundary,
     AxialMode,
     BackgroundParams,
     DomainError,
     FitError,
     PerturbationProfiles,
+    PolarMode,
     ResolutionError,
     SurfaceSpec,
     axial_preset,
@@ -108,7 +110,7 @@ def test_axial_preset_pole_behavior(bg_unit, mode_l2):
     prof = a_profile(sol)
     r = np.full(4, 25.0)
     th = np.array([1e-3, 0.1, np.pi - 0.1, np.pi - 1e-3])
-    vals = pert.q3(r, th)
+    vals = pert.spatial_profile(r, th)[0]
     expect = 3.0 * np.sin(th) * prof.a(r) / r
     assert vals == pytest.approx(expect, rel=1e-12)
     assert abs(vals[0]) < 2e-2 * abs(vals[1])  # ~ sin(1e-3)/sin(0.1)
@@ -143,9 +145,8 @@ def test_axial_preset_regular_horizon_limit(bg_unit, mode_l2):
     r = 2.0 + 2e-6
     _, dz = sol.eval_r(r)
     expect_mag = abs(3.0 * (dz[0] / mode_l2.sigma**2) / r)  # ang(pi/2) = 3 sin P'' = 3
-    assert abs(preset_value := float(pert.q3(np.array([r]), np.array([np.pi / 2]))[0])) == pytest.approx(
-        expect_mag, rel=1e-4
-    )
+    q3 = pert.spatial_profile(np.array([r]), np.array([np.pi / 2]))[0]
+    assert abs(float(q3[0])) == pytest.approx(expect_mag, rel=1e-4)
 
 
 # ----------------------------------------------------------------------
@@ -322,15 +323,11 @@ def test_hawking_sweep_without_fit(bg_unit):
     assert "coefficients" not in sweep and "residual" not in sweep
 
 
-def test_perturbation_validation():
+def test_perturbation_validation(bg_unit):
+    polar = integrate_wave(
+        bg_unit, PolarMode(n=2.0, sigma=0.5), AnchorBoundary(z=0.0, dz=1.0, r=25.0), (20.0, 30.0)
+    )
     with pytest.raises(DomainError):
-        PerturbationProfiles(kind="axial", epsilon=1e-3)  # q3 missing
+        PerturbationProfiles(profile=AProfile(polar))  # no polar metric perturbation
     with pytest.raises(DomainError):
-        # the partials of q3 are required, not differenced
-        PerturbationProfiles(kind="axial", q3=lambda r, th: np.sin(th) / r)
-    with pytest.raises(DomainError):
-        PerturbationProfiles(kind="polar")  # no polar metric perturbation
-    with pytest.raises(DomainError):
-        PerturbationProfiles(kind="none", epsilon=0.5)  # epsilon too large
-    with pytest.raises(DomainError):
-        PerturbationProfiles(kind="banana")
+        PerturbationProfiles(epsilon=0.5)  # epsilon too large

@@ -334,12 +334,13 @@ def _window(t_lo, t_hi, rs):
     return (rs >= t_lo - 1e-12 * (1 + abs(t_lo))) & (rs <= t_hi + 1e-12 * (1 + abs(t_hi)))
 
 
-def _scipy_eval_rstar(sol, odes, rs):
-    """Reference: each point through scipy's OdeSolution of the first leg within 1e-12."""
+def _scipy_eval_rstar(odes, rs):
+    """Reference: each point through scipy's OdeSolution of the first leg, in
+    stepping order, within 1e-12 of it."""
     out = np.empty((3, rs.size))
     filled = np.zeros(rs.size, dtype=bool)
-    for (t_lo, t_hi, _), ode in zip(sol._segments, odes):
-        mask = ~filled & _window(t_lo, t_hi, rs)
+    for ode in odes:
+        mask = ~filled & _window(ode.t_min, ode.t_max, rs)
         out[:, mask] = ode(rs[mask])
         filled |= mask
     assert filled.all()
@@ -400,21 +401,25 @@ def test_two_legs_meet_at_the_anchor(legs):
         np.linspace(sol.rstar[0], sol.rstar[-1], 301),
     ])
     odes = [ref.sol for _, ref, _, _ in legs]
-    assert sol.eval_rstar(rs).tobytes() == _scipy_eval_rstar(sol, odes, rs).tobytes()
+    assert sol.eval_rstar(rs).tobytes() == _scipy_eval_rstar(odes, rs).tobytes()
 
 
 def test_point_past_every_leg_goes_to_the_nearest_end(legs):
     # inside the 1e-9 coverage check, outside every leg's 1e-12 window: the
     # integrated r drifts from the tortoise map by this much
-    bg, mode, bnd, r_range, tol = _STACKED_CASES["anchor"]
-    sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
-    up, down = (ref.sol for _, ref, _, _ in legs)
-    lo, hi = sol.rstar[0], sol.rstar[-1]
-    below = np.array([lo - 1e-10 * (1 + abs(lo))])
-    above = np.array([hi + 1e-10 * (1 + abs(hi))])
-    assert sol.eval_rstar(below).tobytes() == down(below).tobytes()
-    assert sol.eval_rstar(above).tobytes() == up(above).tobytes()
-    assert np.all(np.isfinite(sol.eval_rstar(np.concatenate([below, above]))))
+    for case in ("anchor", "asymptotic"):
+        legs.clear()
+        bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
+        sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
+        odes = [ref.sol for _, ref, _, _ in legs]
+        # one descending leg from an asymptotic start: a point above it goes to its start
+        up, down = odes if len(odes) == 2 else odes * 2
+        lo, hi = sol.rstar[0], sol.rstar[-1]
+        below = np.array([lo - 1e-10 * (1 + abs(lo))])
+        above = np.array([hi + 1e-10 * (1 + abs(hi))])
+        assert sol.eval_rstar(below).tobytes() == down(below).tobytes()
+        assert sol.eval_rstar(above).tobytes() == up(above).tobytes()
+        assert np.all(np.isfinite(sol.eval_rstar(np.concatenate([below, above]))))
 
 
 def _residual_max_loop(sol):

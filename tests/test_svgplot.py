@@ -2,19 +2,11 @@
 
 import math
 import re
-import tempfile
-from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from quasilocal.svgplot import _ticks, line_plot
-
-# The example database is off below, but after collection the pytest plugin
-# still caches the literals it mines from local source in its storage
-# directory, by default ./.hypothesis; keep that cache out of the tree.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "quasilocal-hypothesis")
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _MAGNITUDE = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300,
