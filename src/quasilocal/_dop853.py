@@ -3,12 +3,19 @@
 Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed. (1993), Sec. II.10, as
 scipy's ``solve_ivp(method="DOP853")``: its coefficient literals, and its
 initial step, step-size control, error norm and extra dense-output stages in
-the same numpy operations and order, so steps, states and interpolants are
-bitwise those of ``solve_ivp`` (the tests keep scipy as the oracle).
+the same order, so steps, states and interpolants are bitwise those of
+``solve_ivp`` (the tests keep scipy as the oracle).  The sums whose bits
+depend on BLAS stay ``np.dot`` on scipy's operand layouts (a Python sum
+rounds differently): the stage sums, the weighted sum of the step, the two
+error estimates and the interpolant coefficients.  The step-size control
+and each stage's state run on Python floats, which round as numpy scalars
+do without their per-operation overhead, so ``fun`` takes the state as a
+sequence of floats and returns its derivative as one.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -146,26 +153,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (7 + 1))
-    return min(100 * h0, h1, interval_length)
-
-
-def _error_norm(K, h, scale):
-    """RMS error of the 8th-order step, the 5th- and 3rd-order estimates blended."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
-def _stages(fun, t, y, h, K, first, stop):
-    """Fill K[first:stop] with the stages of those rows of the tableau."""
-    for s in range(first, stop):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        K[s] = fun(t + C[s] * h, y + dy)
+    return float(min(100 * h0, h1, interval_length))
 
 
 def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol, atol):
@@ -179,18 +167,26 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol, atol):
                       f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=3)
         rtol = np.maximum(rtol, 100 * EPS)
     atol = np.asarray(atol)
+    n = y0.size
+
+    def fun_array(t, y):
+        return np.array(fun(t, y.tolist()))
+
     t, t_bound, y = float(t0), float(t_bound), y0
-    direction = np.sign(t_bound - t)
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
-    K_extended = np.empty((N_STAGES_EXTENDED, y.size))
-    K = K_extended[:N_STAGES + 1]
+    direction = 1.0 if t_bound > t else -1.0
+    f = fun_array(t, y)
+    h_abs = _initial_step(fun_array, t, y, t_bound, f, direction, rtol, atol)
+    K_extended = np.empty((N_STAGES_EXTENDED, n))
+    # stage s: scipy's operands K[:s].T and A[s, :s], and its node C[s]
+    stages = [(s, K_extended[:s].T, A[s, :s], C[s].item()) for s in range(N_STAGES_EXTENDED)]
+    K_step, K_error = K_extended[:N_STAGES].T, K_extended[:N_STAGES + 1].T
     ts, ys, steps = [t], [y], []
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
+        y_list = y.tolist()
         while True:
             if h_abs < min_step:
                 raise IntegrationError("radial integration failed: Required step "
@@ -200,14 +196,23 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol, atol):
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            _stages(fun, t, y, h, K, 1, N_STAGES)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
+            h_abs = abs(h)
+            K_extended[0] = f
+            for s, K_s, a, c in stages[1:N_STAGES]:
+                dy = np.dot(K_s, a).tolist()
+                K_extended[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y_list, dy)])
+            y_new = y + h * np.dot(K_step, B)
+            f_new = fun_array(t + h, y_new)
+            K_extended[N_STAGES] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            # the 5th- and 3rd-order estimates blended; each squared norm rounds
+            # as np.linalg.norm(x)**2 does, through sqrt(x.x)
+            err5 = np.dot(K_error, E5) / scale
+            err3 = np.dot(K_error, E3) / scale
+            err5_norm_2 = math.sqrt(np.dot(err5, err5)) ** 2
+            err3_norm_2 = math.sqrt(np.dot(err3, err3)) ** 2
+            error_norm = h_abs * err5_norm_2 / math.sqrt(
+                (err5_norm_2 + 0.01 * err3_norm_2) * n) if err5_norm_2 or err3_norm_2 else 0.0
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(
                     MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
@@ -219,11 +224,15 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol, atol):
             step_rejected = True
 
         # the dense output's three extra stages
-        _stages(fun, t, y, h, K_extended, N_STAGES + 1, N_STAGES_EXTENDED)
-        f_old = K_extended[0]
+        for s, K_s, a, c in stages[N_STAGES + 1:]:
+            dy = np.dot(K_s, a).tolist()
+            K_extended[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y_list, dy)])
         delta_y = y_new - y
-        F = np.vstack((delta_y, h * f_old - delta_y, 2 * delta_y - h * (f_new + f_old),
-                       h * np.dot(D, K_extended)))
+        F = np.empty((INTERPOLATOR_POWER, n))
+        F[0] = delta_y
+        F[1] = h * f - delta_y
+        F[2] = 2 * delta_y - h * (f_new + f)
+        F[3:] = h * np.dot(D, K_extended)
         steps.append((t, h, F, y))
         t, y, f = t_new, y_new, f_new
         ts.append(t)

@@ -11,7 +11,8 @@ side.  dZ/dr is always derived from dZ/dr* through the exact Jacobian
 r/(r - 2m), never by differencing samples.
 
 Each leg is stepped by the package's own DOP853 (``_dop853``), bitwise equal
-to scipy's ``solve_ivp`` in steps, states and dense output.  The leg's step
+to scipy's ``solve_ivp`` in steps, states and dense output; the right-hand
+side takes and returns Python floats, as that stepper asks.  The leg's step
 interpolants are stacked in one table and evaluated for a batch of points at
 once; ``eval_r`` keeps its last result, so A, A' and A'' share one pass.
 """
@@ -346,11 +347,12 @@ def _rhs_factory(bg: BackgroundParams, mode) -> Callable:
     else:
         v, param = _v_polar, mode.n
 
-    # Python floats: the same libm pow and IEEE operations as numpy scalars,
-    # without their per-operation overhead
+    # the stepper's float contract: a sequence of floats in, a tuple out, in
+    # the same libm pow and IEEE operations as numpy scalars without their
+    # per-operation overhead
     def rhs(t, y):
-        z, dz, r = y.tolist()
-        return np.array((dz, (v(r, m, param) - sigma_sq) * z, (r - 2.0 * m) / r))
+        z, dz, r = y
+        return dz, (v(r, m, param) - sigma_sq) * z, (r - 2.0 * m) / r
 
     return rhs
 

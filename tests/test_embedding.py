@@ -1,7 +1,5 @@
 """Embedding sources and the spectral solve of the linearized equations."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from quasilocal import (
     build_sources,
     coordinate_fields,
     solve_embedding,
-    synthesize,
 )
 from quasilocal.embedding import radius_on_sphere, radius_range
 

@@ -1,6 +1,5 @@
 """Energy coefficients, assembly, mass-density bracket, loops, falloff fits."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 import quasilocal.radial
 from quasilocal import (
-    AnchorBoundary,
     AxialMode,
     DomainError,
     EnergyCoefficients,
@@ -38,7 +36,7 @@ from quasilocal.energy import fit_inverse_powers, grad_outer_double_divergence
 from quasilocal.sphere import HarmonicField
 
 from conftest import random_harmonic
-from test_embedding import SyntheticProfile, constant_profile
+from test_embedding import constant_profile
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,6 @@ import pytest
 from quasilocal import (
     AProfile,
     AnchorBoundary,
-    AxialMode,
-    BackgroundParams,
     DomainError,
     FitError,
     PerturbationProfiles,

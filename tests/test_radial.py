@@ -15,6 +15,7 @@ from quasilocal import (
     BackgroundParams,
     CoverageError,
     DomainError,
+    IntegrationError,
     PolarMode,
     SurfaceAnchorBoundary,
     a_profile,
@@ -119,7 +120,7 @@ def test_rhs_uses_the_public_potential(bg_unit, mode):
     potential = potential_axial if mode.kind == "axial" else potential_polar
     for r in (2.5, 7.0, 300.0):
         z, dz = 0.3, -1.1
-        f = rhs(0.0, np.array([z, dz, r]))
+        f = np.array(rhs(0.0, [z, dz, r]))
         v = potential(r, bg_unit, mode)
         assert f[0] == dz
         assert f[1] == pytest.approx((v - mode.sigma**2) * z, rel=1e-14)
@@ -320,8 +321,8 @@ def legs(monkeypatch):
     def recorded(fun, t0, t_bound, y0, rtol, atol):
         ours, warned = _warned(_dop853.dop853, fun, t0, t_bound, y0, rtol=rtol, atol=atol)
         ref, ref_warned = _warned(
-            solve_ivp, fun, (t0, t_bound), y0, method="DOP853", rtol=rtol, atol=atol,
-            dense_output=True,
+            solve_ivp, lambda t, y: fun(t, y.tolist()), (t0, t_bound), y0, method="DOP853",
+            rtol=rtol, atol=atol, dense_output=True,
         )
         legs.append((ours, ref, warned, ref_warned))
         return ours
@@ -356,7 +357,13 @@ _STACKED_CASES = {
     # one descending leg of ~560 steps
     "asymptotic": (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
                    AsymptoticBoundary(amplitude=1.3), (20.0, 80.0), 1e-5),
+    # legs that reject steps: 1 and 5 in flat space, 1 near the horizon
+    "flat": (BackgroundParams(m=0.0), AxialMode(ell=2, sigma=0.5),
+             AnchorBoundary(z=0.0, dz=1.0, r=5.0), (0.5, 40.0), 1e-10),
+    "near_horizon": (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
+                     AnchorBoundary(z=0.0, dz=1.0, r=2.5), (2.01, 40.0), 1e-8),
 }
+_REJECTING_CASES = ("flat", "near_horizon")
 # below 100 eps, where rtol is clamped with a warning
 _CLAMPED_CASE = (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
                  AnchorBoundary(z=0.0, dz=1.0, r=30.0), (28.0, 33.0), 1e-15)
@@ -389,6 +396,35 @@ def test_stepper_is_bitwise_solve_ivp(case, legs):
             np.array([lo, hi, lo - span, hi + span]),
         ):
             assert table(t).tobytes() == ode(t).tobytes()
+
+
+@pytest.mark.parametrize("case", _REJECTING_CASES)
+def test_rejecting_cases_reject_a_step(case, legs):
+    # with dense output scipy evaluates the RHS twice to start, 12 times per
+    # attempted step and 3 more times per accepted one
+    bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
+    integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    rejected = []
+    for _, ref, _, _ in legs:
+        accepted = len(ref.t) - 1
+        n_rejected, rest = divmod(ref.nfev - 2 - 15 * accepted, 12)
+        assert rest == 0
+        rejected.append(n_rejected)
+    assert sum(rejected) >= 1, rejected
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_step_below_the_float_spacing_fails_as_solve_ivp(direction):
+    # y' = y^2 from y(0) = 1 blows up at t = 1 (t = -1 backwards, y(0) = -1)
+    def fun(t, y):
+        return (y[0] * y[0],)
+
+    y0, t_bound = np.array([direction]), 2.0 * direction
+    ref = solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound), y0, method="DOP853",
+                    rtol=1e-8, atol=1e-10)
+    assert ref.status == -1
+    with pytest.raises(IntegrationError, match=ref.message):
+        _dop853.dop853(fun, 0.0, t_bound, y0, rtol=1e-8, atol=np.array([1e-10]))
 
 
 def test_two_legs_meet_at_the_anchor(legs):
@@ -459,7 +495,7 @@ def test_rhs_is_bitwise_the_numpy_scalar_arithmetic(bg_unit, mode):
     for y in np.column_stack([rng.normal(size=200), rng.normal(size=200), rng.uniform(2.001, 5e4, 200)]):
         z, dz, r = y
         expect = np.asarray((dz, (v(r, 1.0, param) - mode.sigma**2) * z, (r - 2.0) / r), dtype=float)
-        assert rhs(0.0, y).tobytes() == expect.tobytes()
+        assert np.array(rhs(0.0, y.tolist())).tobytes() == expect.tobytes()
 
 
 # ----------------------------------------------------------------------
