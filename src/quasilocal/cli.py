@@ -353,20 +353,18 @@ def main(argv=None) -> int:
         prog="quasilocal",
         description="Quasi-local energy pipeline for perturbed black-hole spacetimes",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="scenario JSON path")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config entry (dotted path, JSON value)",
-        )
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="sweep parallelism")
+    parser.add_argument("command", choices=_RUNNERS)
+    parser.add_argument("--config", default=None, help="scenario JSON path")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a config entry (dotted path, JSON value)",
+    )
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--jobs", type=int, default=1, help="sweep parallelism")
     args = parser.parse_args(argv)
 
     def fail(exc, category, code):

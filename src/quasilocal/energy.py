@@ -95,7 +95,7 @@ def energy_coefficients(
     # sized for degree-2*l_max products (anti-aliased quadrature)
     grid = SphereGrid.for_band_limit(2 * emb.l_max)
     z1, z2, z3 = coordinate_fields(grid)
-    r = radius_on_sphere(spec, z1.values)
+    r = radius_on_sphere(spec, z1.values[:, :1])  # once per colatitude row, as build_sources
     av = a.a(r)
     apv = a.a_prime(r)
 

@@ -19,6 +19,8 @@ Conventions fixed here and used everywhere else in the package:
 * Grids pair Gauss-Legendre colatitude nodes (poles excluded) with a uniform
   longitude grid; transforms are direct matrix contractions, exact for
   band-limited fields whenever n_theta >= l_max + 1 and n_phi >= 2 l_max + 1.
+  A grid builds its Ybar table with itself and the theta-derivative tables
+  only when ``grad_hess`` or the energy density first reads them.
   Nonlinear products should be formed on a grid sized for twice the band
   limit (``SphereGrid.for_band_limit(2 * l_max)``) to avoid aliasing.
 """
@@ -26,6 +28,7 @@ Conventions fixed here and used everywhere else in the package:
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +148,70 @@ def c_theta(ell: int, theta) -> np.ndarray | float:
     return float(val) if np.isscalar(theta) else val
 
 
+def _legendre_table(l_max: int, theta: np.ndarray) -> np.ndarray:
+    """Pbar_lm(cos theta) without the sqrt(2) of the real harmonics, shape (L+1, L+1, n).
+
+    The recurrence coefficients are built as whole arrays; the sectoral
+    diagonal Pbar_ll is a running product over l, its neighbour Pbar_{l,l-1}
+    one product, and only the m <= l-2 recurrence steps over l.
+    """
+    x, s = np.cos(theta), np.sin(theta)
+    L = l_max
+    pbar = np.zeros((L + 1, L + 1, theta.size))
+    l1 = np.arange(1, L + 1)[:, None]
+    diag = np.empty((L + 1, theta.size))
+    diag[0] = np.sqrt(1.0 / (4.0 * np.pi))
+    diag[1:] = np.sqrt((2 * l1 + 1) / (2.0 * l1)) * s
+    diag = np.cumprod(diag, axis=0)
+    k = np.arange(L + 1)
+    pbar[k, k] = diag
+    pbar[k[1:], k[:-1]] = np.sqrt(2 * l1 + 1.0) * x * diag[:-1]
+    ell, m = k[:, None], k[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # entries m > l - 2 are unused
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[..., None]
+        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))[..., None]
+    scratch = np.empty((L + 1, theta.size))
+    for l in range(2, L + 1):
+        row = np.multiply(x, pbar[l - 1, : l - 1], out=pbar[l, : l - 1])
+        row -= np.multiply(b[l, : l - 1], pbar[l - 2, : l - 1], out=scratch[: l - 1])
+        row *= a[l, : l - 1]
+    return pbar
+
+
+def _real_scaled(table: np.ndarray) -> np.ndarray:
+    """The m > 0 entries times sqrt(2), in place: Pbar -> Ybar."""
+    table[:, 1:] *= np.sqrt(2.0)
+    return table
+
+
+def _derivative_tables(pbar: np.ndarray, theta: np.ndarray, n_deriv: int) -> list[np.ndarray]:
+    """The first ``n_deriv`` (<= 2) theta-derivatives of Ybar from the unscaled ``pbar``.
+
+    The second derivative is formed in ``pbar``'s buffer, so ``pbar`` is
+    consumed when ``n_deriv`` is 2.
+    """
+    x, s = np.cos(theta), np.sin(theta)
+    L = pbar.shape[0] - 1
+    ell = np.arange(L + 1)[:, None, None]
+    m = np.arange(L + 1)[None, :, None]
+    upper = (ell < m)[..., 0]
+    c = np.sqrt(np.maximum(ell * ell - m * m, 0) * (2.0 * ell + 1.0) / (2.0 * ell - 1.0))
+    dpbar = ell * x * pbar
+    dpbar[1:] -= c[1:] * pbar[:-1]
+    dpbar /= s
+    dpbar[0] = 0.0
+    dpbar[upper] = 0.0
+    tables = [dpbar]
+    if n_deriv >= 2:
+        product = ell * (ell + 1.0) - (m * m) / (s * s)
+        product *= pbar
+        d2pbar = np.multiply(-(x / s), dpbar, out=pbar)
+        d2pbar -= product
+        d2pbar[upper] = 0.0
+        tables.append(d2pbar)
+    return [_real_scaled(table) for table in tables]
+
+
 def _harmonic_tables(
     l_max: int, theta: np.ndarray, n_deriv: int = 2
 ) -> tuple[np.ndarray, ...]:
@@ -158,47 +225,24 @@ def _harmonic_tables(
         Pbar_{l,l-1} = sqrt(2l+1) cos(theta) Pbar_{l-1,l-1}
         Pbar_lm = a_lm [cos(theta) Pbar_{l-1,m} - b_lm Pbar_{l-2,m}]
     First derivative from the same-m relation, second from the ALP equation.
-    Entries with m > l are exactly zero.
+    Entries with m > l are exactly zero.  ``SphereGrid`` runs the same two
+    stages, the derivatives only when first read.
     """
     theta = np.asarray(theta, dtype=float)
-    x, s = np.cos(theta), np.sin(theta)
-    L = l_max
-    pbar = np.zeros((L + 1, L + 1, theta.size))
-    pbar[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
-    for l in range(1, L + 1):
-        pbar[l, l] = np.sqrt((2 * l + 1) / (2.0 * l)) * s * pbar[l - 1, l - 1]
-        pbar[l, l - 1] = np.sqrt(2 * l + 1.0) * x * pbar[l - 1, l - 1]
-        m = np.arange(l - 1)
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
-        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-        pbar[l, : l - 1] = a * (x * pbar[l - 1, : l - 1] - b * pbar[l - 2, : l - 1])
-    tables = [pbar]
-    ell = np.arange(L + 1)[:, None, None]
-    m = np.arange(L + 1)[None, :, None]
-    upper = (ell < m)[..., 0]
-    if n_deriv >= 1:
-        c = np.sqrt(np.maximum(ell * ell - m * m, 0) * (2.0 * ell + 1.0) / (2.0 * ell - 1.0))
-        dpbar = ell * x * pbar
-        dpbar[1:] -= c[1:] * pbar[:-1]
-        dpbar /= s
-        dpbar[0] = 0.0
-        dpbar[upper] = 0.0
-        tables.append(dpbar)
-    if n_deriv >= 2:
-        d2pbar = -(x / s) * dpbar
-        d2pbar -= (ell * (ell + 1.0) - (m * m) / (s * s)) * pbar
-        d2pbar[upper] = 0.0
-        tables.append(d2pbar)
-    for table in tables:
-        table[:, 1:] *= np.sqrt(2.0)
-    return tuple(tables)
+    pbar = _legendre_table(l_max, theta)
+    if n_deriv == 0:
+        return (_real_scaled(pbar),)
+    return (_real_scaled(pbar.copy()), *_derivative_tables(pbar, theta, n_deriv))
 
 
 class SphereGrid:
     """Gauss-Legendre x uniform-longitude product grid with transform tables.
 
-    Immutable after construction; all transform tables are precomputed, so
-    instances can be shared freely between threads.
+    The nodes, Ybar and the longitude tables are built with the grid; the
+    theta-derivative tables (read by ``grad_hess`` and the energy density
+    only) are built on first read from the unscaled Pbar the grid keeps until
+    then.  A lock makes that first read build once, so instances can be
+    shared freely between threads.
     """
 
     def __init__(self, n_theta: int, n_phi: int, l_max: int):
@@ -221,21 +265,27 @@ class SphereGrid:
         self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         self._dphi = 2.0 * np.pi / n_phi
 
-        self._ybar, self._dybar, self._d2ybar = _harmonic_tables(l_max, self.nodes, 2)
+        self._pbar = _legendre_table(l_max, self.nodes)
+        self._ybar = _real_scaled(self._pbar.copy())
+        self._derivatives = None
+        self._lock = threading.Lock()
         m = np.arange(l_max + 1)[:, None]
         self._cosm = np.cos(m * self.phi[None, :])
         self._sinm = np.sin(m * self.phi[None, :])
+
+    def _ybar_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dYbar, d2Ybar), built on the first read; the build consumes the kept Pbar."""
+        if self._derivatives is None:
+            with self._lock:
+                if self._derivatives is None:
+                    self._derivatives = tuple(_derivative_tables(self._pbar, self.nodes, 2))
+                    self._pbar = None
+        return self._derivatives
 
     @classmethod
     def for_band_limit(cls, l_max: int) -> "SphereGrid":
         """Smallest grid with exact transforms up to ``l_max``."""
         return cls(l_max + 1, 2 * l_max + 1, l_max)
-
-    def theta_grid(self) -> np.ndarray:
-        return np.broadcast_to(self.nodes[:, None], (self.n_theta, self.n_phi))
-
-    def phi_grid(self) -> np.ndarray:
-        return np.broadcast_to(self.phi[None, :], (self.n_theta, self.n_phi))
 
     def __repr__(self) -> str:
         return f"SphereGrid(n_theta={self.n_theta}, n_phi={self.n_phi}, l_max={self.l_max})"
@@ -461,7 +511,7 @@ def _harmonic_derivatives(h: HarmonicField, grid: SphereGrid) -> SphereDerivativ
     """``grad_hess`` of the field with coefficients ``h``, on ``grid``."""
     _check_band(h, grid)
     (c0, s0), (c1, s1), (c2, s2) = (
-        _theta_sums(h, table) for table in (grid._ybar, grid._dybar, grid._d2ybar)
+        _theta_sums(h, table) for table in (grid._ybar, *grid._ybar_derivatives())
     )
     # d/dphi takes (gc, gs) to m (gs, -gc)
     m = np.arange(h.l_max + 1, dtype=float)[:, None]
@@ -505,11 +555,12 @@ def coordinate_fields(
     if frame is None:
         frame = DEFAULT_FRAME
     frame = np.asarray(frame, dtype=float)
-    th = grid.theta_grid()
-    ph = grid.phi_grid()
-    n_hat = np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-    )
+    # cos of the nodes, not the Gauss abscissae grid.cos_theta, whose last bits differ
+    sin_th, cos_th = grid.sin_theta[:, None], np.cos(grid.nodes)[:, None]
+    n_hat = np.empty((grid.n_theta, grid.n_phi, 3))
+    n_hat[..., 0] = sin_th * np.cos(grid.phi)
+    n_hat[..., 1] = sin_th * np.sin(grid.phi)
+    n_hat[..., 2] = cos_th
     z = np.einsum("ic,jkc->ijk", frame, n_hat)
     return tuple(GridField(z[i], grid) for i in range(3))
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
+from record_golden import run_cli
 
 from quasilocal import (
     AnchorBoundary,
@@ -70,3 +71,20 @@ def random_harmonic(l_max: int, seed: int):
         for m in range(-l, l + 1):
             h.coeffs[l, l_max + m] = rng.normal()
     return h
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """(exit code, output directory) of a ``record_golden.RUNS`` run, run once a session.
+
+    The shipped-scenario test and the golden test share these runs.
+    """
+    done = {}
+
+    def get(run_id):
+        if run_id not in done:
+            out = tmp_path_factory.mktemp(run_id)
+            done[run_id] = run_cli(run_id, out), out
+        return done[run_id]
+
+    return get

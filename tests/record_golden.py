@@ -1,0 +1,117 @@
+"""Record ``tests/golden.json``: the sha256 and JSON scalars of a fixed set of CLI runs.
+
+    python3 tests/record_golden.py
+
+Rewrite the file only when a change is meant to move artifact bytes, and give
+the old and new values with the tolerance they still meet in CHANGES.md.
+``tests/test_golden.py`` checks the runs against the file; the file name keeps
+this script out of the test run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "demos" / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
+
+# run id -> (command, scenario, --set overrides); a shipped scenario's id is its name
+RUNS = {
+    "axial_sweep": ("sweep", "axial_sweep", ()),
+    "embed_kernel": ("embed", "embed_kernel", ()),
+    "energy_timeseries": ("energy", "energy_timeseries", ()),
+    "geometry_axial": ("geometry", "geometry_axial", ()),
+    "geometry_baseline": ("geometry", "geometry_baseline", ()),
+    "loop_equator": ("loop", "loop_equator", ()),
+    "polar_potential": ("radial", "polar_potential", ()),
+    "radial_profile": ("radial", "radial_profile", ()),
+    "axial_sweep-l_max48": ("sweep", "axial_sweep", ("numerics.l_max=48",)),
+    "axial_sweep-paper": ("sweep", "axial_sweep", ("surface.substitution=paper",)),
+    **{
+        f"loop_equator-{field}": ("loop", "loop_equator", (f"loop.field={field}",))
+        for field in ("constant", "source_tau", "source_n", "rho_bracket")
+    },
+}
+
+
+def environment() -> dict:
+    """What decides the last bits of an artifact: numpy, its BLAS and SIMD, the machine."""
+    try:
+        conf = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 only prints its config
+        conf = {}
+    blas = conf.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "simd": sorted(conf.get("SIMD Extensions", {}).get("found", [])),
+        "machine": platform.machine(),
+    }
+
+
+def run_cli(run_id: str, out: Path) -> int:
+    """Run one golden run in-process into ``out``; its stdout is dropped."""
+    from quasilocal.cli import main  # after main() has put src/ on the path
+
+    command, scenario, overrides = RUNS[run_id]
+    args = [command, "--config", str(SCENARIOS / f"{scenario}.json"), "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(args)
+
+
+def _scalars(doc, path: str, out: dict) -> None:
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _scalars(value, f"{path}.{key}" if path else key, out)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            _scalars(value, f"{path}[{i}]", out)
+    else:
+        out[path] = doc
+
+
+def digest(out: Path) -> dict:
+    """sha256 of every artifact and every scalar of each JSON payload.
+
+    The scalars leave out the ``config`` echo, which is the run's input.
+    """
+    hashes, scalars = {}, {}
+    for path in sorted(out.iterdir()):
+        hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc.pop("config")
+            _scalars(doc, path.name, scalars)
+    return {"artifacts": hashes, "scalars": scalars}
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for run_id in RUNS:
+            out = Path(tmp) / run_id
+            if run_cli(run_id, out) != 0:
+                print(f"{run_id}: the run failed", file=sys.stderr)
+                return 1
+            runs[run_id] = digest(out)
+    doc = {"environment": environment(), "runs": runs}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(GOLDEN)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

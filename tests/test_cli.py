@@ -253,6 +253,29 @@ def test_radial_range_outside_the_exterior_exits_before_writing(radial_range, tm
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", sorted(quasilocal.cli._RUNNERS))
+def test_every_command_takes_the_four_options(command, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(quasilocal.cli._RUNNERS, command, lambda conf, jobs: calls.append((conf, jobs)) or {})
+    out = tmp_path / "out"
+    args = [command, "--config", SCENARIOS / "axial_sweep.json", "--set", "numerics.l_max=6",
+            "--set", "surface.t=[0.5]", "--out", out, "--jobs", "3"]
+    assert run(args) == EXIT_OK
+    (conf, jobs), = calls
+    assert (conf["numerics"]["l_max"], conf["surface"]["t"], conf["surface"]["d"], jobs) == (
+        6, [0.5], [50.0, 100.0, 200.0, 400.0], 3
+    )
+    assert out.is_dir()
+
+
+@pytest.mark.parametrize("args", [["sweeps"], [], ["sweep", "--jobs", "two"], ["sweep", "--jobs"]])
+def test_unknown_command_or_bad_jobs_exits_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == EXIT_CONFIG
+    capsys.readouterr()
+
+
 def test_config_error_exit(tmp_path, capsys):
     code = run(["sweep", "--out", tmp_path, "--set", "background.m=-1"])
     assert code == EXIT_CONFIG
@@ -596,13 +619,13 @@ def test_scenario_table_covers_every_shipped_file():
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_COMMANDS))
-def test_shipped_scenario_runs(name, tmp_path, capsys):
+def test_shipped_scenario_runs(name, golden_run):
     command = SCENARIO_COMMANDS[name]
-    assert run([command, "--config", SCENARIOS / f"{name}.json", "--out", tmp_path]) == EXIT_OK
-    capsys.readouterr()
-    assert {p.name for p in tmp_path.iterdir()} == ARTIFACTS[command]
+    code, out = golden_run(name)  # the run tests/test_golden.py checks bytewise
+    assert code == EXIT_OK
+    assert {p.name for p in out.iterdir()} == ARTIFACTS[command]
     polar = load_config(SCENARIOS / f"{name}.json")["mode"]["kind"] == "polar"
-    for path in tmp_path.glob("*.csv"):
+    for path in out.glob("*.csv"):
         lines = path.read_text().splitlines()
         values = np.array([line.split(",") for line in lines[2:]], dtype=float)
         for column, col_values in zip(lines[1].split(","), values.T):
@@ -610,7 +633,7 @@ def test_shipped_scenario_runs(name, tmp_path, capsys):
                 assert np.all(np.isnan(col_values))  # A(r) exists for axial modes only
             else:
                 assert np.all(np.isfinite(col_values)), (path.name, column)
-    for path in tmp_path.glob("*.json"):
+    for path in out.glob("*.json"):
         assert all(math.isfinite(x) for x in _json_numbers(json.loads(path.read_text())))
 
 

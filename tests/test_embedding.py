@@ -15,6 +15,7 @@ from quasilocal import (
     solve_embedding,
 )
 from quasilocal.embedding import radius_on_sphere, radius_range
+from quasilocal.sphere import DEFAULT_FRAME
 
 
 class SyntheticProfile:
@@ -40,6 +41,13 @@ def constant_profile(c):
         lambda r: np.zeros_like(r),
         lambda r: np.zeros_like(r),
     )
+
+
+WAVY_PROFILE = SyntheticProfile(
+    lambda r: np.sin(0.3 * r) / r,
+    lambda r: 0.3 * np.cos(0.3 * r) / r - np.sin(0.3 * r) / r**2,
+    lambda r: np.exp(-0.01 * r) * np.cos(r),
+)
 
 
 def test_surface_spec_validation():
@@ -224,3 +232,44 @@ def test_substitution_solutions_converge_for_smooth_profiles(grid16):
         rel.append(num / sol_e.tau.norm())
     assert 1.6 <= rel[0] / rel[1] <= 2.4
     assert 1.6 <= rel[1] / rel[2] <= 2.4
+
+
+# ----------------------------------------------------------------------
+# A(r) once per colatitude row
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("l_max", range(1, 65))
+def test_default_frame_z1_is_constant_along_rows(l_max):
+    for grid in (SphereGrid.for_band_limit(l_max), SphereGrid.for_band_limit(2 * l_max)):
+        z1 = coordinate_fields(grid, DEFAULT_FRAME)[0].values
+        assert np.all(np.ptp(z1, axis=1) == 0)
+
+
+def full_grid_sources(a, spec, grid):
+    """``build_sources``' formulas with A, A' and A'' evaluated at every grid point."""
+    z1, z2, z3 = (f.values for f in coordinate_fields(grid))
+    r = radius_on_sphere(spec, z1)
+    av, apv, appv = a.a(r), a.a_prime(r), a.a_double_prime(r)
+    z23 = z2 * z3
+    s_tau = (-appv * (1.0 - z1**2) + 6.0 * apv * z1 + 12.0 * av) * z23
+    s_n = (appv - 2.0 * apv * z1 + 4.0 * av) * z23
+    return s_tau, s_n
+
+
+@pytest.mark.parametrize("substitution", ["exact", "paper"])
+@pytest.mark.parametrize("l_max", [4, 16, 33])
+def test_row_sources_are_bitwise_the_full_grid(axial_profile, l_max, substitution):
+    grid = SphereGrid.for_band_limit(l_max)
+    for prof, d in ((axial_profile, 40.0), (WAVY_PROFILE, 7.5)):
+        spec = SurfaceSpec(d=d, substitution=substitution)
+        got = build_sources(prof, spec, grid)
+        for field, want in zip(got, full_grid_sources(prof, spec, grid)):
+            assert field.values.tobytes() == want.tobytes()
+
+
+def test_sources_evaluate_the_profile_once_per_row(grid16):
+    shapes = []
+    prof = SyntheticProfile(*(lambda r, f=f: shapes.append(r.shape) or f(r) for f in WAVY_PROFILE._fns))
+    build_sources(prof, SurfaceSpec(d=7.5), grid16)
+    assert shapes == [(grid16.n_theta, 1)] * 3

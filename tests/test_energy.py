@@ -11,6 +11,7 @@ from quasilocal import (
     DomainError,
     EnergyCoefficients,
     FitError,
+    GridField,
     LoopSpec,
     PolarMode,
     SphereGrid,
@@ -31,12 +32,12 @@ from quasilocal import (
     sweep_energy,
     synthesize,
 )
-from quasilocal.embedding import EmbeddingSolution, build_sources
+from quasilocal.embedding import EmbeddingSolution, build_sources, radius_on_sphere
 from quasilocal.energy import fit_inverse_powers, grad_outer_double_divergence
 from quasilocal.sphere import HarmonicField
 
 from conftest import random_harmonic
-from test_embedding import constant_profile
+from test_embedding import WAVY_PROFILE, SyntheticProfile, constant_profile
 
 
 # ----------------------------------------------------------------------
@@ -54,6 +55,44 @@ def test_energy_coefficients_constant_profile(grid16):
     coeffs = energy_coefficients(prof, spec, emb)
     assert coeffs.e1 == pytest.approx(32.0 * np.pi / 15.0 * c**2, rel=1e-8)
     assert coeffs.e2 == pytest.approx(-4.0 * np.pi / 3.0 * c**2, rel=1e-8)
+
+
+def _full_grid_energy(a, spec, emb):
+    """``energy_coefficients``' formulas with A and A' evaluated at every grid point."""
+    grid = SphereGrid.for_band_limit(2 * emb.l_max)
+    z1v, z2v, z3v = (f.values for f in coordinate_fields(grid))
+    r = radius_on_sphere(spec, z1v)
+    av, apv = a.a(r), a.a_prime(r)
+    tau_g = synthesize(emb.tau, grid).values
+    n_g = synthesize(emb.n_field, grid).values
+    op_n = synthesize(apply_operator(emb.n_field, "laplacian_plus_2"), grid).values
+    op_tau = synthesize(apply_operator(emb.tau, "laplacian_laplacian_plus_2"), grid).values
+    e1_integrand = 0.5 * (
+        av**2 * z2v**2 * (7.0 * z3v**2 + 1.0)
+        + 2.0 * av * apv * z1v * z3v**2 * (3.0 * z2v**2 - 1.0)
+        - n_g * op_n
+    )
+    e2_integrand = av**2 * z2v**2 * z3v**2 - tau_g * op_tau
+    return integrate(GridField(e1_integrand, grid)), integrate(GridField(e2_integrand, grid))
+
+
+@pytest.mark.parametrize("substitution", ["exact", "paper"])
+@pytest.mark.parametrize("l_max", [4, 16])
+def test_row_energy_is_bitwise_the_full_grid(axial_profile, l_max, substitution):
+    for prof, d in ((axial_profile, 40.0), (WAVY_PROFILE, 7.5)):
+        spec = SurfaceSpec(d=d, substitution=substitution)
+        emb = solve_embedding(*build_sources(prof, spec, SphereGrid.for_band_limit(l_max)))
+        got = energy_coefficients(prof, spec, emb)
+        want = _full_grid_energy(prof, spec, emb)
+        assert (got.e1, got.e2) == want  # floats compare by value; no NaN here
+
+
+def test_energy_evaluates_the_profile_once_per_row(grid16):
+    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), grid16))
+    shapes = []
+    prof = SyntheticProfile(*(lambda r, f=f: shapes.append(r.shape) or f(r) for f in WAVY_PROFILE._fns))
+    energy_coefficients(prof, SurfaceSpec(d=7.5), emb)
+    assert shapes == [(2 * grid16.l_max + 1, 1)] * 2
 
 
 def test_energy_zero_perturbation(grid16):

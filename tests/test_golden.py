@@ -1,0 +1,93 @@
+"""Golden artifacts: every artifact of a fixed set of runs matches ``golden.json``.
+
+In the environment the file was recorded in (``record_golden.environment``)
+every artifact must match its sha256.  Anywhere else, where BLAS or SIMD may
+round differently, the JSON scalars must match at 1e-10 relative; a fit's
+outputs at 1e-10 times the fit's condition number, and the round-off
+diagnostics in ``ROUNDOFF`` only down to their floor.
+Rewrite the file with ``python3 tests/record_golden.py``.
+"""
+
+import json
+import math
+import re
+
+import pytest
+
+from record_golden import GOLDEN, RUNS, digest, environment
+
+RECORD = json.loads(GOLDEN.read_text(encoding="utf-8"))
+RTOL = 1e-10
+# fields that measure round-off: compared only down to an absolute floor
+ROUNDOFF = {"kernel_residual_tau": 1e-12, "kernel_residual_n": 1e-12, "residual_max": 1e-12}
+FIT = re.compile(r"^(.*(?:fits\[\d+\]|hawking_fit))\.")
+
+
+def environment_differences(recorded: dict, current: dict) -> list[str]:
+    return sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
+
+
+def scalar_differences(got: dict, want: dict) -> list[str]:
+    """Paths of the scalars that differ beyond their tolerance, or exist on one side."""
+    out = []
+    for path in sorted(got.keys() | want.keys()):
+        if path not in got or path not in want:
+            out.append(f"{path}: only in {'the run' if path in got else 'golden.json'}")
+            continue
+        a, b = got[path], want[path]
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        if numbers:
+            parts = {re.sub(r"\[\d+\]", "", p) for p in path.split(".")}
+            floor = max((ROUNDOFF[p] for p in parts & ROUNDOFF.keys()), default=0.0)
+            fit = FIT.match(path)
+            rel = RTOL * max(1.0, want.get(f"{fit[1]}.condition", 1.0)) if fit else RTOL
+            same = math.isclose(a, b, rel_tol=rel, abs_tol=floor)
+        else:
+            same = a == b
+        if not same:
+            out.append(f"{path}: {a!r} != {b!r}")
+    return out
+
+
+def test_golden_file_covers_every_run():
+    assert sorted(RECORD["runs"]) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("run_id", sorted(RUNS))
+def test_artifacts_match_golden(run_id, golden_run):
+    code, out = golden_run(run_id)
+    assert code == 0
+    got, want = digest(out), RECORD["runs"][run_id]
+    assert sorted(got["artifacts"]) == sorted(want["artifacts"])
+    env = environment_differences(RECORD["environment"], environment())
+    if not env:
+        moved = [name for name in got["artifacts"] if got["artifacts"][name] != want["artifacts"][name]]
+        exact = [p for p in sorted(got["scalars"]) if got["scalars"][p] != want["scalars"].get(p)]
+        assert not moved, f"artifacts {moved} changed bytes; scalars that moved: {exact}"
+    else:
+        differing = scalar_differences(got["scalars"], want["scalars"])
+        assert not differing, f"environment differs from golden.json in {env}; {differing}"
+
+
+def test_scalar_check_names_the_field():
+    want = RECORD["runs"]["axial_sweep"]["scalars"]
+    got = dict(want)
+    assert scalar_differences(got, want) == []
+    got["sweep.json.e1[0]"] = want["sweep.json.e1[0]"] * (1.0 + 1e-11)
+    got["sweep.json.kernel_residual_n[1]"] = 2.0 * want["sweep.json.kernel_residual_n[1]"]
+    got["sweep.json.fits[0].c1"] = want["sweep.json.fits[0].c1"] * (1.0 + 1e-8)  # condition ~4.5e3
+    assert scalar_differences(got, want) == []
+    got["sweep.json.e1[0]"] = want["sweep.json.e1[0]"] * (1.0 + 1e-9)
+    got["sweep.json.fits[0].c1"] = want["sweep.json.fits[0].c1"] * (1.0 + 1e-5)
+    del got["sweep.json.e2[3]"]
+    assert [s.split(":")[0] for s in scalar_differences(got, want)] == [
+        "sweep.json.e1[0]",
+        "sweep.json.e2[3]",
+        "sweep.json.fits[0].c1",
+    ]
+
+
+def test_environment_differences_name_the_field():
+    current = environment()
+    assert environment_differences(current, dict(current)) == []
+    assert environment_differences(current, {**current, "blas": "other"}) == ["blas"]

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from quasilocal import (
     legendre_p_dtheta,
     synthesize,
 )
+import quasilocal.sphere
 from quasilocal.sphere import (
     SphereDerivatives,
     _block_index,
@@ -261,6 +266,117 @@ def test_harmonic_tables_match_scipy():
     assert np.all(np.abs(tables[:, l, m, :] - ref) <= 1e-12 * scale)
     upper = np.triu_indices(l_max + 1, 1)
     assert not np.any(tables[:, upper[0], upper[1], :])
+
+
+def _per_degree_tables(l_max, theta, n_deriv=2):
+    """The table builder as it stood before its coefficients became whole arrays (kept verbatim)."""
+    theta = np.asarray(theta, dtype=float)
+    x, s = np.cos(theta), np.sin(theta)
+    L = l_max
+    pbar = np.zeros((L + 1, L + 1, theta.size))
+    pbar[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
+    for l in range(1, L + 1):
+        pbar[l, l] = np.sqrt((2 * l + 1) / (2.0 * l)) * s * pbar[l - 1, l - 1]
+        pbar[l, l - 1] = np.sqrt(2 * l + 1.0) * x * pbar[l - 1, l - 1]
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        pbar[l, : l - 1] = a * (x * pbar[l - 1, : l - 1] - b * pbar[l - 2, : l - 1])
+    tables = [pbar]
+    ell = np.arange(L + 1)[:, None, None]
+    m = np.arange(L + 1)[None, :, None]
+    upper = (ell < m)[..., 0]
+    if n_deriv >= 1:
+        c = np.sqrt(np.maximum(ell * ell - m * m, 0) * (2.0 * ell + 1.0) / (2.0 * ell - 1.0))
+        dpbar = ell * x * pbar
+        dpbar[1:] -= c[1:] * pbar[:-1]
+        dpbar /= s
+        dpbar[0] = 0.0
+        dpbar[upper] = 0.0
+        tables.append(dpbar)
+    if n_deriv >= 2:
+        d2pbar = -(x / s) * dpbar
+        d2pbar -= (ell * (ell + 1.0) - (m * m) / (s * s)) * pbar
+        d2pbar[upper] = 0.0
+        tables.append(d2pbar)
+    for table in tables:
+        table[:, 1:] *= np.sqrt(2.0)
+    return tuple(tables)
+
+
+def _same_bytes(got, want):
+    return len(got) == len(want) and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+TABLE_CASES = [
+    (l_max, n)
+    for l_max in [*range(9), 16, 32, 48, 64]
+    for n in sorted({1, 7, l_max + 1, 2 * l_max + 1})
+]
+
+
+@pytest.mark.parametrize("l_max, n_theta", TABLE_CASES)
+def test_tables_are_bitwise_the_per_degree_builder(l_max, n_theta):
+    theta = np.arccos(gauss_legendre(n_theta)[0][::-1])
+    for n_deriv in (0, 1, 2):
+        assert _same_bytes(_harmonic_tables(l_max, theta, n_deriv), _per_degree_tables(l_max, theta, n_deriv))
+    if n_theta >= l_max + 1:
+        grid = SphereGrid(n_theta, 2 * l_max + 1, l_max)
+        want = _per_degree_tables(l_max, grid.nodes, 2)
+        assert _same_bytes((grid._ybar, *grid._ybar_derivatives()), want)
+
+
+@pytest.mark.parametrize("l_max", [0, 5, 16, 64])
+def test_evaluate_on_one_colatitude_is_bitwise_the_per_degree_builder(l_max):
+    loop = LoopSpec.circle(0.83, 64)
+    h = random_harmonic(l_max, seed=l_max)
+    gc, gs = _theta_sums(h, _per_degree_tables(l_max, loop.theta[:1], 0)[0])
+    m = np.arange(l_max + 1, dtype=float)[:, None]
+    want = np.einsum("mp,mp->p", gc[:, [0] * 64], np.cos(m * loop.phi[None, :])) + np.einsum(
+        "mp,mp->p", gs[:, [0] * 64], np.sin(m * loop.phi[None, :])
+    )
+    assert evaluate(h, loop.theta, loop.phi).tobytes() == want.tobytes()
+
+
+def test_grid_builds_derivative_tables_on_first_read():
+    grid = SphereGrid.for_band_limit(8)
+    assert grid._derivatives is None and grid._pbar is not None
+    tables = grid._ybar_derivatives()
+    assert grid._pbar is None  # consumed as the second derivative's buffer
+    assert grid._ybar_derivatives() is tables
+
+
+def test_first_derivative_read_is_shared_between_threads(monkeypatch):
+    h = random_harmonic(24, seed=5)
+    want = _harmonic_derivatives(h, SphereGrid.for_band_limit(24))
+    builds = []
+    real = quasilocal.sphere._derivative_tables
+
+    def slow_build(*args):
+        builds.append(threading.get_ident())
+        time.sleep(0.02)  # widen the window for a racing first read
+        return real(*args)
+
+    monkeypatch.setattr(quasilocal.sphere, "_derivative_tables", slow_build)
+    grid = SphereGrid.for_band_limit(24)
+    start = threading.Barrier(4, timeout=10)
+
+    def first_read(_):
+        start.wait()
+        return _harmonic_derivatives(h, grid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(first_read, i) for i in range(4)]
+            results = [f.result(timeout=10) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    for got in results:
+        for f in dataclasses.fields(SphereDerivatives):
+            assert getattr(got, f.name).values.tobytes() == getattr(want, f.name).values.tobytes()
 
 
 def test_evaluate_matches_synthesize(grid16):
