@@ -33,7 +33,6 @@ from .geometry import (
     PerturbationProfiles,
     axial_preset,
     hawking_sweep,
-    spatial_metric,
     surface_geometry,
 )
 from .radial import (
@@ -63,8 +62,6 @@ from .sphere import (
     gauss_legendre,
     grad_hess,
     integrate,
-    legendre_p,
-    legendre_p_dtheta,
     synthesize,
 )
 

@@ -97,7 +97,8 @@ SCHEMA = {
                 # the DOP853 stepper clamps an rtol below 100 eps with a warning;
                 # at a larger one the radial residual is no longer small (5.6e-4 at 0.5)
                 "tolerance": {"type": "number", "minimum": 1e-13, "maximum": 1e-3},
-                "epsilon": _POSITIVE,
+                # PerturbationProfiles' linearization regime, |eps| <= 1e-2
+                "epsilon": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-2},
                 "geometry_resolution": {"type": "integer", "minimum": 16},
                 "radial_range": {
                     "type": "array",

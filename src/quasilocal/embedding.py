@@ -104,7 +104,7 @@ def build_sources(
             f"[{a.r_min}, {a.r_max}]"
         )
     z1, z2, z3 = coordinate_fields(grid)
-    # DEFAULT_FRAME's z1 is cos(theta): A and its derivatives once per colatitude row
+    # z1 is cos(theta), constant along a row: A and its derivatives once per row
     r = radius_on_sphere(spec, z1.values[:, :1])
     av = a.a(r)
     apv = a.a_prime(r)

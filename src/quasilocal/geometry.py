@@ -48,10 +48,8 @@ __all__ = [
     "GeometryReport",
     "PerturbationProfiles",
     "axial_preset",
-    "epsilon_derivative",
     "fit_powers",
     "hawking_sweep",
-    "spatial_metric",
     "surface_geometry",
 ]
 
@@ -85,9 +83,6 @@ class PerturbationProfiles:
     @classmethod
     def none(cls) -> "PerturbationProfiles":
         return cls(epsilon=0.0)
-
-    def with_epsilon(self, epsilon: float) -> "PerturbationProfiles":
-        return dataclasses.replace(self, epsilon=epsilon)
 
     def flags(self) -> list[str]:
         return [] if self.profile is None else [INCOMPLETE_FLAG]
@@ -168,20 +163,6 @@ def _metric_sph(bg, pert, t, r, theta):
     dtg[1, 1] += 2.0 * p_fac * q3v * dt_q3
 
     return g, dg, dtg
-
-
-def spatial_metric(bg: BackgroundParams, pert: PerturbationProfiles, point):
-    """Constant-t slice metric and its t-derivative at (t, r, theta, phi).
-
-    The full metric, quadratic-in-epsilon terms included: the one that
-    ``surface_geometry`` uses.
-    """
-    t, r, theta, _phi = point
-    g, _, dtg = _metric_sph(bg, pert, t, np.asarray(r, float), np.asarray(theta, float))
-    g, dtg = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (g, dtg))
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return g[0], dtg[0]
-    return g, dtg
 
 
 # ----------------------------------------------------------------------
@@ -502,28 +483,6 @@ def surface_geometry(
         hawking_integral=hawking_integral,
         flags=tuple(pert.flags()),
     )
-
-
-def epsilon_derivative(
-    spec: SurfaceSpec,
-    bg: BackgroundParams,
-    pert: PerturbationProfiles,
-    resolution: int = 96,
-    t: float | None = None,
-) -> np.ndarray:
-    """First-order response of the Hawking line by symmetric differencing.
-
-    (report(+eps) - report(-eps)) / (2 eps); both runs share one code path
-    on the exact perturbed metric, so the result has an O(eps^2) error.
-    """
-    eps = pert.epsilon
-    if eps == 0.0:
-        raise DomainError("epsilon derivative needs a nonzero epsilon")
-    plus = surface_geometry(spec, bg, pert, resolution, t, gauss_bonnet_tol=np.inf)
-    minus = surface_geometry(
-        spec, bg, pert.with_epsilon(-eps), resolution, t, gauss_bonnet_tol=np.inf
-    )
-    return (plus.hawking_line - minus.hawking_line) / (2.0 * eps)
 
 
 def fit_powers(samples, powers=(0, 1, 2)):

@@ -12,10 +12,10 @@ Conventions fixed here and used everywhere else in the package:
   -l(l+1) Y_lm.  The composite operators (Delta + 2) and Delta(Delta + 2)
   used by the embedding solve inherit this sign choice.
 * The first-degree eigenfunctions z1, z2, z3 are the restrictions of the
-  ambient coordinates to the sphere.  The default frame binds z1 = cos(theta)
+  ambient coordinates to the sphere, in one fixed frame: z1 = cos(theta)
   (polar axis toward the surface's center), z2 = sin(theta) cos(phi),
-  z3 = sin(theta) sin(phi).  The pipeline binds this DEFAULT_FRAME;
-  ``coordinate_fields`` and ``rotate_frame`` take any other frame.
+  z3 = sin(theta) sin(phi).  ``coordinate_fields`` returns them, so z1 is
+  constant along each colatitude row.
 * Grids pair Gauss-Legendre colatitude nodes (poles excluded) with a uniform
   longitude grid; transforms are direct matrix contractions, exact for
   band-limited fields whenever n_theta >= l_max + 1 and n_phi >= 2 l_max + 1.
@@ -36,7 +36,6 @@ import numpy as np
 from .errors import BandLimitError, DomainError
 
 __all__ = [
-    "DEFAULT_FRAME",
     "GridField",
     "HarmonicField",
     "SphereDerivatives",
@@ -49,14 +48,8 @@ __all__ = [
     "gauss_legendre",
     "integrate",
     "grad_hess",
-    "legendre_p",
-    "legendre_p_dtheta",
-    "rotate_frame",
     "synthesize",
 ]
-
-# Rows are the ambient directions bound to (z1, z2, z3); right-handed.
-DEFAULT_FRAME = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -112,26 +105,6 @@ def _legendre_p_derivs(ell: int, x: np.ndarray, n_deriv: int) -> list[np.ndarray
     return out
 
 
-def legendre_p(ell: int, x) -> np.ndarray | float:
-    """Legendre polynomial P_ell(x) by the three-term recurrence."""
-    if ell < 0:
-        raise DomainError(f"degree must be nonnegative, got {ell}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-14):
-        raise DomainError("argument outside [-1, 1]")
-    val = _legendre_p_derivs(ell, np.clip(arr, -1.0, 1.0), 0)[0]
-    return float(val) if np.isscalar(x) else val
-
-
-def legendre_p_dtheta(ell: int, theta) -> np.ndarray | float:
-    """d P_ell(cos theta) / d theta."""
-    th = np.asarray(theta, dtype=float)
-    x = np.cos(th)
-    dp = _legendre_p_derivs(ell, x, 1)[1]
-    val = -np.sin(th) * dp
-    return float(val) if np.isscalar(theta) else val
-
-
 def c_theta(ell: int, theta) -> np.ndarray | float:
     """sin(theta) d/dtheta [ (1/sin theta) dP_ell(cos theta)/dtheta ].
 
@@ -151,9 +124,17 @@ def c_theta(ell: int, theta) -> np.ndarray | float:
 def _legendre_table(l_max: int, theta: np.ndarray) -> np.ndarray:
     """Pbar_lm(cos theta) without the sqrt(2) of the real harmonics, shape (L+1, L+1, n).
 
-    The recurrence coefficients are built as whole arrays; the sectoral
-    diagonal Pbar_ll is a running product over l, its neighbour Pbar_{l,l-1}
-    one product, and only the m <= l-2 recurrence steps over l.
+    Pbar_lm is the orthonormal associated Legendre function of cos(theta)
+    without the Condon-Shortley phase; entries with m > l are exactly zero.
+    Recurrences, each step over all m at once:
+        Pbar_00 = sqrt(1/4pi)
+        Pbar_ll = sqrt((2l+1)/(2l)) sin(theta) Pbar_{l-1,l-1}
+        Pbar_{l,l-1} = sqrt(2l+1) cos(theta) Pbar_{l-1,l-1}
+        Pbar_lm = a_lm [cos(theta) Pbar_{l-1,m} - b_lm Pbar_{l-2,m}]
+    The coefficients are built as whole arrays; the sectoral diagonal is a
+    running product over l, its neighbour one product, and only the m <= l-2
+    recurrence steps over l.  ``_real_scaled`` turns the table into the real
+    harmonics' Ybar, ``_derivative_tables`` into its theta-derivatives.
     """
     x, s = np.cos(theta), np.sin(theta)
     L = l_max
@@ -187,8 +168,9 @@ def _real_scaled(table: np.ndarray) -> np.ndarray:
 def _derivative_tables(pbar: np.ndarray, theta: np.ndarray, n_deriv: int) -> list[np.ndarray]:
     """The first ``n_deriv`` (<= 2) theta-derivatives of Ybar from the unscaled ``pbar``.
 
-    The second derivative is formed in ``pbar``'s buffer, so ``pbar`` is
-    consumed when ``n_deriv`` is 2.
+    The first derivative comes from the same-m relation, the second from the
+    associated Legendre equation.  The second derivative is formed in
+    ``pbar``'s buffer, so ``pbar`` is consumed when ``n_deriv`` is 2.
     """
     x, s = np.cos(theta), np.sin(theta)
     L = pbar.shape[0] - 1
@@ -210,29 +192,6 @@ def _derivative_tables(pbar: np.ndarray, theta: np.ndarray, n_deriv: int) -> lis
         d2pbar[upper] = 0.0
         tables.append(d2pbar)
     return [_real_scaled(table) for table in tables]
-
-
-def _harmonic_tables(
-    l_max: int, theta: np.ndarray, n_deriv: int = 2
-) -> tuple[np.ndarray, ...]:
-    """Real-harmonic theta factors Ybar_lm and theta-derivatives, shape (L+1, L+1, n).
-
-    Ybar_l0 = Pbar_l0 and Ybar_lm = sqrt(2) Pbar_lm for m > 0, where Pbar_lm is
-    the orthonormal associated Legendre function of cos(theta) without the
-    Condon-Shortley phase.  Recurrences, each step over all m at once:
-        Pbar_00 = sqrt(1/4pi)
-        Pbar_ll = sqrt((2l+1)/(2l)) sin(theta) Pbar_{l-1,l-1}
-        Pbar_{l,l-1} = sqrt(2l+1) cos(theta) Pbar_{l-1,l-1}
-        Pbar_lm = a_lm [cos(theta) Pbar_{l-1,m} - b_lm Pbar_{l-2,m}]
-    First derivative from the same-m relation, second from the ALP equation.
-    Entries with m > l are exactly zero.  ``SphereGrid`` runs the same two
-    stages, the derivatives only when first read.
-    """
-    theta = np.asarray(theta, dtype=float)
-    pbar = _legendre_table(l_max, theta)
-    if n_deriv == 0:
-        return (_real_scaled(pbar),)
-    return (_real_scaled(pbar.copy()), *_derivative_tables(pbar, theta, n_deriv))
 
 
 class SphereGrid:
@@ -328,9 +287,6 @@ class GridField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridField(-self.values, self.grid)
-
 
 @dataclass(frozen=True)
 class HarmonicField:
@@ -367,16 +323,6 @@ class HarmonicField:
     def degree_norm(self, l: int) -> float:
         """L2 norm of the degree-l block."""
         return float(np.sqrt(np.sum(self.coeffs[l] ** 2)))
-
-    def __add__(self, other: "HarmonicField") -> "HarmonicField":
-        if other.l_max != self.l_max:
-            raise DomainError("band-limit mismatch in coefficient arithmetic")
-        return HarmonicField(self.l_max, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "HarmonicField") -> "HarmonicField":
-        if other.l_max != self.l_max:
-            raise DomainError("band-limit mismatch in coefficient arithmetic")
-        return HarmonicField(self.l_max, self.coeffs - other.coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,7 +395,7 @@ def evaluate(h: HarmonicField, theta, phi) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     nodes, inverse = np.unique(theta, return_inverse=True)
-    gc, gs = _theta_sums(h, _harmonic_tables(h.l_max, nodes, 0)[0])
+    gc, gs = _theta_sums(h, _real_scaled(_legendre_table(h.l_max, nodes)))
     gc, gs = gc[:, inverse], gs[:, inverse]
     m = np.arange(h.l_max + 1, dtype=float)[:, None]
     return np.einsum("mp,mp->p", gc, np.cos(m * phi[None, :])) + np.einsum(
@@ -544,32 +490,11 @@ def integrate(field: GridField) -> float:
     return float(np.einsum("j,jk->", grid.weights, field.values) * grid._dphi)
 
 
-def coordinate_fields(
-    grid: SphereGrid, frame: np.ndarray | None = None
-) -> tuple[GridField, GridField, GridField]:
-    """The three first-degree eigenfunctions z_i = frame[i] . n(theta, phi).
-
-    ``frame`` rows are ambient unit vectors; the default binds z1 to the
-    polar axis and (z2, z3) to a right-handed completion.
-    """
-    if frame is None:
-        frame = DEFAULT_FRAME
-    frame = np.asarray(frame, dtype=float)
+def coordinate_fields(grid: SphereGrid) -> tuple[GridField, GridField, GridField]:
+    """The first-degree eigenfunctions z1 = cos(theta), z2 = sin(theta) cos(phi)
+    and z3 = sin(theta) sin(phi) on the grid; z1 is constant along each row."""
     # cos of the nodes, not the Gauss abscissae grid.cos_theta, whose last bits differ
-    sin_th, cos_th = grid.sin_theta[:, None], np.cos(grid.nodes)[:, None]
-    n_hat = np.empty((grid.n_theta, grid.n_phi, 3))
-    n_hat[..., 0] = sin_th * np.cos(grid.phi)
-    n_hat[..., 1] = sin_th * np.sin(grid.phi)
-    n_hat[..., 2] = cos_th
-    z = np.einsum("ic,jkc->ijk", frame, n_hat)
-    return tuple(GridField(z[i], grid) for i in range(3))
-
-
-def rotate_frame(frame: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate (z2, z3) about the z1 axis by ``angle``; z1 row unchanged."""
-    frame = np.asarray(frame, dtype=float)
-    c, s = np.cos(angle), np.sin(angle)
-    out = frame.copy()
-    out[1] = c * frame[1] + s * frame[2]
-    out[2] = -s * frame[1] + c * frame[2]
-    return out
+    z1 = np.repeat(np.cos(grid.nodes)[:, None], grid.n_phi, axis=1)
+    sin_th = grid.sin_theta[:, None]
+    z2, z3 = sin_th * np.cos(grid.phi), sin_th * np.sin(grid.phi)
+    return GridField(z1, grid), GridField(z2, grid), GridField(z3, grid)

@@ -244,6 +244,17 @@ def test_tolerance_out_of_range_exits_before_writing(tolerance, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("epsilon", ["0.5", "0.0100001"])
+def test_epsilon_outside_the_linearization_regime_exits_before_out_exists(epsilon, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["geometry", "--config", SCENARIOS / "geometry_axial.json", "--out", out,
+            "--set", f"numerics.epsilon={epsilon}"]
+    assert run(args) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "config" and "epsilon" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radial_range", ["[80,20]", "[1.5,20]", "[2.0,20]", "[20,20]"])
 def test_radial_range_outside_the_exterior_exits_before_writing(radial_range, tmp_path, capsys):
     code = run(["radial", "--out", tmp_path, "--set", f"numerics.radial_range={radial_range}"])

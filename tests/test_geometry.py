@@ -1,5 +1,7 @@
 """Surface geometry: baselines, Gauss-Bonnet, presets, and sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,9 @@ from quasilocal import (
     axial_preset,
     hawking_sweep,
     integrate_wave,
-    spatial_metric,
     surface_geometry,
 )
-from quasilocal.geometry import (
-    _midpoint_sine_weights,
-    epsilon_derivative,
-    fit_powers,
-)
+from quasilocal.geometry import _metric_sph, _midpoint_sine_weights, fit_powers
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +52,13 @@ def test_midpoint_sine_weights_exactness():
 # ----------------------------------------------------------------------
 
 
+def spatial_metric(bg, pert, point):
+    """The slice metric ``surface_geometry`` uses and its t-derivative at (t, r, theta, phi)."""
+    t, r, theta, _phi = point
+    g, _, dtg = _metric_sph(bg, pert, t, r, theta)
+    return g[..., 0], dtg[..., 0]
+
+
 def test_spatial_metric_unperturbed(bg_unit, bg_flat):
     g, dtg = spatial_metric(bg_unit, PerturbationProfiles.none(), (0.0, 10.0, 1.0, 0.5))
     f = 1.0 - 2.0 / 10.0
@@ -68,7 +72,7 @@ def test_spatial_metric_unperturbed(bg_unit, bg_flat):
 def test_spatial_metric_epsilon_linearity(bg_unit, preset):
     pt = (0.9, 25.0, 1.1, 0.3)
     g1, dt1 = spatial_metric(bg_unit, preset, pt)
-    g2, dt2 = spatial_metric(bg_unit, preset.with_epsilon(2e-3), pt)
+    g2, dt2 = spatial_metric(bg_unit, dataclasses.replace(preset, epsilon=2e-3), pt)
     # the theta-phi component and its t-derivative are linear in epsilon
     assert g2[1, 2] == pytest.approx(2.0 * g1[1, 2], rel=1e-15)
     assert dt2[1, 2] == pytest.approx(2.0 * dt1[1, 2], rel=1e-15)
@@ -285,9 +289,18 @@ def test_schwarzschild_hawking_sweep(bg_unit):
 def test_epsilon_derivative_convergence_order(bg_unit, preset):
     # order-6 centered differencing: observed convergence well above 2
     spec = SurfaceSpec(t=0.9, d=25.0)
-    d16 = epsilon_derivative(spec, bg_unit, preset, resolution=16)
-    d48 = epsilon_derivative(spec, bg_unit, preset, resolution=48)
-    d144 = epsilon_derivative(spec, bg_unit, preset, resolution=144)
+    eps = preset.epsilon
+    minus = dataclasses.replace(preset, epsilon=-eps)
+
+    def epsilon_derivative(resolution):
+        """First-order response of the Hawking line by symmetric differencing at +-eps."""
+        plus_line, minus_line = (
+            surface_geometry(spec, bg_unit, p, resolution, gauss_bonnet_tol=np.inf).hawking_line
+            for p in (preset, minus)
+        )
+        return (plus_line - minus_line) / (2.0 * eps)
+
+    d16, d48, d144 = (epsilon_derivative(n) for n in (16, 48, 144))
     # offset grids at n and 3n share rows (3j + 1) and columns (3k)
     coarse_on_fine = d48[1::3, ::3]
     finest_on_coarse = d144[4::9, ::9]

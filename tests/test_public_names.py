@@ -3,8 +3,10 @@
 ``bench/tracing.py`` finds each traced layer by module and attribute name,
 so deleting or renaming one of them makes every traced benchmark run stop
 with AttributeError; each ``__all__`` promises names to star-importers.
+A module imports no name it never reads, so a deletion leaves no dead import.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -28,6 +30,7 @@ def _module(name):
     return importlib.import_module(f"quasilocal.{name}")
 
 
+SOURCES = sorted(Path(quasilocal.__file__).parent.glob("*.py"))
 TRACED = _tracing()
 MODULES_WITH_ALL = [
     info.name for info in pkgutil.iter_modules(quasilocal.__path__)
@@ -52,3 +55,29 @@ def test_all_names_resolve(name):
     module = _module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names a module binds by import (``from __future__`` aside) and never loads."""
+    nodes = list(ast.walk(ast.parse(source)))
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_unread_import_is_found():
+    source = "import math\nimport numpy as np\nfrom os import path, sep\nx = np.pi + sep\n"
+    assert _unread_imports(source) == ["math", "path"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_module_reads_every_name_it_imports(path):
+    assert _unread_imports(path.read_text(encoding="utf-8")) == []

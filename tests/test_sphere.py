@@ -25,19 +25,19 @@ from quasilocal import (
     gauss_legendre,
     grad_hess,
     integrate,
-    legendre_p,
-    legendre_p_dtheta,
     synthesize,
 )
 import quasilocal.sphere
 from quasilocal.sphere import (
     SphereDerivatives,
     _block_index,
+    _derivative_tables,
     _harmonic_derivatives,
-    _harmonic_tables,
+    _legendre_p_derivs,
+    _legendre_table,
+    _real_scaled,
     _theta_sums,
     evaluate,
-    rotate_frame,
 )
 
 from conftest import random_harmonic
@@ -105,6 +105,15 @@ def test_gauss_legendre_invalid():
 # ----------------------------------------------------------------------
 
 
+def legendre_p(ell, x):
+    return _legendre_p_derivs(ell, x, 0)[0]
+
+
+def legendre_p_dtheta(ell, theta):
+    """d P_ell(cos theta) / d theta from the recurrence's first x-derivative."""
+    return -np.sin(theta) * _legendre_p_derivs(ell, np.cos(theta), 1)[1]
+
+
 def test_legendre_spot_values():
     assert legendre_p(2, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert legendre_p(2, 0.0) == pytest.approx(-0.5, abs=1e-15)
@@ -116,13 +125,6 @@ def test_legendre_spot_values():
 def test_legendre_matches_scipy(ell):
     xs = np.linspace(-0.99, 0.99, 25)
     assert legendre_p(ell, xs) == pytest.approx(eval_legendre(ell, xs), abs=1e-12)
-
-
-def test_legendre_domain_error():
-    with pytest.raises(DomainError):
-        legendre_p(2, 1.5)
-    with pytest.raises(DomainError):
-        legendre_p(-1, 0.5)
 
 
 def test_legendre_dtheta_analytic():
@@ -141,6 +143,18 @@ def test_legendre_orthogonality_by_quadrature():
             val = np.sum(weights * legendre_p(l1, nodes) * legendre_p(l2, nodes))
             expect = 2.0 / (2 * l1 + 1) if l1 == l2 else 0.0
             assert val == pytest.approx(expect, abs=1e-13)
+
+
+@pytest.mark.parametrize("ell", range(21))
+def test_legendre_derivatives_match_numpy_polynomials(ell):
+    # the second and third derivatives feed the axial Q3 and its theta-derivative
+    xs = np.linspace(-0.95, 0.95, 41)
+    got = _legendre_p_derivs(ell, xs, 3)
+    basis = np.polynomial.legendre.Legendre.basis(ell)
+    for k in range(4):
+        want = basis.deriv(k)(xs)
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got[k] - want)) <= 1e-12 * scale, k
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +264,14 @@ def test_orthonormality_gram():
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
 
+def _tables(l_max, theta, n_deriv):
+    """Ybar and its first ``n_deriv`` theta-derivatives, composed as ``SphereGrid`` does."""
+    pbar = _legendre_table(l_max, theta)
+    if n_deriv == 0:
+        return (_real_scaled(pbar),)
+    return (_real_scaled(pbar.copy()), *_derivative_tables(pbar, theta, n_deriv))
+
+
 def test_harmonic_tables_match_scipy():
     # independent oracle for values and both theta-derivatives at l_max = 64;
     # scipy includes the Condon-Shortley phase and omits the sqrt(2) of m > 0.
@@ -258,7 +280,7 @@ def test_harmonic_tables_match_scipy():
     # 40-digit mpmath at l=43, m=6, theta=0.132), more than a pointwise 1e-12.
     l_max = 64
     theta = SphereGrid.for_band_limit(l_max).nodes
-    tables = np.stack(_harmonic_tables(l_max, theta, 2))
+    tables = np.stack(_tables(l_max, theta, 2))
     l, m = np.tril_indices(l_max + 1)
     ref = sph_legendre_p(l[:, None], m[:, None], theta[None, :], diff_n=2)
     ref = ref * np.where(m > 0, np.sqrt(2.0), 1.0)[:, None] * ((-1.0) ** m)[:, None]
@@ -319,7 +341,7 @@ TABLE_CASES = [
 def test_tables_are_bitwise_the_per_degree_builder(l_max, n_theta):
     theta = np.arccos(gauss_legendre(n_theta)[0][::-1])
     for n_deriv in (0, 1, 2):
-        assert _same_bytes(_harmonic_tables(l_max, theta, n_deriv), _per_degree_tables(l_max, theta, n_deriv))
+        assert _same_bytes(_tables(l_max, theta, n_deriv), _per_degree_tables(l_max, theta, n_deriv))
     if n_theta >= l_max + 1:
         grid = SphereGrid(n_theta, 2 * l_max + 1, l_max)
         want = _per_degree_tables(l_max, grid.nodes, 2)
@@ -388,7 +410,7 @@ def test_evaluate_matches_synthesize(grid16):
 
 def _evaluate_every_point(h, theta, phi):
     """``evaluate`` with a Legendre table column built for every point."""
-    gc, gs = _theta_sums(h, _harmonic_tables(h.l_max, theta, 0)[0])
+    gc, gs = _theta_sums(h, _tables(h.l_max, theta, 0)[0])
     m = np.arange(h.l_max + 1, dtype=float)[:, None]
     return np.einsum("mp,mp->p", gc, np.cos(m * phi[None, :])) + np.einsum(
         "mp,mp->p", gs, np.sin(m * phi[None, :])
@@ -502,22 +524,3 @@ def test_integrate_moments(grid16):
         4.0 * np.pi / 15.0, rel=1e-13
     )
     assert abs(integrate(z1)) < 1e-14
-
-
-# ----------------------------------------------------------------------
-# frames
-# ----------------------------------------------------------------------
-
-
-def test_rotate_frame(grid16):
-    from quasilocal.sphere import DEFAULT_FRAME
-
-    ang = 0.7
-    rot = rotate_frame(DEFAULT_FRAME, ang)
-    assert rot @ rot.T == pytest.approx(np.eye(3), abs=1e-15)
-    z1, z2, z3 = coordinate_fields(grid16)
-    z1r, z2r, z3r = coordinate_fields(grid16, rot)
-    assert z1r.values == pytest.approx(z1.values, abs=1e-15)
-    assert z2r.values == pytest.approx(
-        np.cos(ang) * z2.values + np.sin(ang) * z3.values, abs=1e-14
-    )
