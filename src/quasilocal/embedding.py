@@ -30,6 +30,7 @@ from .sphere import (
     GridField,
     HarmonicField,
     SphereGrid,
+    _eigenvalues,
     analyze,
     coordinate_fields,
 )
@@ -140,16 +141,14 @@ def solve_embedding(s_tau: GridField, s_n: GridField) -> EmbeddingSolution:
     h_tau = analyze(s_tau)
     h_n = analyze(s_n)
     L = h_tau.l_max
-    ls = np.arange(L + 1, dtype=float)
-    lap = ls * (ls + 1.0)
 
     tau = np.zeros_like(h_tau.coeffs)
-    eig_tau = lap * (lap - 2.0)
+    eig_tau = _eigenvalues("laplacian_laplacian_plus_2", L)
     tau[2:] = h_tau.coeffs[2:] / eig_tau[2:, None]
     res_tau = {0: h_tau.degree_norm(0), 1: h_tau.degree_norm(1)}
 
     nf = np.zeros_like(h_n.coeffs)
-    eig_n = 2.0 - lap
+    eig_n = _eigenvalues("laplacian_plus_2", L)
     nf[0] = h_n.coeffs[0] / eig_n[0]
     nf[2:] = h_n.coeffs[2:] / eig_n[2:, None]
     res_n = h_n.degree_norm(1)

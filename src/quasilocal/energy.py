@@ -9,8 +9,9 @@ factor explicitly in both the energy and its time derivative:
 so the two expressions are exact time derivatives of one another.  The
 direction constant C_ell(theta_d)^2 and the squared mode amplitude enter only
 through ``c_factor`` (both are excluded from E1, E2; see
-EnergyCoefficients.amplitude_convention), so alternative placements of the
-overall constant cost a single multiplication.
+EnergyCoefficients), so alternative placements of the overall constant cost
+a single multiplication.  The 1/d^2 mass-density bracket needs only first and
+second derivatives of N and tau: Bochner's formula stands in for Delta |grad tau|^2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .radial import AProfile, AxialMode, BackgroundParams, a_profile, solve_radi
 from .sphere import (
     GridField,
     HarmonicField,
-    SphereDerivatives,
     SphereGrid,
     _harmonic_derivatives,
     analyze,
@@ -66,15 +66,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnergyCoefficients:
-    """The two sphere integrals entering the assembled energy."""
+    """The two sphere integrals entering the assembled energy, from a unit-amplitude
+    radial solution and without the direction constant C_ell(theta_d); attach
+    both via c_factor = C_ell(theta_d)^2 * amplitude^2."""
 
     e1: float
     e2: float
-    amplitude_convention: str = (
-        "E1, E2 are computed from a unit-amplitude radial solution and exclude "
-        "the direction constant C_ell(theta_d); attach both via c_factor = "
-        "C_ell(theta_d)^2 * amplitude^2"
-    )
 
 
 def energy_coefficients(
@@ -154,17 +151,14 @@ def grad_outer_double_divergence(h: HarmonicField, grid: SphereGrid) -> GridFiel
     every term of which is available from the scalar spectral machinery, so
     the result is exact at grid points for band-limited tau.
     """
-    return GridField(_double_divergence(h, _harmonic_derivatives(h, grid), grid), grid)
-
-
-def _double_divergence(h: HarmonicField, d: SphereDerivatives, grid: SphereGrid) -> np.ndarray:
-    """``grad_outer_double_divergence`` values, given the derivatives ``d`` of ``h``."""
+    d = _harmonic_derivatives(h, grid)
     dl = _harmonic_derivatives(apply_operator(h, "laplacian"), grid)
     cross = (
         d.grad_theta.values * dl.grad_theta.values
         + d.grad_phi.values * dl.grad_phi.values
     )
-    return d.hess_sq.values + d.laplacian.values**2 + d.grad_sq.values + 2.0 * cross
+    vals = d.hess_sq.values + d.laplacian.values**2 + d.grad_sq.values + 2.0 * cross
+    return GridField(vals, grid)
 
 
 def rho_bracket(emb: EmbeddingSolution, grid: SphereGrid, d: float) -> GridField:
@@ -175,25 +169,24 @@ def rho_bracket(emb: EmbeddingSolution, grid: SphereGrid, d: float) -> GridField
               + (1/2)[nabla^a nabla^b(tau_a tau_b) - |grad tau|^2
                       - Delta |grad tau|^2] }
 
-    Quadrature of the result is exact when ``grid`` supports twice the
-    band limit of the embedding solution.  Derivatives are synthesized
-    straight from the solution's coefficients, each once.
+    Bochner's formula on the unit sphere (Ric = g),
+    Delta |grad tau|^2 = 2|Hess tau|^2 + 2 grad tau . grad(Delta tau) + 2|grad tau|^2,
+    with ``grad_outer_double_divergence``'s expansion reduces the tau terms
+    pointwise to (1/4)(Delta tau)^2 - (1/2)|Hess tau|^2 - |grad tau|^2.  The
+    derivatives of N and tau are synthesized from the solution's coefficients,
+    each once.  Quadrature of the result is exact when ``grid`` supports twice
+    the band limit of the embedding solution.
     """
     nd = _harmonic_derivatives(emb.n_field, grid)
     td = _harmonic_derivatives(emb.tau, grid)
     op_n = synthesize(apply_operator(emb.n_field, "laplacian_plus_2"), grid).values
-    ddiv = _double_divergence(emb.tau, td, grid)
-    # Delta |grad tau|^2: the squared gradient is band-limited at twice the
-    # solution's l_max, so analysis on the working grid is exact.
-    lap_gradsq = synthesize(
-        apply_operator(analyze(td.grad_sq), "laplacian"), grid
-    ).values
     vals = (
         0.5 * nd.hess_sq.values
         + op_n**2
         - 0.25 * nd.laplacian.values**2
-        - 0.25 * td.laplacian.values**2
-        + 0.5 * (ddiv - td.grad_sq.values - lap_gradsq)
+        + 0.25 * td.laplacian.values**2
+        - 0.5 * td.hess_sq.values
+        - td.grad_sq.values
     ) / d**2
     return GridField(vals, grid)
 
@@ -320,14 +313,12 @@ def fit_decay(samples) -> DecayFit:
 class SurfaceEnergyResult:
     """Everything computed for one surface: coefficients, solution, energies."""
 
-    spec: SurfaceSpec
     coefficients: EnergyCoefficients
     embedding: EmbeddingSolution
     profile: AProfile
     c_factor: float
     e: np.ndarray
     dedt: np.ndarray
-    t_values: np.ndarray
 
 
 def default_c_factor(mode: AxialMode, spec: SurfaceSpec) -> float:
@@ -375,21 +366,18 @@ def surface_energy(
     The mode amplitude enters (squared) through c_factor, which defaults to
     C_ell(theta_d)^2 * amplitude^2.
     """
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol)
     coeffs = energy_coefficients(prof, spec, emb)
     if c_factor is None:
         c_factor = default_c_factor(mode, spec)
     e, dedt = assemble_energy(coeffs, mode, spec, c_factor, t_values)
     return SurfaceEnergyResult(
-        spec=spec,
         coefficients=coeffs,
         embedding=emb,
         profile=prof,
         c_factor=c_factor,
         e=np.atleast_1d(e),
         dedt=np.atleast_1d(dedt),
-        t_values=t_values,
     )
 
 

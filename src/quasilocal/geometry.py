@@ -77,8 +77,6 @@ class PerturbationProfiles:
     def __post_init__(self):
         if abs(self.epsilon) > 1e-2:
             raise DomainError("epsilon outside the linearization regime (|eps| <= 1e-2)")
-        if self.profile is not None and self.profile.solution.kind != "axial":
-            raise DomainError("the perturbation needs A(r) of an axial radial solution")
 
     @classmethod
     def none(cls) -> "PerturbationProfiles":
@@ -181,40 +179,32 @@ def _extend_theta(arr: np.ndarray, sign: float) -> np.ndarray:
     return np.concatenate([top, arr, bottom], axis=0)
 
 
-def _d_theta(arr, dth, sign):
-    e = _extend_theta(arr, sign)
-    j = np.arange(arr.shape[0]) + 3
+def _extend_phi(arr: np.ndarray) -> np.ndarray:
+    """Three periodic ghost columns on both sides."""
+    return np.concatenate([arr[:, -3:], arr, arr[:, :3]], axis=1)
+
+
+def _shifted(e: np.ndarray, axis: int):
+    """k -> the copy of ``e`` shifted by k along ``axis``, three ghosts trimmed per side."""
+    n = e.shape[axis] - 6
+    return lambda k: e[(slice(None),) * axis + (slice(3 + k, 3 + k + n),)]
+
+
+def _d1(e: np.ndarray, axis: int, step: float) -> np.ndarray:
+    """Order-6 centered first difference of the ghost-extended ``e`` along ``axis``."""
+    s = _shifted(e, axis)
+    return (45.0 * (s(1) - s(-1)) - 9.0 * (s(2) - s(-2)) + (s(3) - s(-3))) / (60.0 * step)
+
+
+def _d2(e: np.ndarray, axis: int, step: float) -> np.ndarray:
+    """Order-6 centered second difference of the ghost-extended ``e`` along ``axis``."""
+    s = _shifted(e, axis)
     return (
-        45.0 * (e[j + 1] - e[j - 1])
-        - 9.0 * (e[j + 2] - e[j - 2])
-        + (e[j + 3] - e[j - 3])
-    ) / (60.0 * dth)
-
-
-def _d2_theta(arr, dth, sign):
-    e = _extend_theta(arr, sign)
-    j = np.arange(arr.shape[0]) + 3
-    return (
-        -490.0 * e[j]
-        + 270.0 * (e[j + 1] + e[j - 1])
-        - 27.0 * (e[j + 2] + e[j - 2])
-        + 2.0 * (e[j + 3] + e[j - 3])
-    ) / (180.0 * dth**2)
-
-
-def _d_phi(arr, dph):
-    r = lambda k: np.roll(arr, -k, axis=1)
-    return (45.0 * (r(1) - r(-1)) - 9.0 * (r(2) - r(-2)) + (r(3) - r(-3))) / (60.0 * dph)
-
-
-def _d2_phi(arr, dph):
-    r = lambda k: np.roll(arr, -k, axis=1)
-    return (
-        -490.0 * arr
-        + 270.0 * (r(1) + r(-1))
-        - 27.0 * (r(2) + r(-2))
-        + 2.0 * (r(3) + r(-3))
-    ) / (180.0 * dph**2)
+        -490.0 * s(0)
+        + 270.0 * (s(1) + s(-1))
+        - 27.0 * (s(2) + s(-2))
+        + 2.0 * (s(3) + s(-3))
+    ) / (180.0 * step**2)
 
 
 def _det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
@@ -242,21 +232,18 @@ def _brioschi_K(E, F, G, dth, dph, theta_s):
     def dev(arr):
         # differencing sub-roundoff deviations only amplifies noise at the
         # pole rows (division by sin^4); treat them as exactly zero
-        return None if np.max(np.abs(arr)) < floor else arr
+        return np.zeros_like(arr) if np.max(np.abs(arr)) < floor else arr
 
     dE, dF, dG = dev(E - 1.0), dev(F), dev(G - round_G)
-    zero = np.zeros_like(E)
-    E_u = _d_theta(dE, dth, +1.0) if dE is not None else zero
-    E_v = _d_phi(dE, dph) if dE is not None else zero
-    E_vv = _d2_phi(dE, dph) if dE is not None else zero
-    G_u = (_d_theta(dG, dth, +1.0) if dG is not None else zero) + np.sin(2.0 * col)
-    G_v = _d_phi(dG, dph) if dG is not None else zero
-    G_uu = (_d2_theta(dG, dth, +1.0) if dG is not None else zero) + 2.0 * np.cos(
-        2.0 * col
-    )
-    F_u = _d_theta(dF, dth, -1.0) if dF is not None else zero
-    F_v = _d_phi(dF, dph) if dF is not None else zero
-    F_uv = _d_phi(_d_theta(dF, dth, -1.0), dph) if dF is not None else zero
+    E_u = _d1(_extend_theta(dE, +1.0), 0, dth)
+    E_v = _d1(_extend_phi(dE), 1, dph)
+    E_vv = _d2(_extend_phi(dE), 1, dph)
+    G_u = _d1(_extend_theta(dG, +1.0), 0, dth) + np.sin(2.0 * col)
+    G_v = _d1(_extend_phi(dG), 1, dph)
+    G_uu = _d2(_extend_theta(dG, +1.0), 0, dth) + 2.0 * np.cos(2.0 * col)
+    F_u = _d1(_extend_theta(dF, -1.0), 0, dth)
+    F_v = _d1(_extend_phi(dF), 1, dph)
+    F_uv = _d1(_extend_phi(F_u), 1, dph)
     m1 = _det3(
         -0.5 * E_vv + F_uv - 0.5 * G_uu,
         0.5 * E_u,
@@ -347,13 +334,12 @@ def _orthonormal_completion(dhat: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-def _surface_integrals(induced, theta_s, *values) -> list[float]:
+def _surface_integrals(det_h, theta_s, *values) -> list[float]:
     """Integrals of pointwise grid quantities against dmu: the Fejer-type
     rule in theta_s on sqrt(det h) / sin(theta_s), the trapezoid rule in phi_s."""
-    n_phi = induced.shape[1]
+    n_phi = det_h.shape[1]
     w = _midpoint_sine_weights(len(theta_s))
-    sqrt_h = np.sqrt(induced[..., 0, 0] * induced[..., 1, 1] - induced[..., 0, 1] ** 2)
-    ratio = sqrt_h / np.sin(theta_s)[:, None]
+    ratio = np.sqrt(det_h) / np.sin(theta_s)[:, None]
     dphi = 2.0 * np.pi / n_phi
     return [float(np.einsum("j,jk->", w, v * ratio) * dphi) for v in values]
 
@@ -363,12 +349,10 @@ class GeometryReport:
     """Pointwise surface data and integrals on the parameter grid."""
 
     spec: SurfaceSpec
-    t: float
     n_theta: int
     n_phi: int
     theta_s: np.ndarray
     phi_s: np.ndarray
-    induced: np.ndarray  # (n_theta, n_phi, 2, 2) induced metric
     gauss: np.ndarray  # K
     mean_norm: np.ndarray  # |H|
     hawking_line: np.ndarray  # K - |H|^2/4 - (|H| - 2)^2/4
@@ -383,10 +367,9 @@ def surface_geometry(
     bg: BackgroundParams,
     pert: PerturbationProfiles,
     resolution: int = 96,
-    t: float | None = None,
     gauss_bonnet_tol: float = 1e-6,
 ) -> GeometryReport:
-    """Induced metric, K, |H| and the Hawking line of the surface.
+    """Induced metric, K, |H| and the Hawking line of the surface at time ``spec.t``.
 
     ``resolution`` is the number of colatitude rows of the parameter grid
     (n_phi = 2 * resolution).  The Gauss-Bonnet defect |int K dmu - 4 pi|
@@ -396,7 +379,6 @@ def surface_geometry(
     if resolution < 16:
         raise ResolutionError("resolution too coarse (need >= 16 rows)")
     spec.validate_outside_horizon(bg)
-    t = spec.t if t is None else float(t)
     n_t, n_p = int(resolution), 2 * int(resolution)
     dth = np.pi / n_t
     dph = 2.0 * np.pi / n_p
@@ -415,7 +397,7 @@ def surface_geometry(
         (ct * out - st * dhat, st * swirl),
         (-n_hat, ct * swirl, -st * out),
     )
-    g, dg, dtg = _metric_sph(bg, pert, t, r, theta)
+    g, dg, dtg = _metric_sph(bg, pert, spec.t, r, theta)
 
     def pull_back(m):
         return np.einsum("ij...,ai...,bj...->ab...", m, X, X)
@@ -457,8 +439,7 @@ def surface_geometry(
     K = _brioschi_K(h[0, 0], h[0, 1], h[1, 1], dth, dph, th_s)
     hawking = K - 0.25 * mean_sq - 0.25 * (mean_norm - 2.0) ** 2
 
-    induced = np.moveaxis(h, (0, 1), (-2, -1))
-    area, gauss_bonnet, hawking_integral = _surface_integrals(induced, th_s, 1.0, K, hawking)
+    area, gauss_bonnet, hawking_integral = _surface_integrals(det_h, th_s, 1.0, K, hawking)
 
     defect = abs(gauss_bonnet - 4.0 * np.pi)
     if defect > gauss_bonnet_tol:
@@ -469,12 +450,10 @@ def surface_geometry(
 
     return GeometryReport(
         spec=spec,
-        t=t,
         n_theta=n_t,
         n_phi=n_p,
         theta_s=th_s,
         phi_s=ph_s,
-        induced=induced,
         gauss=K,
         mean_norm=mean_norm,
         hawking_line=hawking,
@@ -500,7 +479,6 @@ def hawking_sweep(
     d_values,
     spec_template: SurfaceSpec | None = None,
     resolution: int = 96,
-    t: float | None = None,
     gauss_bonnet_tol: float = 1e-6,
     powers: tuple = (0, 1, 2, 3),
 ):
@@ -509,7 +487,8 @@ def hawking_sweep(
     The integral carries genuine 1/d^3 content, so the default basis keeps
     the cubic term; with only {1, 1/d, 1/d^2} that content leaks ~1e-4 of
     itself into the fitted constant and masks the vanishing zeroth order.
-    Empty ``powers`` skips the fit.
+    Each coefficient is stored under the name of its power: "constant",
+    "c_over_d", then "c_over_d<k>".  Empty ``powers`` skips the fit.
     """
     if spec_template is None:
         spec_template = SurfaceSpec()
@@ -517,9 +496,7 @@ def hawking_sweep(
     for d in np.atleast_1d(np.asarray(d_values, dtype=float)):
         spec = dataclasses.replace(spec_template, d=float(d))
         reports.append(
-            surface_geometry(
-                spec, bg, pert, resolution, t, gauss_bonnet_tol=gauss_bonnet_tol
-            )
+            surface_geometry(spec, bg, pert, resolution, gauss_bonnet_tol=gauss_bonnet_tol)
         )
     sweep = {
         "d_values": [r.spec.d for r in reports],
@@ -530,6 +507,7 @@ def hawking_sweep(
     if powers:
         samples = zip(sweep["d_values"], sweep["integrals"])
         coeffs, resid, cond = fit_powers(samples, powers)
-        sweep.update(zip(("constant", "c_over_d", "c_over_d2", "c_over_d3"), coeffs))
+        names = {0: "constant", 1: "c_over_d"}
+        sweep.update((names.get(k, f"c_over_d{k}"), c) for k, c in zip(powers, coeffs))
         sweep.update(coefficients=coeffs, residual=resid, condition=cond)
     return sweep

@@ -120,8 +120,8 @@ def tortoise(r, bg: BackgroundParams):
     return float(out) if np.isscalar(r) else out
 
 
-def inverse_tortoise(r_star: float, bg: BackgroundParams, tol: float = 1e-13) -> float:
-    """Invert the tortoise map by safeguarded Newton iteration.
+def inverse_tortoise(r_star: float, bg: BackgroundParams) -> float:
+    """Invert the tortoise map by safeguarded Newton iteration, to 1e-13 relative.
 
     Seeds: r* itself far out, 2m(1 + exp((r* - 2m)/2m)) near the horizon.
     The iteration runs in delta = r - 2m so that proximities below machine
@@ -141,7 +141,7 @@ def inverse_tortoise(r_star: float, bg: BackgroundParams, tol: float = 1e-13) ->
         delta_new = delta - step
         if delta_new <= 0.0:
             delta_new = 0.5 * delta
-        if abs(delta_new - delta) <= tol * max(delta_new + two_m, two_m):
+        if abs(delta_new - delta) <= 1e-13 * max(delta_new + two_m, two_m):
             r = two_m + delta_new
             return r if r > two_m else math.nextafter(two_m, math.inf)
         delta = delta_new
@@ -512,6 +512,10 @@ class AProfile:
 
     solution: RadialSolution
 
+    def __post_init__(self):
+        if self.solution.kind != "axial":
+            raise DomainError("A(r) is defined for axial solutions only")
+
     @property
     def r_min(self) -> float:
         return self.solution.r_min
@@ -554,6 +558,4 @@ class AProfile:
 
 def a_profile(sol: RadialSolution) -> AProfile:
     """Construct the A(r) evaluator from an axial radial solution."""
-    if sol.kind != "axial":
-        raise DomainError("A(r) is defined for axial solutions only")
     return AProfile(solution=sol)

@@ -410,47 +410,44 @@ _OPERATORS = {
 }
 
 
-def apply_operator(h: HarmonicField, op: str) -> HarmonicField:
-    """Apply Delta, (Delta+2), or Delta(Delta+2) by eigenvalue multiplication.
-
-    Eigenvalues per degree l (with L = l(l+1)): -L, 2-L, and L(L-2).
-    """
+def _eigenvalues(op: str, l_max: int) -> np.ndarray:
+    """Eigenvalues -L, 2-L or L(L-2) of ``op`` per degree l <= l_max, with L = l(l+1)."""
     try:
         eig_of = _OPERATORS[op]
     except KeyError:
         raise DomainError(f"unknown operator {op!r}; choose from {sorted(_OPERATORS)}")
-    ls = np.arange(h.l_max + 1, dtype=float)
-    eig = eig_of(ls * (ls + 1.0))
-    return HarmonicField(h.l_max, h.coeffs * eig[:, None])
+    ls = np.arange(l_max + 1, dtype=float)
+    return eig_of(ls * (ls + 1.0))
+
+
+def apply_operator(h: HarmonicField, op: str) -> HarmonicField:
+    """Apply Delta, (Delta+2), or Delta(Delta+2) by eigenvalue multiplication."""
+    return HarmonicField(h.l_max, h.coeffs * _eigenvalues(op, h.l_max)[:, None])
 
 
 @dataclass(frozen=True)
 class SphereDerivatives:
     """Pointwise covariant derivatives of a scalar on the round unit sphere.
 
-    Gradient and Hessian components are in the orthonormal frame
-    (e_theta, e_phi); ``hess_sq`` is the full contraction |Hess f|^2 and
-    ``laplacian`` the trace.
+    The gradient is in the orthonormal frame (e_theta, e_phi); of the Hessian
+    only ``hess_sq`` = |Hess f|^2 and its trace ``laplacian`` are kept.
     """
 
     grad_theta: GridField
     grad_phi: GridField
-    hess_tt: GridField
-    hess_tp: GridField
-    hess_pp: GridField
     grad_sq: GridField
     hess_sq: GridField
     laplacian: GridField
 
 
-def grad_hess(field: GridField, l_max: int | None = None) -> SphereDerivatives:
+def grad_hess(field: GridField) -> SphereDerivatives:
     """Gradient, covariant Hessian, |grad f|^2, |Hess f|^2 and Delta f.
 
     The field is analyzed at the grid band limit and all derivatives are
     synthesized from the analytic theta/phi derivatives of the harmonics, so
     results are exact at grid points for band-limited input.
     """
-    return _harmonic_derivatives(analyze(field, l_max), field.grid)
+    return _harmonic_derivatives(analyze(field), field.grid)
 
 
 def _harmonic_derivatives(h: HarmonicField, grid: SphereGrid) -> SphereDerivatives:
@@ -475,9 +472,6 @@ def _harmonic_derivatives(h: HarmonicField, grid: SphereGrid) -> SphereDerivativ
     return SphereDerivatives(
         grad_theta=g(grad_theta),
         grad_phi=g(grad_phi),
-        hess_tt=g(hess_tt),
-        hess_tp=g(hess_tp),
-        hess_pp=g(hess_pp),
         grad_sq=g(grad_theta**2 + grad_phi**2),
         hess_sq=g(hess_tt**2 + 2.0 * hess_tp**2 + hess_pp**2),
         laplacian=g(hess_tt + hess_pp),

@@ -19,7 +19,15 @@ from quasilocal import (
     integrate_wave,
     surface_geometry,
 )
-from quasilocal.geometry import _metric_sph, _midpoint_sine_weights, fit_powers
+from quasilocal.geometry import (
+    _d1,
+    _d2,
+    _extend_phi,
+    _extend_theta,
+    _metric_sph,
+    _midpoint_sine_weights,
+    fit_powers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,45 @@ def test_midpoint_sine_weights_exactness():
         got = np.sum(w * np.cos(k * theta))
         expect = 0.0 if k % 2 else 2.0 / (1.0 - k * k)
         assert got == pytest.approx(expect, abs=1e-12), k
+
+
+# ----------------------------------------------------------------------
+# finite-difference stencils
+# ----------------------------------------------------------------------
+
+
+def _stencil_errors(case, n):
+    """Max errors of the first and second differences on an n x 2n parameter grid.
+
+    "phi" is periodic data; +1 and -1 are data whose antipodal continuation
+    f(-theta, phi) = sign f(theta, phi + pi) holds with that sign: the scalar
+    exp(sin theta cos phi + cos theta), and cos(phi) exp(cos theta), which
+    continues as a theta-phi tensor component does.
+    """
+    step = np.pi / n
+    th = ((np.arange(n) + 0.5) * step)[:, None]
+    ph = np.arange(2 * n) * step
+    if case == "phi":
+        f = np.exp(np.sin(ph)) * np.cos(th)
+        exact = (np.cos(ph) * f, (np.cos(ph) ** 2 - np.sin(ph)) * f)
+        e, axis = _extend_phi(f), 1
+    elif case > 0:
+        arg = np.sin(th) * np.cos(ph) + np.cos(th)  # d^2 arg / d theta^2 = -arg
+        arg_th = np.cos(th) * np.cos(ph) - np.sin(th)
+        f = np.exp(arg)
+        exact = (arg_th * f, (arg_th**2 - arg) * f)
+        e, axis = _extend_theta(f, case), 0
+    else:
+        f = np.cos(ph) * np.exp(np.cos(th))
+        exact = (-np.sin(th) * f, (np.sin(th) ** 2 - np.cos(th)) * f)
+        e, axis = _extend_theta(f, case), 0
+    return [np.max(np.abs(d(e, axis, step) - x)) for d, x in zip((_d1, _d2), exact)]
+
+
+@pytest.mark.parametrize("case", ["phi", 1.0, -1.0])
+def test_stencils_converge_at_order_six(case):
+    for coarse, fine in zip(_stencil_errors(case, 32), _stencil_errors(case, 64)):
+        assert 0.75 * 2**6 <= coarse / fine <= 1.25 * 2**6
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +372,16 @@ def test_fit_powers_checks_condition():
     samples = [(50.0, 1.0), (50.000000001, 1.0), (400.0, 2.0), (400.000000001, 2.0)]
     with pytest.raises(FitError, match="degenerate design matrix"):
         fit_powers(samples, powers=(0, 1, 2))
+
+
+def test_hawking_sweep_names_coefficients_by_power(bg_unit):
+    none = PerturbationProfiles.none()
+    d_values = [50.0, 100.0, 200.0, 400.0]
+    sweep = hawking_sweep(
+        bg_unit, none, d_values, resolution=16, gauss_bonnet_tol=1e-4, powers=(1, 2)
+    )
+    assert "constant" not in sweep and "c_over_d3" not in sweep
+    assert [sweep["c_over_d"], sweep["c_over_d2"]] == sweep["coefficients"]
 
 
 def test_hawking_sweep_without_fit(bg_unit):

@@ -81,3 +81,32 @@ def test_unread_import_is_found():
 )
 def test_module_reads_every_name_it_imports(path):
     assert _unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+# one fast run per traced subcommand: shipped scenarios, scaled down
+TRACED_RUNS = {
+    "radial": ("radial_profile", ["numerics.radial_samples=60"]),
+    "sweep": ("axial_sweep", ["numerics.l_max=8"]),
+    "geometry": (
+        "geometry_axial",
+        ["numerics.geometry_resolution=32", "geometry.gauss_bonnet_tol=1e-6"],
+    ),
+    "loop": ("loop_equator", ["loop.field=rho_bracket"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_RUNS))
+def test_traced_cli_run_reads_what_it_counts(command, tmp_path):
+    # the tracer reads attributes of the traced results (a report's n_phi,
+    # a solution's rstar), which the name checks above do not see
+    from quasilocal import cli
+
+    scenario, overrides = TRACED_RUNS[command]
+    argv = [command, "--config", str(SCENARIOS / f"{scenario}.json"), "--out", str(tmp_path)]
+    for pair in overrides:
+        argv += ["--set", pair]
+    trace = TRACED.Trace()
+    assert trace.call(cli.main, argv) == 0
+    assert trace.metrics()["traced_wall_s"] > 0.0
