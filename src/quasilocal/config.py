@@ -1,9 +1,11 @@
 """Scenario configuration: JSON schema, validation, defaults, overrides.
 
 Configs are validated against SCHEMA before any computation; unknown keys
-are rejected at every level.  The schema is checked in-repo by a draft-7
-walker over the keywords SCHEMA uses, with jsonschema's error choice and
-message text; jsonschema itself is only the tests' oracle.  ``--set
+are rejected at every level, and a key left out takes DEFAULT_CONFIG's value
+(``mode.ell``, ``mode.boundary.z`` and ``dz`` included).  The schema is
+checked in-repo by a draft-7 walker over the keywords SCHEMA uses, with
+jsonschema's error choice and message text; jsonschema itself is only the
+tests' oracle.  ``--set
 key=value`` overrides use dotted paths into the document, with values parsed
 as JSON when possible.
 """
@@ -171,8 +173,6 @@ def validate_config(doc: dict) -> dict:
     if error := _best_match(_errors(merged, SCHEMA)):
         raise ConfigError(f"config invalid at {'/'.join(map(str, error[0]))}: {error[2]}")
     mode = merged["mode"]
-    if mode["kind"] == "axial" and "ell" not in mode:
-        raise ConfigError("axial mode requires 'ell'")
     if mode["kind"] == "polar" and "n" not in mode:
         raise ConfigError("polar mode requires 'n'")
     if merged["loop"]["kind"] == "circle" and "theta0" not in merged["loop"]:
@@ -180,10 +180,6 @@ def validate_config(doc: dict) -> dict:
     bnd = mode["boundary"]
     if bnd["type"] == "anchor" and ("r" in bnd) == ("r_star" in bnd):
         raise ConfigError("anchor boundary requires exactly one of 'r', 'r_star'")
-    if bnd["type"] in ("anchor", "surface_anchor") and not (
-        "z" in bnd and "dz" in bnd
-    ):
-        raise ConfigError(f"{bnd['type']} boundary requires 'z' and 'dz'")
     horizon = 2.0 * merged["background"]["m"]
     if bnd["type"] == "anchor" and "r" in bnd and not bnd["r"] > horizon:
         raise ConfigError(f"anchor boundary r={bnd['r']} must exceed 2m = {horizon}")

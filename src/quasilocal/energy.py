@@ -37,6 +37,7 @@ from .sphere import (
     HarmonicField,
     SphereGrid,
     _harmonic_derivatives,
+    _quadratic_form,
     analyze,
     apply_operator,
     c_theta,
@@ -79,39 +80,29 @@ def energy_coefficients(
     spec: SurfaceSpec,
     emb: EmbeddingSolution,
 ) -> EnergyCoefficients:
-    """Evaluate E1 and E2 on a product grid sized for quadratic integrands.
+    """Evaluate E1 and E2 for one surface.
 
     E1 = int (1/2) [A^2 z2^2 (7 z3^2 + 1) + 2 A A' z1 z3^2 (3 z2^2 - 1)
                     - N (Delta + 2) N]
     E2 = int [A^2 z2^2 z3^2 - tau Delta(Delta + 2) tau]
 
-    A and A' are evaluated with the same z1 substitution used for the
-    embedding sources.  Operator terms are computed spectrally and
+    The operator terms are quadratic forms of the embedding solution, read
+    from its coefficients by Parseval.  A and A' are evaluated with the same
+    z1 substitution used for the embedding sources, and the A terms are
     integrated by quadrature.
     """
-    # sized for degree-2*l_max products (anti-aliased quadrature)
+    # the A terms are not band-limited, so their quadrature error depends on the
+    # grid: keep the one for twice the band limit
     grid = SphereGrid.for_band_limit(2 * emb.l_max)
-    z1, z2, z3 = coordinate_fields(grid)
-    r = radius_on_sphere(spec, z1.values[:, :1])  # once per colatitude row, as build_sources
-    av = a.a(r)
-    apv = a.a_prime(r)
-
-    tau_g = synthesize(emb.tau, grid).values
-    n_g = synthesize(emb.n_field, grid).values
-    op_n = synthesize(apply_operator(emb.n_field, "laplacian_plus_2"), grid).values
-    op_tau = synthesize(
-        apply_operator(emb.tau, "laplacian_laplacian_plus_2"), grid
-    ).values
-
-    z1v, z2v, z3v = z1.values, z2.values, z3.values
-    e1_integrand = 0.5 * (
-        av**2 * z2v**2 * (7.0 * z3v**2 + 1.0)
-        + 2.0 * av * apv * z1v * z3v**2 * (3.0 * z2v**2 - 1.0)
-        - n_g * op_n
-    )
-    e2_integrand = av**2 * z2v**2 * z3v**2 - tau_g * op_tau
-    e1 = integrate(GridField(e1_integrand, grid))
-    e2 = integrate(GridField(e2_integrand, grid))
+    z1, z2, z3 = (f.values for f in coordinate_fields(grid))
+    r = radius_on_sphere(spec, z1[:, :1])  # once per colatitude row, as build_sources
+    av, apv = a.a(r), a.a_prime(r)
+    e1_a = integrate(GridField(0.5 * (
+        av**2 * z2**2 * (7.0 * z3**2 + 1.0) + 2.0 * av * apv * z1 * z3**2 * (3.0 * z2**2 - 1.0)
+    ), grid))
+    e2_a = integrate(GridField(av**2 * z2**2 * z3**2, grid))
+    e1 = e1_a - 0.5 * _quadratic_form(emb.n_field, "laplacian_plus_2")
+    e2 = e2_a - _quadratic_form(emb.tau, "laplacian_laplacian_plus_2")
     return EnergyCoefficients(e1=e1, e2=e2)
 
 
@@ -322,8 +313,11 @@ class SurfaceEnergyResult:
 
 
 def default_c_factor(mode: AxialMode, spec: SurfaceSpec) -> float:
-    """C_ell(theta_d)^2 * amplitude^2, the constant excluded from E1/E2."""
-    return float(c_theta(mode.ell, spec.theta_d)) ** 2 * mode.amplitude**2
+    """C_ell(theta_d)^2 * amplitude^2, the constant excluded from E1/E2 (inf on overflow)."""
+    try:
+        return float(c_theta(mode.ell, spec.theta_d)) ** 2 * mode.amplitude**2
+    except OverflowError:
+        return math.inf
 
 
 def surface_embedding(
@@ -444,7 +438,9 @@ def sweep_energy(
     e = np.stack([r.e for r in results], axis=1)
     dedt = np.stack([r.dedt for r in results], axis=1)
     if not (np.isfinite(e).all() and np.isfinite(dedt).all()):
-        raise DomainError(f"E or dE/dt is not finite with numerics.c_factor = {c_factor}")
+        used = results[0].c_factor
+        source = "numerics.c_factor" if c_factor is not None else "C_ell(theta_d)^2 * mode.amplitude^2"
+        raise DomainError(f"E or dE/dt is not finite with c_factor = {used} from {source}")
     return EnergyReport(
         t_values=t_values,
         d_values=d_values,

@@ -170,10 +170,7 @@ def _metric_sph(bg, pert, t, r, theta):
 
 def _extend_theta(arr: np.ndarray, sign: float) -> np.ndarray:
     """Three ghost rows on both sides via the antipodal continuation."""
-    n_phi = arr.shape[1]
-    if n_phi % 2:
-        raise DomainError("antipodal ghost rows need an even n_phi")
-    shift = n_phi // 2
+    shift = arr.shape[1] // 2  # n_phi = 2 * resolution is even
     top = sign * np.roll(arr[:3][::-1], shift, axis=1)
     bottom = sign * np.roll(arr[-3:][::-1], shift, axis=1)
     return np.concatenate([top, arr, bottom], axis=0)

@@ -417,7 +417,8 @@ def integrate_wave(
         rs0, trunc = _asymptotic_start(bg, mode, boundary, tol)
         if rs0 < rs_hi:
             raise DomainError(
-                "asymptotic start lies inside the requested range; extend r_range"
+                f"asymptotic start r*={rs0:.6g} lies below the top of the range, r*={rs_hi:.6g}; "
+                "start farther out (r_star_start, v_threshold) or end the range lower"
             )
         a = amp * boundary.amplitude
         z0 = a * math.sin(mode.sigma * rs0 + boundary.phase)

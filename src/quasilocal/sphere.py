@@ -420,6 +420,11 @@ def _eigenvalues(op: str, l_max: int) -> np.ndarray:
     return eig_of(ls * (ls + 1.0))
 
 
+def _quadratic_form(h: HarmonicField, op: str) -> float:
+    """int h op(h) over the sphere by Parseval: sum_l lambda_l sum_m c_lm^2."""
+    return float(np.sum(_eigenvalues(op, h.l_max)[:, None] * h.coeffs**2))
+
+
 def apply_operator(h: HarmonicField, op: str) -> HarmonicField:
     """Apply Delta, (Delta+2), or Delta(Delta+2) by eigenvalue multiplication."""
     return HarmonicField(h.l_max, h.coeffs * _eigenvalues(op, h.l_max)[:, None])

@@ -1,9 +1,11 @@
 """Record ``tests/golden.json``: the sha256 and JSON scalars of a fixed set of CLI runs.
 
-    python3 tests/record_golden.py
+    python3 tests/record_golden.py           # rewrite tests/golden.json
+    python3 tests/record_golden.py --diff    # compare the runs with it; writes nothing
 
 Rewrite the file only when a change is meant to move artifact bytes, and give
-the old and new values with the tolerance they still meet in CHANGES.md.
+the old and new values with the tolerance they still meet in CHANGES.md;
+``--diff`` prints them.
 ``tests/test_golden.py`` checks the runs against the file; the file name keeps
 this script out of the test run.
 """
@@ -97,8 +99,35 @@ def digest(out: Path) -> dict:
     return {"artifacts": hashes, "scalars": scalars}
 
 
-def main() -> int:
+def compare(old: dict, new: dict) -> list[str]:
+    """The artifacts whose sha256 changed and the scalars that moved from the
+    recorded digest ``old`` to the run's digest ``new``.
+
+    A moved number reads ``path: old -> new (rel change)``, the change taken
+    relative to |old|; an entry on one side only names that side.
+    """
+    lines = []
+    for kind in ("artifacts", "scalars"):
+        a, b = old[kind], new[kind]
+        for key in sorted(a.keys() | b.keys()):
+            if key not in a or key not in b:
+                lines.append(f"{key}: only in {'golden.json' if key in a else 'the run'}")
+            elif a[key] == b[key]:
+                continue
+            elif kind == "artifacts":
+                lines.append(f"{key}: sha256 changed")
+            else:
+                x, y = a[key], b[key]
+                numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+                rel = f" ({(y - x) / abs(x):+.2e})" if numbers and x else ""
+                lines.append(f"{key}: {x!r} -> {y!r}{rel}")
+    return lines
+
+
+def main(argv=()) -> int:
     sys.path.insert(0, str(ROOT / "src"))
+    diff = "--diff" in argv
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"] if diff else {}
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for run_id in RUNS:
@@ -107,6 +136,13 @@ def main() -> int:
                 print(f"{run_id}: the run failed", file=sys.stderr)
                 return 1
             runs[run_id] = digest(out)
+            if diff:
+                moved = compare(recorded.get(run_id, {"artifacts": {}, "scalars": {}}), runs[run_id])
+                print(f"{run_id}: {'unchanged' if not moved else f'{len(moved)} changes'}")
+                for line in moved:
+                    print(f"  {line}")
+    if diff:
+        return 0
     doc = {"environment": environment(), "runs": runs}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(GOLDEN)
@@ -114,4 +150,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

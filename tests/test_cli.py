@@ -73,6 +73,20 @@ def test_semantic_validation():
                                   "boundary": {"type": "anchor", "r": 30.0, "z": 0.0, "dz": 1.0}}})
 
 
+def test_left_out_keys_take_the_defaults():
+    # ell, z and dz included: a config without them resolves to DEFAULT_CONFIG's values
+    conf = validate_config(
+        {"mode": {"kind": "axial", "sigma": 0.5, "boundary": {"type": "anchor", "r": 30}}}
+    )
+    assert conf["mode"] == {
+        "kind": "axial",
+        "ell": 2,
+        "sigma": 0.5,
+        "amplitude": 1.0,
+        "boundary": {"type": "anchor", "r": 30, "z": 0.0, "dz": 1.0, "offset": 0.0},
+    }
+
+
 def test_overrides():
     doc = apply_overrides({}, ["numerics.l_max=24", "mode.boundary.z=0.5", "surface.substitution=paper"])
     assert doc["numerics"]["l_max"] == 24
@@ -378,6 +392,18 @@ def test_non_finite_energy_names_c_factor(args, tmp_path, capsys):
     assert err["type"] == "DomainError" and "numerics.c_factor" in err["message"]
 
 
+@pytest.mark.parametrize("amplitude", ["1.3e154", "1e160"])
+def test_overflowing_default_c_factor_names_the_amplitude(amplitude, tmp_path, capsys):
+    # 1.3e154 overflows C_ell^2 * amplitude^2, 1e160 already amplitude**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["energy", "--config", SCENARIOS / "axial_sweep.json",
+                    "--set", f"mode.amplitude={amplitude}", "--out", tmp_path])
+    assert code == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError" and "mode.amplitude" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stdout_lists_the_written_files_in_order(tmp_path, capsys, monkeypatch):
     written = []
     write_text = Path.write_text
@@ -414,6 +440,18 @@ def test_radial_range_too_short_for_any_leg(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "DomainError" and err["category"] == "numerical"
     assert "20.0000000000001" in err["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_asymptotic_start_inside_the_range_says_how_to_fix_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["radial", "--out", out, "--set", "mode.boundary.type=asymptotic",
+                "--set", "mode.boundary.r_star_start=100"])
+    assert code == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError" and err["category"] == "numerical"
+    assert "r*=100" in err["message"] and "r_star_start" in err["message"]
+    assert "r_range" not in err["message"]
     assert list(out.iterdir()) == []
 
 

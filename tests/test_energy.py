@@ -34,7 +34,7 @@ from quasilocal import (
 )
 from quasilocal.embedding import EmbeddingSolution, build_sources, radius_on_sphere
 from quasilocal.energy import fit_inverse_powers, grad_outer_double_divergence
-from quasilocal.sphere import HarmonicField
+from quasilocal.sphere import HarmonicField, _quadratic_form
 
 from conftest import random_harmonic
 from test_embedding import WAVY_PROFILE, SyntheticProfile, constant_profile
@@ -58,22 +58,26 @@ def test_energy_coefficients_constant_profile(grid16):
 
 
 def _full_grid_energy(a, spec, emb):
-    """``energy_coefficients``' formulas with A and A' evaluated at every grid point."""
+    """``energy_coefficients``' formulas with A and A' evaluated at every grid point.
+
+    The operator terms are the same Parseval sums; what this pins is that A
+    and A' are evaluated once per colatitude row.
+    """
     grid = SphereGrid.for_band_limit(2 * emb.l_max)
     z1v, z2v, z3v = (f.values for f in coordinate_fields(grid))
     r = radius_on_sphere(spec, z1v)
     av, apv = a.a(r), a.a_prime(r)
-    tau_g = synthesize(emb.tau, grid).values
-    n_g = synthesize(emb.n_field, grid).values
-    op_n = synthesize(apply_operator(emb.n_field, "laplacian_plus_2"), grid).values
-    op_tau = synthesize(apply_operator(emb.tau, "laplacian_laplacian_plus_2"), grid).values
     e1_integrand = 0.5 * (
         av**2 * z2v**2 * (7.0 * z3v**2 + 1.0)
         + 2.0 * av * apv * z1v * z3v**2 * (3.0 * z2v**2 - 1.0)
-        - n_g * op_n
     )
-    e2_integrand = av**2 * z2v**2 * z3v**2 - tau_g * op_tau
-    return integrate(GridField(e1_integrand, grid)), integrate(GridField(e2_integrand, grid))
+    e2_integrand = av**2 * z2v**2 * z3v**2
+    return (
+        integrate(GridField(e1_integrand, grid))
+        - 0.5 * _quadratic_form(emb.n_field, "laplacian_plus_2"),
+        integrate(GridField(e2_integrand, grid))
+        - _quadratic_form(emb.tau, "laplacian_laplacian_plus_2"),
+    )
 
 
 @pytest.mark.parametrize("substitution", ["exact", "paper"])

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from record_golden import GOLDEN, RUNS, digest, environment
+from record_golden import GOLDEN, RUNS, compare, digest, environment
 
 RECORD = json.loads(GOLDEN.read_text(encoding="utf-8"))
 RTOL = 1e-10
@@ -91,3 +91,19 @@ def test_environment_differences_name_the_field():
     current = environment()
     assert environment_differences(current, dict(current)) == []
     assert environment_differences(current, {**current, "blas": "other"}) == ["blas"]
+
+
+def test_compare_lists_what_moved():
+    old = {"artifacts": {"a.csv": "1", "a.json": "2", "gone.svg": "3"},
+           "scalars": {"a.json.e1[0]": 2.0, "a.json.kind": "x", "a.json.n": 4, "a.json.z": 0.0}}
+    new = {"artifacts": {"a.csv": "1", "a.json": "5", "new.svg": "6"},
+           "scalars": {"a.json.e1[0]": 2.5, "a.json.kind": "y", "a.json.n": 4, "a.json.z": 1.0}}
+    assert compare(old, old) == []
+    assert compare(old, new) == [
+        "a.json: sha256 changed",
+        "gone.svg: only in golden.json",
+        "new.svg: only in the run",
+        "a.json.e1[0]: 2.0 -> 2.5 (+2.50e-01)",
+        "a.json.kind: 'x' -> 'y'",
+        "a.json.z: 0.0 -> 1.0",
+    ]

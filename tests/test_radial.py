@@ -280,6 +280,15 @@ def test_asymptotic_boundary_flat_oracle():
     assert errs[1] < 0.2 * errs[0]
 
 
+def test_asymptotic_start_below_the_range_top_says_how_to_fix_it(bg_unit, mode_l2):
+    with pytest.raises(DomainError) as info:
+        integrate_wave(bg_unit, mode_l2, AsymptoticBoundary(r_star_start=100.0), (20.0, 400.0))
+    msg = str(info.value)
+    assert "r*=100" in msg and f"r*={float(tortoise(400.0, bg_unit)):.6g}" in msg
+    assert "r_star_start" in msg and "v_threshold" in msg and "lower" in msg
+    assert "extend" not in msg
+
+
 def test_polar_integration_runs(bg_unit):
     mode = PolarMode(n=2.0, sigma=0.5)
     sol = integrate_wave(

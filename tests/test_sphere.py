@@ -32,9 +32,11 @@ from quasilocal.sphere import (
     SphereDerivatives,
     _block_index,
     _derivative_tables,
+    _eigenvalues,
     _harmonic_derivatives,
     _legendre_p_derivs,
     _legendre_table,
+    _quadratic_form,
     _real_scaled,
     _theta_sums,
     evaluate,
@@ -468,6 +470,23 @@ def test_operator_eigenvalues(grid16):
     assert out.coefficient(2, -2) == pytest.approx(24.0 * h23.coefficient(2, -2), rel=1e-13)
     with pytest.raises(DomainError):
         apply_operator(h1, "banana")
+
+
+@pytest.mark.parametrize("op", ["laplacian_plus_2", "laplacian_laplacian_plus_2"])
+@pytest.mark.parametrize("l_max", [2, 4, 8, 16, 32])
+def test_quadratic_form_is_the_grid_integral(l_max, op):
+    # Parseval: int h op(h) = sum_l lambda_l sum_m c_lm^2, exact on the grid for 2 l_max
+    h = random_harmonic(l_max, seed=l_max)
+    grid = SphereGrid.for_band_limit(2 * l_max)
+    want = integrate(synthesize(h, grid) * synthesize(apply_operator(h, op), grid))
+    scale = float(np.sum(np.abs(_eigenvalues(op, l_max))[:, None] * h.coeffs**2))
+    assert abs(_quadratic_form(h, op) - want) <= 1e-13 * scale
+
+
+def test_quadratic_form_of_y20_is_exact():
+    h = HarmonicField.zeros(2)
+    h.coeffs[2, 2] = 1.0  # Y_20 alone; (Delta + 2) Y_20 = -4 Y_20
+    assert _quadratic_form(h, "laplacian_plus_2") == -4.0
 
 
 def test_grad_hess_coordinate_function(grid16):
