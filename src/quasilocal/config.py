@@ -249,14 +249,18 @@ def _errors(value, schema: dict, path=()):
 
 
 def _best_match(errors):
-    """The error ``jsonschema.exceptions.best_match`` picks, descending into anyOf contexts."""
+    """The error ``jsonschema.exceptions.best_match`` picks, descending into anyOf contexts.
+
+    Contexts are ranked by their paths relative to the anyOf, as jsonschema
+    does; the one picked carries its absolute path, the anyOf's joined onto it.
+    """
     relevance = lambda e: (-len(e[0]), e[0], e[1] != "anyOf", not e[3])  # noqa: E731
     best = max(errors, key=relevance, default=None)
     while best is not None and best[4]:
         context = sorted(best[4], key=relevance)
         if len(context) > 1 and relevance(context[0]) == relevance(context[1]):
             break
-        best = context[0]
+        best = ((*best[0], *context[0][0]), *context[0][1:])
     return best
 
 

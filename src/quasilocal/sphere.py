@@ -19,8 +19,8 @@ Conventions fixed here and used everywhere else in the package:
 * Grids pair Gauss-Legendre colatitude nodes (poles excluded) with a uniform
   longitude grid; transforms are direct matrix contractions, exact for
   band-limited fields whenever n_theta >= l_max + 1 and n_phi >= 2 l_max + 1.
-  A grid builds its Ybar table with itself and the theta-derivative tables
-  only when ``grad_hess`` or the energy density first reads them.
+  A grid builds its Ybar, longitude and theta-derivative tables only when a
+  transform first reads them, so a grid used for quadrature alone builds none.
   Nonlinear products should be formed on a grid sized for twice the band
   limit (``SphereGrid.for_band_limit(2 * l_max)``) to avoid aliasing.
 """
@@ -80,7 +80,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights * (2.0 / weights.sum())
 
 
-# for SphereGrid, which copies what it takes: a sweep builds each grid once per d
+# for SphereGrid, which copies what it takes: a sweep builds each grid once per d,
+# and the energy stage's grid builds nothing but this rule and its coordinates
 _grid_rule = functools.lru_cache(maxsize=64)(gauss_legendre)
 
 
@@ -197,11 +198,11 @@ def _derivative_tables(pbar: np.ndarray, theta: np.ndarray, n_deriv: int) -> lis
 class SphereGrid:
     """Gauss-Legendre x uniform-longitude product grid with transform tables.
 
-    The nodes, Ybar and the longitude tables are built with the grid; the
+    Only the quadrature rule and coordinates are built with the grid.  Ybar and
+    the longitude tables are built when a transform first reads them, the
     theta-derivative tables (read by ``grad_hess`` and the energy density
-    only) are built on first read from the unscaled Pbar the grid keeps until
-    then.  A lock makes that first read build once, so instances can be
-    shared freely between threads.
+    only) when those are first read.  A lock makes each first read build once,
+    so instances can be shared freely between threads.
     """
 
     def __init__(self, n_theta: int, n_phi: int, l_max: int):
@@ -224,22 +225,36 @@ class SphereGrid:
         self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         self._dphi = 2.0 * np.pi / n_phi
 
-        self._pbar = _legendre_table(l_max, self.nodes)
-        self._ybar = _real_scaled(self._pbar.copy())
-        self._derivatives = None
+        self._pbar = self._transforms = self._derivatives = None
         self._lock = threading.Lock()
-        m = np.arange(l_max + 1)[:, None]
-        self._cosm = np.cos(m * self.phi[None, :])
-        self._sinm = np.sin(m * self.phi[None, :])
 
-    def _ybar_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dYbar, d2Ybar), built on the first read; the build consumes the kept Pbar."""
-        if self._derivatives is None:
+    def _tables(self, name: str):
+        """The table tuple ``name`` ("_transforms" or "_derivatives"), built on its first read.
+
+        Ybar and the longitude tables come first whichever is read first: Ybar
+        is formed from a copy of Pbar, which the grid keeps until the
+        derivative build consumes it.
+        """
+        tables = getattr(self, name)
+        if tables is None:
             with self._lock:
-                if self._derivatives is None:
+                if self._transforms is None:
+                    self._pbar = _legendre_table(self.l_max, self.nodes)
+                    mphi = np.arange(self.l_max + 1)[:, None] * self.phi[None, :]
+                    self._transforms = (_real_scaled(self._pbar.copy()), np.cos(mphi), np.sin(mphi))
+                if name == "_derivatives" and self._derivatives is None:
                     self._derivatives = tuple(_derivative_tables(self._pbar, self.nodes, 2))
                     self._pbar = None
-        return self._derivatives
+                tables = getattr(self, name)
+        return tables
+
+    _ybar = property(lambda self: self._tables("_transforms")[0])
+    _cosm = property(lambda self: self._tables("_transforms")[1])
+    _sinm = property(lambda self: self._tables("_transforms")[2])
+
+    def _ybar_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dYbar, d2Ybar), built on the first read."""
+        return self._tables("_derivatives")
 
     @classmethod
     def for_band_limit(cls, l_max: int) -> "SphereGrid":

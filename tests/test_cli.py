@@ -119,6 +119,18 @@ def test_schema_error_text(doc, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("override, key", [
+    ("surface.d=[0.5]", "surface/d/0"),
+    ("surface.t=[]", "surface/t"),
+])
+def test_anyof_member_error_names_the_full_key(override, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["sweep", "--out", out, "--set", override]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "config" and err["message"].startswith(f"config invalid at {key}: ")
+    assert not out.exists()
+
+
 def test_published_schema_matches():
     published = json.loads((DEMOS / "schema.json").read_text(encoding="utf-8"))
     assert published == json.loads(json.dumps(SCHEMA))
@@ -189,14 +201,14 @@ def _mutated_docs(draw):
 
 def _oracle(doc):
     error = jsonschema.exceptions.best_match(ORACLE.iter_errors(doc))
-    return None if error is None else (tuple(error.path), error.message)
+    return None if error is None else (tuple(error.absolute_path), error.message)
 
 
 @settings(database=None, deadline=None, max_examples=300)
 @given(_mutated_docs())
 @example({})  # every required key missing before the merge
 @example({"surface": {"t": "x"}})  # both anyOf branches fail alike: the anyOf error itself
-@example({"surface": {"d": [50.0, 0.5]}})  # descent into the anyOf context, relative path
+@example({"surface": {"d": [50.0, 0.5]}})  # descent into the anyOf context, absolute path
 @example({"surface": {"d": 0.5}})  # the context error whose branch type matches wins
 @example({"numerics": {"l_max": 8.0, "radial_range": [5.0, 9.0]}})  # an integral float is an integer
 @example({"numerics": {"l_max": True}, "mode": {"sigma": False}})  # a bool is not a number

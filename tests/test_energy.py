@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import quasilocal.radial
+import quasilocal.sphere
 from quasilocal import (
     AxialMode,
     DomainError,
@@ -97,6 +98,31 @@ def test_energy_evaluates_the_profile_once_per_row(grid16):
     prof = SyntheticProfile(*(lambda r, f=f: shapes.append(r.shape) or f(r) for f in WAVY_PROFILE._fns))
     energy_coefficients(prof, SurfaceSpec(d=7.5), emb)
     assert shapes == [(2 * grid16.l_max + 1, 1)] * 2
+
+
+def _legendre_table_calls(monkeypatch):
+    """The band limits of the ``_legendre_table`` calls made from now on."""
+    calls, real = [], quasilocal.sphere._legendre_table
+    build = lambda L, theta: calls.append(L) or real(L, theta)  # noqa: E731
+    monkeypatch.setattr(quasilocal.sphere, "_legendre_table", build)
+    return calls
+
+
+def test_energy_stage_builds_no_transform_table(grid16, monkeypatch):
+    # the 2L grid serves the A-term quadrature only
+    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), grid16))
+    calls = _legendre_table_calls(monkeypatch)
+    energy_coefficients(WAVY_PROFILE, SurfaceSpec(d=7.5), emb)
+    assert calls == []
+
+
+def test_sweep_builds_one_legendre_table_per_source_grid(bg_unit, mode_l2, monkeypatch):
+    calls = _legendre_table_calls(monkeypatch)
+    bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
+    t_values = np.pi / mode_l2.sigma * np.arange(9) / 8
+    d_values = np.geomspace(50.0, 400.0, 4)
+    sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16)
+    assert calls == [16] * 4
 
 
 def test_energy_zero_perturbation(grid16):

@@ -362,10 +362,38 @@ def test_evaluate_on_one_colatitude_is_bitwise_the_per_degree_builder(l_max):
     assert evaluate(h, loop.theta, loop.phi).tobytes() == want.tobytes()
 
 
+def test_fresh_grid_holds_only_its_quadrature_rule():
+    grid = SphereGrid(9, 19, 8)
+    integrate(coordinate_fields(grid)[1])  # quadrature and coordinates read no table
+    arrays = {name for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
+    assert arrays == {"cos_theta", "weights", "nodes", "sin_theta", "phi"}
+    assert grid._pbar is None and grid._transforms is None and grid._derivatives is None
+
+
+@pytest.mark.parametrize("l_max", range(41))
+def test_lazy_transform_tables_are_bitwise_the_eager_build(l_max):
+    for grid in (SphereGrid.for_band_limit(l_max), SphereGrid(2 * l_max + 1, 4 * l_max + 1, l_max)):
+        ybar, cosm, sinm = grid._ybar, grid._cosm, grid._sinm
+        m = np.arange(l_max + 1)[:, None]
+        assert ybar.tobytes() == _real_scaled(_legendre_table(l_max, grid.nodes)).tobytes()
+        assert cosm.tobytes() == np.cos(m * grid.phi[None, :]).tobytes()
+        assert sinm.tobytes() == np.sin(m * grid.phi[None, :]).tobytes()
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 8, 33])
+def test_table_read_order_does_not_change_the_bytes(l_max):
+    ybar_first, derivatives_first = SphereGrid.for_band_limit(l_max), SphereGrid.for_band_limit(l_max)
+    first = (ybar_first._ybar, ybar_first._cosm, ybar_first._sinm, *ybar_first._ybar_derivatives())
+    derivatives = derivatives_first._ybar_derivatives()
+    second = (derivatives_first._ybar, derivatives_first._cosm, derivatives_first._sinm, *derivatives)
+    assert _same_bytes(first, second)
+
+
 def test_grid_builds_derivative_tables_on_first_read():
     grid = SphereGrid.for_band_limit(8)
-    assert grid._derivatives is None and grid._pbar is not None
+    assert grid._derivatives is None and grid._transforms is None and grid._pbar is None
     tables = grid._ybar_derivatives()
+    assert grid._transforms is not None  # Ybar is formed from Pbar before the derivatives
     assert grid._pbar is None  # consumed as the second derivative's buffer
     assert grid._ybar_derivatives() is tables
 
@@ -373,15 +401,18 @@ def test_grid_builds_derivative_tables_on_first_read():
 def test_first_derivative_read_is_shared_between_threads(monkeypatch):
     h = random_harmonic(24, seed=5)
     want = _harmonic_derivatives(h, SphereGrid.for_band_limit(24))
-    builds = []
-    real = quasilocal.sphere._derivative_tables
+    builds, legendre_builds = [], []
 
-    def slow_build(*args):
-        builds.append(threading.get_ident())
-        time.sleep(0.02)  # widen the window for a racing first read
-        return real(*args)
+    def slow(real, calls):
+        def build(*args):
+            calls.append(threading.get_ident())
+            time.sleep(0.02)  # widen the window for a racing first read
+            return real(*args)
+        return build
 
-    monkeypatch.setattr(quasilocal.sphere, "_derivative_tables", slow_build)
+    # _harmonic_derivatives reads Ybar first, then the derivative tables
+    monkeypatch.setattr(quasilocal.sphere, "_derivative_tables", slow(_derivative_tables, builds))
+    monkeypatch.setattr(quasilocal.sphere, "_legendre_table", slow(_legendre_table, legendre_builds))
     grid = SphereGrid.for_band_limit(24)
     start = threading.Barrier(4, timeout=10)
 
@@ -397,7 +428,7 @@ def test_first_derivative_read_is_shared_between_threads(monkeypatch):
             results = [f.result(timeout=10) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(builds) == 1
+    assert len(builds) == 1 and len(legendre_builds) == 1
     for got in results:
         for f in dataclasses.fields(SphereDerivatives):
             assert getattr(got, f.name).values.tobytes() == getattr(want, f.name).values.tobytes()
