@@ -3,7 +3,10 @@
 Artifacts are deterministic: identical configs give byte-identical CSV and
 JSON, and SVG plots carry no timestamps.  Every artifact embeds the fully
 resolved config (a ``# config:`` comment line in CSV, a ``config`` key in
-JSON, a <desc> element in SVG), and JSON artifacts hold finite numbers only.
+JSON, a <desc> element in SVG).  A runner hands each CSV to the renderer as
+a header and 1-D columns, formatted once per distinct value; CSV and JSON
+artifacts hold finite numbers only, except a polar mode's A(r) columns in
+``radial.csv``, which are NaN.
 Exit codes: 0 success, 2 config error, 3 numerical failure; failures print a
 machine-readable error JSON to stderr.  Config checks run before ``--out`` is
 made and every artifact is rendered before the first is written, so a run
@@ -116,11 +119,10 @@ def run_radial(conf, jobs: int) -> dict:
         a, ap, app = prof.a(r), prof.a_prime(r), prof.a_double_prime(r)
     else:
         a = ap = app = np.full_like(r, np.nan)
-    columns = (r, tortoise(r, bg), z, dz, v, a, ap, app)
     return {
         "radial.csv": (
             ["r", "r_star", "z", "dz_drstar", "v", "a", "a_prime", "a_double_prime"],
-            zip(*(c.tolist() for c in columns)),
+            (r, tortoise(r, bg), z, dz, v, a, ap, app),
         ),
         "radial.json": {
             "kind": sol.kind,
@@ -146,9 +148,8 @@ def run_embed(conf, jobs: int) -> dict:
     L = emb.l_max
     # every stored (l, m), l-major and m ascending
     l, col = np.nonzero(np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None])
-    lm = (l.tolist(), (col - L).tolist())
     artifacts = {
-        f"{name}.csv": (["l", "m", "coefficient"], zip(*lm, h.coeffs[l, col].tolist()))
+        f"{name}.csv": (["l", "m", "coefficient"], (l, col - L, h.coeffs[l, col]))
         for name, h in (("embed_tau", emb.tau), ("embed_n", emb.n_field))
     }
     artifacts["embed.json"] = {
@@ -182,8 +183,10 @@ def _sweep(conf, jobs):
 def run_energy(conf, jobs: int) -> dict:
     report = _sweep(conf, jobs)
     t_values, d_values = report.t_values.tolist(), report.d_values.tolist()
+    columns = report.columns()
+    order = np.lexsort((columns[1], columns[0]))  # stable, by t and then d
     artifacts = {
-        "energy.csv": (["t", "d", "e", "dedt"], sorted(report.rows(), key=lambda r: (r[0], r[1]))),
+        "energy.csv": (["t", "d", "e", "dedt"], tuple(c[order] for c in columns)),
         "energy.json": {
             "d_values": d_values,
             "t_values": t_values,
@@ -208,7 +211,7 @@ def run_energy(conf, jobs: int) -> dict:
 def run_sweep(conf, jobs: int) -> dict:
     report = _sweep(conf, jobs)
     artifacts = {
-        "sweep.csv": (["t", "d", "e", "dedt"], report.rows()),
+        "sweep.csv": (["t", "d", "e", "dedt"], report.columns()),
         "sweep.json": {
             "d_values": report.d_values.tolist(),
             "t_values": report.t_values.tolist(),
@@ -255,7 +258,7 @@ def run_geometry(conf, jobs: int) -> dict:
     reports = sweep["reports"]
     first = reports[0]
     theta, phi = np.meshgrid(first.theta_s, first.phi_s, indexing="ij")
-    columns = (theta, phi, first.gauss, first.mean_norm, first.hawking_line)
+    columns = tuple(c.ravel() for c in (theta, phi, first.gauss, first.mean_norm, first.hawking_line))
     payload = {
         "d_values": d_values,
         "area": [r.area for r in reports],
@@ -272,10 +275,7 @@ def run_geometry(conf, jobs: int) -> dict:
             "condition": sweep["condition"],
         }
     return {
-        "geometry.csv": (
-            ["theta", "phi", "k_gauss", "h_norm", "hawking_line"],
-            zip(*(c.ravel().tolist() for c in columns)),
-        ),
+        "geometry.csv": (["theta", "phi", "k_gauss", "h_norm", "hawking_line"], columns),
         "geometry.json": payload,
     }
 
@@ -300,9 +300,8 @@ def run_loop(conf, jobs: int) -> dict:
             wgrid = SphereGrid.for_band_limit(2 * emb.l_max)
             h = analyze(rho_bracket(emb, wgrid, spec.d))
     vals = evaluate(h, loop.theta, loop.phi)
-    columns = (loop.s, loop.theta, loop.phi, vals)
     return {
-        "loop.csv": (["s", "theta", "phi", "integrand"], zip(*(c.tolist() for c in columns))),
+        "loop.csv": (["s", "theta", "phi", "integrand"], (loop.s, loop.theta, loop.phi, vals)),
         "loop.json": {
             "total": loop.quadrature(vals),
             "arc_length": loop.arc_length(),
@@ -312,16 +311,41 @@ def run_loop(conf, jobs: int) -> dict:
     }
 
 
+def _cells(column) -> list[str]:
+    """``str`` of each entry's Python scalar in a 1-D float64 or int column,
+    called once per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    column = np.asarray(column)
+    keys = column.view(np.int64) if column.dtype.kind == "f" else column
+    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+    texts = np.array([str(v) for v in column[first].tolist()], dtype=object)
+    return texts[where].tolist()
+
+
+def _check_finite(artifacts: dict, conf) -> None:
+    """Raise FloatingPointError naming the first CSV column with a non-finite
+    value; a polar mode has no A(r), so its radial.csv A columns are NaN."""
+    polar = conf["mode"]["kind"] == "polar"
+    for name, content in artifacts.items():
+        if not name.endswith(".csv"):
+            continue
+        exempt = ("a", "a_prime", "a_double_prime") if polar and name == "radial.csv" else ()
+        for head, column in zip(*content):
+            if head not in exempt and not np.all(np.isfinite(column)):
+                raise FloatingPointError(f"{name} column {head} holds a non-finite value")
+
+
 def _render(name: str, content, conf) -> str:
     """The text of one artifact, with the resolved config embedded.
 
-    A CSV is ``(header, rows)``: ``str`` of a float is its ``repr``.  A JSON
-    payload must be finite.  An SVG is already text.
+    A CSV is ``(header, columns)`` of equal-length 1-D arrays, and a cell is
+    ``str`` of its entry as a Python scalar (a float's ``repr``), formatted
+    once per distinct value by ``_cells``.  A JSON payload must be finite.
+    An SVG is already text.
     """
     if name.endswith(".csv"):
-        header, rows = content
+        header, columns = content
         lines = ["# config: " + cfg.canonical_json(conf), ",".join(header)]
-        lines += [",".join(map(str, row)) for row in rows]
+        lines += map(",".join, zip(*map(_cells, columns)))
         return "\n".join(lines) + "\n"
     if name.endswith(".json"):
         doc = {"config": conf, **content}
@@ -388,6 +412,7 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         artifacts = _RUNNERS[args.command](conf, max(1, args.jobs))
+        _check_finite(artifacts, conf)
         texts = {name: _render(name, content, conf) for name, content in artifacts.items()}
     except ConfigError as exc:
         return fail(exc, "config", EXIT_CONFIG)

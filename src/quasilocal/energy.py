@@ -396,11 +396,11 @@ class EnergyReport:
             return ()
         return tuple(fit_decay(zip(d, row)) for row in self.e)
 
-    def rows(self):
-        """Flat (t, d, E, dE/dt) rows, t-major."""
-        for i, t in enumerate(self.t_values):
-            for j, d in enumerate(self.d_values):
-                yield (float(t), float(d), float(self.e[i, j]), float(self.dedt[i, j]))
+    def columns(self) -> tuple:
+        """Flat (t, d, E, dE/dt) columns, t-major."""
+        n_t, n_d = self.e.shape
+        t, d = np.repeat(self.t_values, n_d), np.tile(self.d_values, n_t)
+        return t, d, self.e.ravel(), self.dedt.ravel()
 
 
 def sweep_energy(

@@ -39,6 +39,12 @@ RUNS = {
     "radial_profile": ("radial", "radial_profile", ()),
     "axial_sweep-l_max48": ("sweep", "axial_sweep", ("numerics.l_max=48",)),
     "axial_sweep-paper": ("sweep", "axial_sweep", ("surface.substitution=paper",)),
+    "geometry_axial-tilted": ("geometry", "geometry_axial", ("surface.theta_d=0.3",)),
+    "loop_equator-circle": (
+        "loop",
+        "loop_equator",
+        ("loop.kind=circle", "loop.theta0=1.1", "loop.field=rho_bracket"),
+    ),
     **{
         f"loop_equator-{field}": ("loop", "loop_equator", (f"loop.field={field}",))
         for field in ("constant", "source_tau", "source_n", "rho_bracket")

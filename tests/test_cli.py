@@ -25,6 +25,7 @@ from quasilocal.config import (
     DEFAULT_CONFIG,
     SCHEMA,
     apply_overrides,
+    canonical_json,
     load_config,
     validate_config,
 )
@@ -390,6 +391,64 @@ def test_failed_run_writes_no_artifact(args, patch, tmp_path, capsys, monkeypatc
         assert run(args + ["--out", tmp_path]) == EXIT_NUMERICAL
     assert json.loads(capsys.readouterr().err)["error"]["category"] == "numerical"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, target, column", [
+    (["loop"], "evaluate", "integrand"),
+    (["radial"], "potential", "v"),
+    # the polar exemption covers the A(r) columns only
+    (["radial", "--set", "mode.kind=polar", "--set", "mode.n=2.0"], "potential", "v"),
+])
+def test_non_finite_csv_value_exits_before_writing(args, target, column, tmp_path, capsys, monkeypatch):
+    real = getattr(quasilocal.cli, target)
+
+    def with_inf(*a):
+        values = np.array(real(*a), dtype=float)
+        values[-1] = np.inf
+        return values
+
+    monkeypatch.setattr(quasilocal.cli, target, with_inf)
+    out = tmp_path / "out"
+    assert run(args + ["--set", "numerics.radial_samples=40", "--out", out]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "FloatingPointError" and err["category"] == "numerical"
+    assert f"column {column} " in err["message"]
+    assert list(out.iterdir()) == []
+
+
+# a few values of every kind a CSV column can hold: both zeros, NaN, the
+# extreme subnormals and normals, and exponents from both ends
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, 1e22, 1e16, 0.1, -1.5]
+CELL_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+
+
+@st.composite
+def csv_columns(draw):
+    """Equal-length float64 and int64 columns, each drawn from a small pool so
+    that values repeat."""
+    n = draw(st.integers(0, 16))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            pool, dtype = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4)), np.int64
+        else:
+            pool, dtype = draw(st.lists(CELL_FLOATS, min_size=1, max_size=4)), np.float64
+        column = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        columns.append(np.array(column, dtype=dtype))
+    return columns
+
+
+@given(csv_columns())
+@example([np.array([0.0, -0.0, -0.0, 0.0]), np.array([1, 2, 1, 2])])
+@settings(max_examples=200, deadline=None)
+def test_csv_render_is_the_row_join(columns):
+    conf = validate_config({})
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = zip(*(c.tolist() for c in columns))
+    want = ["# config: " + canonical_json(conf), ",".join(header)]
+    want += [",".join(map(str, row)) for row in rows]
+    assert quasilocal.cli._render("x.csv", (header, columns), conf) == "\n".join(want) + "\n"
 
 
 @pytest.mark.parametrize("args", [

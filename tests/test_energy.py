@@ -428,13 +428,14 @@ def test_sweep_deterministic_across_jobs(bg_unit, mode_l2):
     assert rep1.fits[0].c2 == rep2.fits[0].c2
 
 
-def test_sweep_report_rows(bg_unit, mode_l2):
+def test_sweep_report_columns(bg_unit, mode_l2):
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     rep = sweep_energy(
         bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0], [0.0, 0.3], l_max=8, tol=1e-9
     )
-    rows = list(rep.rows())
-    assert len(rows) == 4
-    assert rows[0][:2] == (0.0, 50.0)
-    assert rows[-1][:2] == (0.3, 100.0)
+    t, d, e, dedt = rep.columns()
+    assert t.tolist() == [0.0, 0.0, 0.3, 0.3]  # t-major
+    assert d.tolist() == [50.0, 100.0, 50.0, 100.0]
+    assert e.tolist() == [rep.e[0, 0], rep.e[0, 1], rep.e[1, 0], rep.e[1, 1]]
+    assert dedt.tolist() == [rep.dedt[0, 0], rep.dedt[0, 1], rep.dedt[1, 0], rep.dedt[1, 1]]
     assert rep.fits == ()  # two d values cannot support the falloff basis

@@ -605,10 +605,23 @@ def test_profile_shares_one_dense_output_pass(axial_solution, monkeypatch):
         RadialSolution, "eval_rstar", lambda self, rs: calls.append(rs.shape) or eval_rstar(self, rs)
     )
     got = [prof.a(r.copy()), prof.a_prime(r.copy()), prof.a_double_prime(r)]
-    assert calls == [r.shape]
+    assert calls == [(np.unique(r).size,)]  # one pass, over the distinct radii
     for g, e in zip(got, expect):
         assert g.tobytes() == e.tobytes()
     z, dz = axial_solution.eval_r(r)
     assert len(calls) == 1
     with pytest.raises(ValueError):
         z[0, 0] = 0.0  # the kept result is shared, so it is read-only
+
+
+def test_eval_r_is_bitwise_the_per_point_evaluation(axial_solution):
+    sol = axial_solution
+    # both coverage ends, the anchor (where the legs meet) and inner radii, repeated
+    radii = np.array([sol.r_min, sol.r_max, 30.0, 20.5, 47.25, 79.9])
+    r = np.random.default_rng(7).permutation(np.repeat(radii, 4)).reshape(4, 6)
+    sol.eval_r(np.array([25.0]))  # not the kept result of an earlier call
+    z, dz = sol.eval_r(r)
+    assert z.shape == dz.shape == r.shape
+    for i, x in np.ndenumerate(r):
+        state = sol.eval_rstar(tortoise(np.array([x]), sol.background))[:, 0]
+        assert z[i].tobytes() == state[0].tobytes() and dz[i].tobytes() == state[1].tobytes()
