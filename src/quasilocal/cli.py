@@ -7,7 +7,8 @@ JSON, a <desc> element in SVG).  A runner hands each CSV to the renderer as
 a header and 1-D columns, formatted once per distinct value; CSV and JSON
 artifacts hold finite numbers only, except a polar mode's A(r) columns in
 ``radial.csv``, which are NaN.
-Exit codes: 0 success, 2 config error, 3 numerical failure; failures print a
+Exit codes: 0 success, 2 config error, 3 numerical failure (a kernel residual
+past the solvability tolerance included); failures print a
 machine-readable error JSON to stderr.  Config checks run before ``--out`` is
 made and every artifact is rendered before the first is written, so a run
 exiting 2 or 3 writes none; after exit 3 ``--out`` may exist, empty.
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,7 +29,7 @@ import numpy as np
 from . import config as cfg
 from .embedding import SurfaceSpec
 from .energy import LoopSpec, rho_bracket, surface_embedding, sweep_energy
-from .errors import ConfigError, QuasilocalError
+from .errors import ConfigError, QuasilocalError, SolvabilityWarning
 from .geometry import PerturbationProfiles, axial_preset, hawking_sweep
 from .radial import (
     AnchorBoundary,
@@ -411,14 +413,16 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        artifacts = _RUNNERS[args.command](conf, max(1, args.jobs))
+        with warnings.catch_warnings():  # the library warns; a run fails
+            warnings.simplefilter("error", SolvabilityWarning)
+            artifacts = _RUNNERS[args.command](conf, max(1, args.jobs))
         _check_finite(artifacts, conf)
         texts = {name: _render(name, content, conf) for name, content in artifacts.items()}
     except ConfigError as exc:
         return fail(exc, "config", EXIT_CONFIG)
     except QuasilocalError as exc:
         return fail(exc, "numerical", EXIT_NUMERICAL)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (SolvabilityWarning, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return fail(exc, "numerical", EXIT_NUMERICAL)
     for name, text in texts.items():
         path = out / name

@@ -86,11 +86,17 @@ class PerturbationProfiles:
         return [] if self.profile is None else [INCOMPLETE_FLAG]
 
     def spatial_profile(self, r, theta):
-        """(Q3, dQ3/dr, dQ3/dtheta) at broadcastable r, theta; closed forms in A and A'."""
+        """(Q3, dQ3/dr, dQ3/dtheta) at broadcastable r, theta; closed forms in A and A'.
+
+        A and A' are evaluated once per distinct radius (a surface's chart radii
+        repeat along each parameter row) and gathered back to r's shape.
+        """
         x, s = np.cos(theta), np.sin(theta)
         _, _, d2, d3 = _legendre_p_derivs(self.profile.solution.mode.ell, x, 3)
         ang = s * d2
-        a, a_prime = self.profile.a(r), self.profile.a_prime(r)
+        radii, where = np.unique(r, return_inverse=True)
+        where = where.reshape(np.shape(r))
+        a, a_prime = self.profile.a(radii)[where], self.profile.a_prime(radii)[where]
         return (
             ang * a / r,
             ang * (a_prime / r - a / r**2),
@@ -232,12 +238,13 @@ def _brioschi_K(E, F, G, dth, dph, theta_s):
         return np.zeros_like(arr) if np.max(np.abs(arr)) < floor else arr
 
     dE, dF, dG = dev(E - 1.0), dev(F), dev(G - round_G)
+    dE_phi, dG_theta = _extend_phi(dE), _extend_theta(dG, +1.0)
     E_u = _d1(_extend_theta(dE, +1.0), 0, dth)
-    E_v = _d1(_extend_phi(dE), 1, dph)
-    E_vv = _d2(_extend_phi(dE), 1, dph)
-    G_u = _d1(_extend_theta(dG, +1.0), 0, dth) + np.sin(2.0 * col)
+    E_v = _d1(dE_phi, 1, dph)
+    E_vv = _d2(dE_phi, 1, dph)
+    G_u = _d1(dG_theta, 0, dth) + np.sin(2.0 * col)
     G_v = _d1(_extend_phi(dG), 1, dph)
-    G_uu = _d2(_extend_theta(dG, +1.0), 0, dth) + 2.0 * np.cos(2.0 * col)
+    G_uu = _d2(dG_theta, 0, dth) + 2.0 * np.cos(2.0 * col)
     F_u = _d1(_extend_theta(dF, -1.0), 0, dth)
     F_v = _d1(_extend_phi(dF), 1, dph)
     F_uv = _d1(_extend_phi(F_u), 1, dph)

@@ -295,10 +295,10 @@ class RadialSolution:
     def eval_r(self, r) -> tuple[np.ndarray, np.ndarray]:
         """(Z, dZ/dr*) at Schwarzschild radius r (any array shape).
 
-        Each distinct radius is evaluated once; a point's value depends only
-        on its own r*, so repeats take the same bits.  A call with the same
-        radii as the previous one returns the previous (read-only) arrays
-        without evaluating again.
+        Every radius given is evaluated; a point's value depends only on its
+        own r*, so a caller whose radii repeat may pass the distinct ones and
+        gather.  A call with the same radii as the previous one returns the
+        previous (read-only) arrays without evaluating again.
         """
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         last = self._last_eval[0]
@@ -308,8 +308,7 @@ class RadialSolution:
             raise CoverageError(
                 f"radius outside covered range [{self.r_min}, {self.r_max}]"
             )
-        radii, where = np.unique(r_arr, return_inverse=True)
-        states = self.eval_rstar(tortoise(radii, self.background))[:, where.reshape(r_arr.shape)]
+        states = self.eval_rstar(tortoise(r_arr, self.background))
         states.flags.writeable = False
         self._last_eval[0] = (r_arr.copy(), states[0], states[1])
         return states[0], states[1]

@@ -308,7 +308,9 @@ class HarmonicField:
     """Real spherical-harmonic coefficients a_lm, 0 <= l <= l_max, |m| <= l.
 
     ``coeffs[l, l_max + m]`` holds the coefficient of the orthonormal real
-    harmonic; m > 0 is the cosine branch, m < 0 the sine branch.
+    harmonic; m > 0 is the cosine branch, m < 0 the sine branch.  With L =
+    l_max, the [l, m] blocks are slices: cosine (m >= 0) ``coeffs[:, L:]``,
+    sine (m = 1..L) ``coeffs[:, :L]`` read right to left.
     """
 
     l_max: int
@@ -340,46 +342,28 @@ class HarmonicField:
         return float(np.sqrt(np.sum(self.coeffs[l] ** 2)))
 
 
-@functools.lru_cache(maxsize=None)
-def _block_index(l_max: int):
-    """(l, m) of the cosine (m >= 0) and sine (m > 0) entries of the [l, m] blocks."""
-    l, m = np.tril_indices(l_max + 1)
-    sine = m > 0
-    index = (l, m, l[sine], m[sine])
-    for a in index:
-        a.flags.writeable = False  # shared by every caller of the cache
-    return index[:2], index[2:]
+def analyze(field: GridField) -> HarmonicField:
+    """Forward transform at the grid's band limit; exact for band-limited fields.
 
-
-def analyze(field: GridField, l_max: int | None = None) -> HarmonicField:
-    """Forward transform; exact for fields band-limited at the grid's l_max."""
+    Each block is written masked to l >= m, so every slot with |m| > l holds +0.0.
+    """
     grid = field.grid
-    if l_max is None:
-        l_max = grid.l_max
-    if l_max > grid.l_max:
-        raise BandLimitError(
-            f"grid supports l_max={grid.l_max}, requested {l_max}"
-        )
+    L = grid.l_max
     fc = np.einsum("jk,mk->jm", field.values, grid._cosm) * grid._dphi
     fs = np.einsum("jk,mk->jm", field.values, grid._sinm) * grid._dphi
     yw = grid._ybar * grid.weights[None, None, :]
-    ac = np.einsum("lmj,jm->lm", yw, fc)
-    as_ = np.einsum("lmj,jm->lm", yw, fs)
-    coeffs = np.zeros((l_max + 1, 2 * l_max + 1))
-    (lc, mc), (ls, ms) = _block_index(l_max)
-    coeffs[lc, l_max + mc] = ac[lc, mc]
-    coeffs[ls, l_max - ms] = as_[ls, ms]
-    return HarmonicField(l_max, coeffs)
+    coeffs = np.zeros((L + 1, 2 * L + 1))
+    coeffs[:, L:] = np.tril(np.einsum("lmj,jm->lm", yw, fc))
+    coeffs[:, :L] = np.tril(np.einsum("lmj,jm->lm", yw, fs))[:, :0:-1]
+    return HarmonicField(L, coeffs)
 
 
 def _theta_sums(h: HarmonicField, theta_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_l a_lm T_lm(theta) for the cosine and sine coefficients, each (L+1, n)."""
+    """sum_l a_lm T_lm(theta) for the cosine and sine coefficients, each (L+1, n); reads l >= m."""
     L = h.l_max
-    ac = np.zeros((L + 1, L + 1))
-    as_ = np.zeros((L + 1, L + 1))
-    (lc, mc), (ls, ms) = _block_index(L)
-    ac[lc, mc] = h.coeffs[lc, L + mc]
-    as_[ls, ms] = h.coeffs[ls, L - ms]
+    ac = np.tril(h.coeffs[:, L:])
+    as_ = np.tril(h.coeffs[:, L::-1])
+    as_[:, 0] = 0.0  # the cosine block's m = 0; a sine block starts at m = 1
     tab = theta_table[: L + 1, : L + 1, :]
     return np.einsum("lmj,lm->mj", tab, ac), np.einsum("lmj,lm->mj", tab, as_)
 

@@ -3,6 +3,9 @@
     python3 tests/record_golden.py           # rewrite tests/golden.json
     python3 tests/record_golden.py --diff    # compare the runs with it; writes nothing
 
+``--diff`` exits 0 when every run is unchanged and 1 when any artifact hash or
+scalar moved (or a run failed), so it can serve as a gate.
+
 Rewrite the file only when a change is meant to move artifact bytes, and give
 the old and new values with the tolerance they still meet in CHANGES.md;
 ``--diff`` prints them.
@@ -134,7 +137,7 @@ def main(argv=()) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     diff = "--diff" in argv
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"] if diff else {}
-    runs = {}
+    runs, moved_any = {}, False
     with tempfile.TemporaryDirectory() as tmp:
         for run_id in RUNS:
             out = Path(tmp) / run_id
@@ -144,11 +147,12 @@ def main(argv=()) -> int:
             runs[run_id] = digest(out)
             if diff:
                 moved = compare(recorded.get(run_id, {"artifacts": {}, "scalars": {}}), runs[run_id])
+                moved_any = moved_any or bool(moved)
                 print(f"{run_id}: {'unchanged' if not moved else f'{len(moved)} changes'}")
                 for line in moved:
                     print(f"  {line}")
     if diff:
-        return 0
+        return int(moved_any)
     doc = {"environment": environment(), "runs": runs}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(GOLDEN)

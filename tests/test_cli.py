@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import quasilocal.cli
 import quasilocal.config
+import quasilocal.embedding
 import quasilocal.energy
 import quasilocal.radial
 import quasilocal.sphere
@@ -413,6 +415,21 @@ def test_non_finite_csv_value_exits_before_writing(args, target, column, tmp_pat
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "FloatingPointError" and err["category"] == "numerical"
     assert f"column {column} " in err["message"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["embed", "--config", SCENARIOS / "embed_kernel.json"],
+    ["sweep", "--config", SCENARIOS / "axial_sweep.json", "--jobs", 2],
+], ids=["embed", "sweep-jobs2"])
+def test_kernel_residual_exits_before_writing(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quasilocal.embedding, "KERNEL_TOLERANCE", 0.0)
+    filters = list(warnings.filters)
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == EXIT_NUMERICAL
+    assert warnings.filters == filters
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SolvabilityWarning" and err["category"] == "numerical"
     assert list(out.iterdir()) == []
 
 

@@ -254,7 +254,8 @@ def test_rho_bracket_symbolic_oracle_z2z3():
     L = 4
     grid = SphereGrid.for_band_limit(2 * L)
     z1, z2, z3 = coordinate_fields(grid)
-    tau = analyze(z2 * z3, l_max=L)
+    _, y2, y3 = coordinate_fields(SphereGrid.for_band_limit(L))
+    tau = analyze(y2 * y3)
     d = grad_hess(synthesize(tau, grid))
     expected_gsq = z2.values**2 + z3.values**2 - 4.0 * (z2.values * z3.values) ** 2
     assert np.max(np.abs(d.grad_sq.values - expected_gsq)) < 1e-12

@@ -166,17 +166,24 @@ def test_axial_preset_pole_behavior(bg_unit, mode_l2):
 
 
 def test_axial_preset_one_dense_output_pass_per_surface(bg_unit, preset, monkeypatch):
-    # q3, dq3/dr and dq3/dtheta share the A and A' of one evaluation
+    # q3, dq3/dr and dq3/dtheta share the A and A' of one evaluation, over the
+    # distinct chart radii (they repeat along each parameter row)
     from quasilocal.radial import RadialSolution
 
-    calls = []
+    calls, radii = [], []
     eval_rstar = RadialSolution.eval_rstar
+    spatial_profile = PerturbationProfiles.spatial_profile
     monkeypatch.setattr(
         RadialSolution, "eval_rstar", lambda self, rs: calls.append(rs.shape) or eval_rstar(self, rs)
     )
+    monkeypatch.setattr(
+        PerturbationProfiles,
+        "spatial_profile",
+        lambda self, r, th: radii.append(np.unique(r).size) or spatial_profile(self, r, th),
+    )
     for d in (24.5, 25.0):
         surface_geometry(SurfaceSpec(t=0.9, d=d), bg_unit, preset, resolution=32)
-    assert len(calls) == 2
+    assert calls == [(n,) for n in radii] and max(radii) < 32 * 64
 
 
 def test_axial_preset_regular_horizon_limit(bg_unit, mode_l2):

@@ -11,6 +11,7 @@ Rewrite the file with ``python3 tests/record_golden.py``.
 import json
 import math
 import re
+import sys
 
 import pytest
 
@@ -107,3 +108,23 @@ def test_compare_lists_what_moved():
         "a.json.kind: 'x' -> 'y'",
         "a.json.z: 0.0 -> 1.0",
     ]
+
+
+def test_diff_exits_1_only_when_a_run_moved(tmp_path, monkeypatch, capsys):
+    import record_golden
+
+    run_id = "radial_profile"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() puts src/ on the path
+    monkeypatch.setattr(record_golden, "RUNS", {run_id: RUNS[run_id]})
+    monkeypatch.setattr(record_golden, "GOLDEN", tmp_path / "golden.json")
+    out = tmp_path / "run"
+    assert record_golden.run_cli(run_id, out) == 0
+    recorded = {"runs": {run_id: digest(out)}}  # this environment's bytes, wherever it runs
+    record_golden.GOLDEN.write_text(json.dumps(recorded), encoding="utf-8")
+    assert record_golden.main(["--diff"]) == 0
+    hashes = recorded["runs"][run_id]["artifacts"]
+    name = sorted(hashes)[0]
+    hashes[name] = hashes[name][::-1]
+    record_golden.GOLDEN.write_text(json.dumps(recorded), encoding="utf-8")
+    assert record_golden.main(["--diff"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [f"{run_id}: 1 changes", f"  {name}: sha256 changed"]

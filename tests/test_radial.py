@@ -605,7 +605,7 @@ def test_profile_shares_one_dense_output_pass(axial_solution, monkeypatch):
         RadialSolution, "eval_rstar", lambda self, rs: calls.append(rs.shape) or eval_rstar(self, rs)
     )
     got = [prof.a(r.copy()), prof.a_prime(r.copy()), prof.a_double_prime(r)]
-    assert calls == [(np.unique(r).size,)]  # one pass, over the distinct radii
+    assert calls == [r.shape]
     for g, e in zip(got, expect):
         assert g.tobytes() == e.tobytes()
     z, dz = axial_solution.eval_r(r)

@@ -30,7 +30,6 @@ from quasilocal import (
 import quasilocal.sphere
 from quasilocal.sphere import (
     SphereDerivatives,
-    _block_index,
     _derivative_tables,
     _eigenvalues,
     _harmonic_derivatives,
@@ -468,21 +467,103 @@ def test_evaluate_per_distinct_colatitude_is_bitwise(loop, max_distinct, seed):
     assert np.array_equal(got, _evaluate_every_point(h, loop.theta, loop.phi))
 
 
-def test_block_index_is_cached_and_read_only():
-    (lc, mc), (ls, ms) = _block_index(6)
-    assert _block_index(6)[0][0] is lc
-    for index in (lc, mc, ls, ms):
-        with pytest.raises(ValueError):
-            index[0] = 1
+def _block_index(l_max):
+    """(l, m) of the cosine (m >= 0) and sine (m > 0) entries of the [l, m] blocks.
+
+    The index builder as it stood, without its cache and read-only flags, which moved no value.
+    """
+    l, m = np.tril_indices(l_max + 1)
+    sine = m > 0
+    index = (l, m, l[sine], m[sine])
+    return index[:2], index[2:]
+
+
+def _analyze_by_index(field):
+    """``analyze`` as it stood with the fancy-index scatter (kept verbatim at the grid's band limit)."""
+    grid = field.grid
+    l_max = grid.l_max
+    fc = np.einsum("jk,mk->jm", field.values, grid._cosm) * grid._dphi
+    fs = np.einsum("jk,mk->jm", field.values, grid._sinm) * grid._dphi
+    yw = grid._ybar * grid.weights[None, None, :]
+    ac = np.einsum("lmj,jm->lm", yw, fc)
+    as_ = np.einsum("lmj,jm->lm", yw, fs)
+    coeffs = np.zeros((l_max + 1, 2 * l_max + 1))
+    (lc, mc), (ls, ms) = _block_index(l_max)
+    coeffs[lc, l_max + mc] = ac[lc, mc]
+    coeffs[ls, l_max - ms] = as_[ls, ms]
+    return HarmonicField(l_max, coeffs)
+
+
+def _theta_sums_by_index(h, theta_table):
+    """``_theta_sums`` as it stood with the fancy-index gather (kept verbatim)."""
+    L = h.l_max
+    ac = np.zeros((L + 1, L + 1))
+    as_ = np.zeros((L + 1, L + 1))
+    (lc, mc), (ls, ms) = _block_index(L)
+    ac[lc, mc] = h.coeffs[lc, L + mc]
+    as_[ls, ms] = h.coeffs[ls, L - ms]
+    tab = theta_table[: L + 1, : L + 1, :]
+    return np.einsum("lmj,lm->mj", tab, ac), np.einsum("lmj,lm->mj", tab, as_)
+
+
+def _outside(l_max):
+    """The slots with |m| > l of a coefficient array."""
+    return np.abs(np.arange(-l_max, l_max + 1))[None, :] > np.arange(l_max + 1)[:, None]
+
+
+def _signed_zeros_and_junk(l_max, seed):
+    """Random coefficients with exact +0.0 and -0.0 among the stored ones and junk in |m| > l."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((l_max + 1, 2 * l_max + 1))
+    pick = rng.random(c.shape)
+    c[pick < 0.2] = 0.0
+    c[pick > 0.8] = -0.0
+    outside = _outside(l_max)
+    c[outside] = rng.choice([np.nan, np.inf, -1e300, -0.0, 3.0], size=outside.sum())
+    return HarmonicField(l_max, c)
+
+
+def _syntheses(h, grids, theta, phi):
+    with np.errstate(invalid="ignore"):  # an inf coefficient makes nan
+        out = [evaluate(h, theta, phi)]
+        for grid in grids:
+            d = _harmonic_derivatives(h, grid)
+            out += [synthesize(h, grid).values, *(getattr(d, f.name).values for f in dataclasses.fields(d))]
+    return out
+
+
+@pytest.mark.parametrize("l_max", range(41))
+def test_block_slices_are_bitwise_the_index_gather_and_scatter(l_max, monkeypatch):
+    grids = (SphereGrid.for_band_limit(l_max), SphereGrid(2 * l_max + 1, 4 * l_max + 1, l_max))
+    h = _signed_zeros_and_junk(l_max, seed=l_max)
+    rng = np.random.default_rng(100 + l_max)
+    theta, phi = rng.uniform(0.0, np.pi, 64), rng.uniform(0.0, 2.0 * np.pi, 64)
+    for grid in grids:
+        shape = (grid.n_theta, grid.n_phi)
+        noisy = rng.standard_normal(shape)
+        noisy[rng.random(shape) < 0.3] = -0.0
+        blown = noisy.copy()
+        blown[-1, 0] = np.inf  # 0 * inf is nan in every |m| > l slot of the unmasked blocks
+        smooth = synthesize(random_harmonic(l_max, l_max), grid).values
+        for values in (noisy, blown, np.full(shape, -0.0), smooth):
+            with np.errstate(invalid="ignore"):
+                got, want = analyze(GridField(values, grid)), _analyze_by_index(GridField(values, grid))
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.coeffs[_outside(l_max)].tobytes() == np.zeros(_outside(l_max).sum()).tobytes()
+    zeros = HarmonicField(l_max, np.where(_outside(l_max), h.coeffs, -0.0))
+    blown = HarmonicField(l_max, h.coeffs.copy())
+    blown.coeffs[l_max, l_max] = np.inf  # an m = 0 read as a sine coefficient makes inf * 0
+    cases = (h, zeros, blown)
+    got = [_syntheses(f, grids, theta, phi) for f in cases]
+    monkeypatch.setattr(quasilocal.sphere, "_theta_sums", _theta_sums_by_index)
+    for g, f in zip(got, cases):
+        assert _same_bytes(g, _syntheses(f, grids, theta, phi))
 
 
 def test_band_limit_violation(grid16):
     h = random_harmonic(32, seed=1)
     with pytest.raises(BandLimitError):
         synthesize(h, grid16)
-    f = GridField(np.ones((grid16.n_theta, grid16.n_phi)), grid16)
-    with pytest.raises(BandLimitError):
-        analyze(f, l_max=32)
 
 
 # ----------------------------------------------------------------------
