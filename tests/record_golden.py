@@ -42,6 +42,12 @@ RUNS = {
     "radial_profile": ("radial", "radial_profile", ()),
     "axial_sweep-l_max48": ("sweep", "axial_sweep", ("numerics.l_max=48",)),
     "axial_sweep-paper": ("sweep", "axial_sweep", ("surface.substitution=paper",)),
+    # one descending DOP853 leg of ~560 steps from r ~ 1550
+    "radial_profile-asymptotic": (
+        "radial",
+        "radial_profile",
+        ('mode.boundary={"type": "asymptotic", "amplitude": 1.0}', "numerics.tolerance=1e-5"),
+    ),
     "geometry_axial-tilted": ("geometry", "geometry_axial", ("surface.theta_d=0.3",)),
     "loop_equator-circle": (
         "loop",
