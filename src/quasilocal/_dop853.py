@@ -5,12 +5,15 @@ scipy's ``solve_ivp(method="DOP853")``: its coefficient literals, and its
 initial step, step-size control, error norm and extra dense-output stages in
 the same order, so steps, states and interpolants are bitwise those of
 ``solve_ivp`` (the tests keep scipy as the oracle).  The sums whose bits
-depend on BLAS stay ``np.dot`` on scipy's operand layouts (a Python sum
-rounds differently): the stage sums, the weighted sum of the step, the two
-error estimates and the interpolant coefficients.  The step-size control
-and each stage's state run on Python floats, which round as numpy scalars
-do without their per-operation overhead, so ``fun`` takes the state as a
-sequence of floats and returns its derivative as one.
+depend on BLAS stay products on scipy's operand layouts (a Python sum
+rounds differently), through the ``ndarray.dot`` method, which skips
+``np.dot``'s dispatch: the stage sums, the step's weighted sum, the two
+error estimates and their squared norms, and D K.  The elementwise work
+runs on Python floats, which round as numpy does without its overhead: the
+step-size control, each stage's state, y_new and the error scale, where a
+NaN in |y| or |y_new| wins as in ``np.maximum`` (Python's ``max`` can drop
+it).  ``fun`` takes and returns sequences of floats.  A leg keeps each
+accepted step's h, f and D K and builds all interpolants once, at its end.
 """
 
 from __future__ import annotations
@@ -168,25 +171,25 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol, atol):
         rtol = np.maximum(rtol, 100 * EPS)
     atol = np.asarray(atol)
     n = y0.size
+    atols, rtols = (np.broadcast_to(x, n).tolist() for x in (atol, rtol))
 
-    def fun_array(t, y):
-        return np.array(fun(t, y.tolist()))
-
-    t, t_bound, y = float(t0), float(t_bound), y0
+    t, t_bound, y = float(t0), float(t_bound), y0.tolist()
     direction = 1.0 if t_bound > t else -1.0
-    f = fun_array(t, y)
-    h_abs = _initial_step(fun_array, t, y, t_bound, f, direction, rtol, atol)
+    f = fun(t, y)
+    h_abs = _initial_step(lambda t, y: np.array(fun(t, y.tolist())), t, y0, t_bound,
+                          np.array(f), direction, rtol, atol)
     K_extended = np.empty((N_STAGES_EXTENDED, n))
     # stage s: scipy's operands K[:s].T and A[s, :s], and its node C[s]
     stages = [(s, K_extended[:s].T, A[s, :s], C[s].item()) for s in range(N_STAGES_EXTENDED)]
     K_step, K_error = K_extended[:N_STAGES].T, K_extended[:N_STAGES + 1].T
-    ts, ys, steps = [t], [y], []
+    # per node its t, y and f; per accepted step its h and D K block
+    nodes, steps = [(t, y, f)], []
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
-        y_list = y.tolist()
+        y_abs = [abs(yi) for yi in y]
         while True:
             if h_abs < min_step:
                 raise IntegrationError("radial integration failed: Required step "
@@ -199,18 +202,19 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol, atol):
             h_abs = abs(h)
             K_extended[0] = f
             for s, K_s, a, c in stages[1:N_STAGES]:
-                dy = np.dot(K_s, a).tolist()
-                K_extended[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y_list, dy)])
-            y_new = y + h * np.dot(K_step, B)
-            f_new = fun_array(t + h, y_new)
+                K_extended[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, K_s.dot(a).tolist())])
+            y_new = [yi + h * bi for yi, bi in zip(y, K_step.dot(B).tolist())]
+            f_new = fun(t + h, y_new)
             K_extended[N_STAGES] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            # atol + np.maximum(|y|, |y_new|) * rtol: as there, a NaN on either side wins
+            scale = np.array([at + (u if u >= v else v if v >= u else math.nan) * rt
+                              for at, rt, u, v in zip(atols, rtols, y_abs, map(abs, y_new))])
             # the 5th- and 3rd-order estimates blended; each squared norm rounds
             # as np.linalg.norm(x)**2 does, through sqrt(x.x)
-            err5 = np.dot(K_error, E5) / scale
-            err3 = np.dot(K_error, E3) / scale
-            err5_norm_2 = math.sqrt(np.dot(err5, err5)) ** 2
-            err3_norm_2 = math.sqrt(np.dot(err3, err3)) ** 2
+            err5 = K_error.dot(E5) / scale
+            err3 = K_error.dot(E3) / scale
+            err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
             error_norm = h_abs * err5_norm_2 / math.sqrt(
                 (err5_norm_2 + 0.01 * err3_norm_2) * n) if err5_norm_2 or err3_norm_2 else 0.0
             if error_norm < 1:
@@ -225,22 +229,22 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol, atol):
 
         # the dense output's three extra stages
         for s, K_s, a, c in stages[N_STAGES + 1:]:
-            dy = np.dot(K_s, a).tolist()
-            K_extended[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y_list, dy)])
-        delta_y = y_new - y
-        F = np.empty((INTERPOLATOR_POWER, n))
-        F[0] = delta_y
-        F[1] = h * f - delta_y
-        F[2] = 2 * delta_y - h * (f_new + f)
-        F[3:] = h * np.dot(D, K_extended)
-        steps.append((t, h, F, y))
+            K_extended[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, K_s.dot(a).tolist())])
+        steps.append((h, D.dot(K_extended)))
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
+        nodes.append((t, y, f))
         if direction * (t - t_bound) >= 0:
             break
-    ts = np.array(ts)
-    return ts, np.array(ys), Dop853Table(ts, *map(np.array, zip(*steps)))
+    # every step's interpolant at once, by scipy's elementwise operations
+    ts, ys, fs = map(np.array, zip(*nodes))
+    hs, DK = map(np.array, zip(*steps))
+    delta_y, f_old, h = ys[1:] - ys[:-1], fs[:-1], hs[:, None]
+    F = np.empty((len(hs), INTERPOLATOR_POWER, n))
+    F[:, 0] = delta_y
+    F[:, 1] = h * f_old - delta_y
+    F[:, 2] = 2 * delta_y - h * (fs[1:] + f_old)
+    F[:, 3:] = h[:, None] * DK
+    return ts, ys, Dop853Table(ts, ts[:-1], hs, F, ys[:-1])
 
 
 class Dop853Table:

@@ -8,7 +8,8 @@ a header and 1-D columns, formatted once per distinct value; CSV and JSON
 artifacts hold finite numbers only, except a polar mode's A(r) columns in
 ``radial.csv``, which are NaN.
 Exit codes: 0 success, 2 config error, 3 numerical failure (a kernel residual
-past the solvability tolerance included); failures print a
+past the solvability tolerance and a ``radial`` run whose ``residual_max``
+exceeds its tolerance included); failures print a
 machine-readable error JSON to stderr.  Config checks run before ``--out`` is
 made and every artifact is rendered before the first is written, so a run
 exiting 2 or 3 writes none; after exit 3 ``--out`` may exist, empty.
@@ -29,7 +30,7 @@ import numpy as np
 from . import config as cfg
 from .embedding import SurfaceSpec
 from .energy import LoopSpec, rho_bracket, surface_embedding, sweep_energy
-from .errors import ConfigError, QuasilocalError, SolvabilityWarning
+from .errors import ConfigError, IntegrationError, QuasilocalError, SolvabilityWarning
 from .geometry import PerturbationProfiles, axial_preset, hawking_sweep
 from .radial import (
     AnchorBoundary,
@@ -112,6 +113,9 @@ def run_radial(conf, jobs: int) -> dict:
     _, d_values, _ = _surface(conf)
     r_range = num.get("radial_range")
     sol = solve_radial(bg, mode, _boundary(conf), d_values, num["tolerance"], r_range)
+    residual = sol.residual_max()
+    if residual > sol.tol:
+        raise IntegrationError(f"radial residual_max {residual:.6g} exceeds the tolerance {sol.tol:.6g}")
     n = num["radial_samples"]
     r = np.linspace(sol.r_min * (1 + 1e-12), sol.r_max * (1 - 1e-12), n)
     z, dz = sol.eval_r(r)
@@ -131,7 +135,7 @@ def run_radial(conf, jobs: int) -> dict:
             "r_min": sol.r_min,
             "r_max": sol.r_max,
             "samples": len(r),
-            "residual_max": sol.residual_max(),
+            "residual_max": residual,
             "asymptotic_truncation": sol.asymptotic_truncation,
         },
     }

@@ -319,8 +319,8 @@ class RadialSolution:
         For each sample interval, compares y_{i+1} - y_i against the 10-point
         Gauss quadrature of the right-hand side evaluated on dense output.
         Nodes go through the dense output 128 intervals per call, bounding its
-        temporaries; each interval keeps its own ``np.dot`` (a matrix product
-        would reorder the sum).  integrate_wave leaves no zero-length interval.
+        temporaries; each interval keeps its own ``weights.dot(row)`` (a matrix
+        product would reorder the sum).  integrate_wave leaves no zero-length interval.
         """
         nodes, weights = np.polynomial.legendre.leggauss(10)
         scale = max(np.max(np.abs(self.z)), np.max(np.abs(self.dz)), 1e-300)
@@ -332,8 +332,8 @@ class RadialSolution:
         for k in range(0, len(ts), 128):
             st = self.eval_rstar(ts[k:k + 128])
             v = potential(np.maximum(st[2], self.background.horizon * (1 + 1e-15)), self.background, self.mode)
-            int_z[k:k + 128] = [np.dot(weights, row) for row in st[1]]
-            int_dz[k:k + 128] = [np.dot(weights, row) for row in (v - sigma * sigma) * st[0]]
+            int_z[k:k + 128] = [weights.dot(row) for row in st[1]]
+            int_dz[k:k + 128] = [weights.dot(row) for row in (v - sigma * sigma) * st[0]]
         res = np.maximum(
             np.abs(np.diff(self.z) - half * int_z),
             np.abs(np.diff(self.dz) - half * int_dz),

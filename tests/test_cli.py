@@ -433,6 +433,17 @@ def test_kernel_residual_exits_before_writing(args, tmp_path, capsys, monkeypatc
     assert list(out.iterdir()) == []
 
 
+def test_radial_residual_past_the_tolerance_exits_before_writing(tmp_path, capsys, monkeypatch):
+    tol = DEFAULT_CONFIG["numerics"]["tolerance"]
+    monkeypatch.setattr(quasilocal.radial.RadialSolution, "residual_max", lambda self: 2.0 * self.tol)
+    out = tmp_path / "out"
+    assert run(["radial", "--out", out]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "IntegrationError" and err["category"] == "numerical"
+    assert f"{2.0 * tol:.6g}" in err["message"] and f"{tol:.6g}" in err["message"]
+    assert list(out.iterdir()) == []
+
+
 # a few values of every kind a CSV column can hold: both zeros, NaN, the
 # extreme subnormals and normals, and exponents from both ends
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,

@@ -1,5 +1,6 @@
 """Tortoise map, potentials, wave integration, and the A(r) profile."""
 
+import math
 import warnings
 
 import numpy as np
@@ -321,18 +322,32 @@ def _warned(call, *args, **kwargs):
     return out, [(w.category, str(w.message)) for w in caught]
 
 
+def _counted(fun):
+    """``fun`` and a list that grows by one entry per call of it."""
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return fun(t, y)
+
+    return counted, calls
+
+
 @pytest.fixture
 def legs(monkeypatch):
     """Every leg integrate_wave steps: the in-repo stepper's result and
-    warnings beside those of solve_ivp on the same arguments."""
+    warnings beside those of solve_ivp on the same arguments.  Each leg
+    calls the right-hand side exactly as often as solve_ivp does."""
     legs = []
 
     def recorded(fun, t0, t_bound, y0, rtol, atol):
-        ours, warned = _warned(_dop853.dop853, fun, t0, t_bound, y0, rtol=rtol, atol=atol)
+        counted, calls = _counted(fun)
+        ours, warned = _warned(_dop853.dop853, counted, t0, t_bound, y0, rtol=rtol, atol=atol)
         ref, ref_warned = _warned(
             solve_ivp, lambda t, y: fun(t, y.tolist()), (t0, t_bound), y0, method="DOP853",
             rtol=rtol, atol=atol, dense_output=True,
         )
+        assert len(calls) == ref.nfev
         legs.append((ours, ref, warned, ref_warned))
         return ours
 
@@ -407,18 +422,19 @@ def test_stepper_is_bitwise_solve_ivp(case, legs):
             assert table(t).tobytes() == ode(t).tobytes()
 
 
+def _rejected(ref):
+    """The steps solve_ivp rejected: with dense output it evaluates the RHS
+    twice to start, 12 times per attempted step and 3 more times per accepted one."""
+    n_rejected, rest = divmod(ref.nfev - 2 - 15 * (len(ref.t) - 1), 12)
+    assert rest == 0
+    return n_rejected
+
+
 @pytest.mark.parametrize("case", _REJECTING_CASES)
 def test_rejecting_cases_reject_a_step(case, legs):
-    # with dense output scipy evaluates the RHS twice to start, 12 times per
-    # attempted step and 3 more times per accepted one
     bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
     integrate_wave(bg, mode, bnd, r_range, tol=tol)
-    rejected = []
-    for _, ref, _, _ in legs:
-        accepted = len(ref.t) - 1
-        n_rejected, rest = divmod(ref.nfev - 2 - 15 * accepted, 12)
-        assert rest == 0
-        rejected.append(n_rejected)
+    rejected = [_rejected(ref) for _, ref, _, _ in legs]
     assert sum(rejected) >= 1, rejected
 
 
@@ -434,6 +450,65 @@ def test_step_below_the_float_spacing_fails_as_solve_ivp(direction):
     assert ref.status == -1
     with pytest.raises(IntegrationError, match=ref.message):
         _dop853.dop853(fun, 0.0, t_bound, y0, rtol=1e-8, atol=np.array([1e-10]))
+
+
+def _assert_bitwise_solve_ivp(fun, t_bound, y0, rtol, atol):
+    """The in-repo stepper against solve_ivp from t = 0: nodes, states, every
+    interpolant field and the number of right-hand-side calls; returns scipy's result."""
+    counted, calls = _counted(fun)
+    ts, ys, table = _dop853.dop853(counted, 0.0, t_bound, np.array(y0), rtol=rtol, atol=np.array(atol))
+    ref = solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound), np.array(y0), method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=True)
+    assert ref.status == 0 and len(calls) == ref.nfev
+    assert ts.tobytes() == ref.t.tobytes()
+    assert ys.tobytes() == np.ascontiguousarray(ref.y.T).tobytes()
+    for name in ("t_old", "h", "F", "y_old"):
+        stacked = np.array([getattr(s, name) for s in ref.sol.interpolants])
+        assert getattr(table, name).tobytes() == stacked.tobytes()
+    return ref
+
+
+@pytest.mark.parametrize("fun, t_bound, y0, rtol, atol, rejects", [
+    pytest.param(lambda t, y: (-y[0],), 5.0, [1.0], 1e-10, [1e-12], False, id="decay-n1"),
+    # y'' = -y/4 under an atol far above rtol: 7 steps rejected forward, 1 backward
+    pytest.param(lambda t, y: (y[1], -0.25 * y[0]), 100.0, [0.0, 1.0], 1e-7, [1e-3, 1e-3], True,
+                 id="oscillator-n2"),
+    pytest.param(lambda t, y: (y[1], -0.25 * y[0]), -10.0, [0.0, 1.0], 1e-7, [1e-3, 1e-3], True,
+                 id="oscillator-n2-backward"),
+])
+def test_stepper_is_bitwise_solve_ivp_in_any_state_size(fun, t_bound, y0, rtol, atol, rejects):
+    ref = _assert_bitwise_solve_ivp(fun, t_bound, y0, rtol, atol)
+    assert (_rejected(ref) >= 1) == rejects
+
+
+@pytest.mark.parametrize("blowup", [math.nan, 1e300], ids=["nan", "overflow"])
+def test_non_finite_rhs_fails_as_solve_ivp(blowup):
+    # past t = 1 the derivative is NaN, or grows by 1e300 per stage until it
+    # overflows; every step is then rejected down to the float spacing
+    def fun(t, y):
+        return (-y[0] if t <= 1.0 else blowup * y[0],)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, 5.0), np.array([1.0]),
+                        method="DOP853", rtol=1e-8, atol=1e-10)
+        assert ref.status == -1
+        with pytest.raises(IntegrationError, match=ref.message):
+            _dop853.dop853(fun, 0.0, 5.0, np.array([1.0]), rtol=1e-8, atol=np.array([1e-10]))
+
+
+def test_nan_step_from_an_overflowed_state_is_rejected_as_in_solve_ivp():
+    # y' = +-1e300 from y = 1e300: the state overflows to inf, where every
+    # step passes (its error scale is inf).  Once y' < 0, a step long enough
+    # that h y' is -inf gives y_new = inf - inf = NaN; np.maximum carries that
+    # NaN into the error scale, so the step is rejected (Python's max would
+    # take the inf and accept it)
+    def fun(t, y):
+        return (1e300 if t < 1e9 else -1e300,)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _assert_bitwise_solve_ivp(fun, 1e10, [1e300], 1e-3, [1e-6])
+    assert _rejected(ref) >= 1
+    assert np.isinf(ref.y).any() and not np.isnan(ref.y).any()
 
 
 def test_two_legs_meet_at_the_anchor(legs):
