@@ -1,10 +1,12 @@
-"""Record ``tests/golden.json``: the sha256 and JSON scalars of a fixed set of CLI runs.
+"""Record ``tests/golden.json``: the sha256, JSON scalars and CSV column summaries of a fixed set of CLI runs.
 
     python3 tests/record_golden.py           # rewrite tests/golden.json
     python3 tests/record_golden.py --diff    # compare the runs with it; writes nothing
 
 ``--diff`` exits 0 when every run is unchanged and 1 when any artifact hash or
-scalar moved (or a run failed), so it can serve as a gate.
+scalar moved (or a run failed), so it can serve as a gate.  For a CSV whose
+hash changed it also prints each column whose summary moved, with its largest
+move.
 
 Rewrite the file only when a change is meant to move artifact bytes, and give
 the old and new values with the tolerance they still meet in CHANGES.md;
@@ -19,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -99,24 +102,79 @@ def _scalars(doc, path: str, out: dict) -> None:
         out[path] = doc
 
 
+# about this many evenly spaced rows of each CSV column are kept, and the last
+ROW_SAMPLES = 16
+
+
+def summarize(column: np.ndarray) -> dict:
+    """Length, min, max and L2 norm of a CSV column, and its value at every
+    k-th row and the last (keyed by row number); NaN stays NaN."""
+    n = len(column)
+    rows = sorted({*range(0, n, max(1, n // ROW_SAMPLES)), n - 1})
+    values = column.tolist()
+    return {
+        "length": n,
+        "min": float(np.min(column)),
+        "max": float(np.max(column)),
+        "l2": math.sqrt(math.fsum(v * v for v in values)),
+        "rows": {str(i): values[i] for i in rows},
+    }
+
+
+def csv_columns(path: Path) -> dict:
+    """Column name -> values of an artifact CSV (after its config line and header)."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[1].split(",")
+    table = np.array([line.split(",") for line in lines[2:]], dtype=float).reshape(-1, len(header))
+    return dict(zip(header, table.T))
+
+
 def digest(out: Path) -> dict:
-    """sha256 of every artifact and every scalar of each JSON payload.
+    """sha256 of every artifact, every scalar of each JSON payload and a
+    summary of each CSV column.
 
     The scalars leave out the ``config`` echo, which is the run's input.
     """
-    hashes, scalars = {}, {}
+    hashes, scalars, columns = {}, {}, {}
     for path in sorted(out.iterdir()):
         hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         if path.suffix == ".json":
             doc = json.loads(path.read_text(encoding="utf-8"))
             doc.pop("config")
             _scalars(doc, path.name, scalars)
-    return {"artifacts": hashes, "scalars": scalars}
+        elif path.suffix == ".csv":
+            columns[path.name] = {k: summarize(v) for k, v in csv_columns(path).items()}
+    return {"artifacts": hashes, "scalars": scalars, "columns": columns}
+
+
+def _same(a, b) -> bool:
+    return a == b or a != a and b != b  # NaN matches NaN
+
+
+def column_moves(old: dict, new: dict) -> dict[str, float]:
+    """Column -> largest move of its summary from ``old`` to ``new``, for the
+    columns whose summary moved; a value's move is taken relative to the old
+    column's largest |value|, the L2 norm's relative to itself, and a change
+    of length or of the sampled rows is an infinite move."""
+    moves = {}
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if a is None or b is None or a["length"] != b["length"] or a["rows"].keys() != b["rows"].keys():
+            moves[name] = math.inf
+            continue
+        scale = max(abs(a["min"]), abs(a["max"]))
+        pairs = [(a[k], b[k], scale) for k in ("min", "max")] + [(a["l2"], b["l2"], a["l2"])]
+        pairs += [(a["rows"][i], b["rows"][i], scale) for i in a["rows"]]
+        moved = [(x, y, s) for x, y, s in pairs if not _same(x, y)]
+        if moved:
+            moves[name] = max(abs(y - x) / s if s else math.inf for x, y, s in moved)
+    return moves
 
 
 def compare(old: dict, new: dict) -> list[str]:
     """The artifacts whose sha256 changed and the scalars that moved from the
-    recorded digest ``old`` to the run's digest ``new``.
+    recorded digest ``old`` to the run's digest ``new``, then the largest
+    move of each moved column of a changed CSV (``column_moves``).
 
     A moved number reads ``path: old -> new (rel change)``, the change taken
     relative to |old|; an entry on one side only names that side.
@@ -136,6 +194,11 @@ def compare(old: dict, new: dict) -> list[str]:
                 numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
                 rel = f" ({(y - x) / abs(x):+.2e})" if numbers and x else ""
                 lines.append(f"{key}: {x!r} -> {y!r}{rel}")
+    old_columns, new_columns = old.get("columns", {}), new.get("columns", {})
+    for csv in sorted(old_columns.keys() & new_columns.keys()):
+        if old["artifacts"].get(csv) != new["artifacts"].get(csv):
+            for column, move in column_moves(old_columns[csv], new_columns[csv]).items():
+                lines.append(f"{csv} {column}: largest move {move:.2e}")
     return lines
 
 

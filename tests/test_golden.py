@@ -4,18 +4,21 @@ In the environment the file was recorded in (``record_golden.environment``)
 every artifact must match its sha256.  Anywhere else, where BLAS or SIMD may
 round differently, the JSON scalars must match at 1e-10 relative; a fit's
 outputs at 1e-10 times the fit's condition number, and the round-off
-diagnostics in ``ROUNDOFF`` only down to their floor.
+diagnostics in ``ROUNDOFF`` only down to their floor.  There each CSV column's
+summary must match too: its length exactly, its L2 norm at 1e-10 relative, and
+its min, max and sampled rows at 1e-10 of the column's largest |value|.
 Rewrite the file with ``python3 tests/record_golden.py``.
 """
 
 import json
 import math
 import re
+import shutil
 import sys
 
 import pytest
 
-from record_golden import GOLDEN, RUNS, compare, digest, environment
+from record_golden import GOLDEN, RUNS, compare, csv_columns, digest, environment
 
 RECORD = json.loads(GOLDEN.read_text(encoding="utf-8"))
 RTOL = 1e-10
@@ -50,6 +53,30 @@ def scalar_differences(got: dict, want: dict) -> list[str]:
     return out
 
 
+def column_differences(got: dict, want: dict) -> list[str]:
+    """``file column what: got != want`` for each CSV column summary entry that
+    differs beyond its tolerance; ``what`` is a summary field or ``row i``."""
+    out = []
+    for csv in sorted(got.keys() | want.keys()):
+        g_csv, w_csv = got.get(csv, {}), want.get(csv, {})
+        for column in sorted(g_csv.keys() | w_csv.keys()):
+            if column not in g_csv or column not in w_csv:
+                out.append(f"{csv} {column}: only in {'the run' if column in g_csv else 'golden.json'}")
+                continue
+            g, w = g_csv[column], w_csv[column]
+            if g["length"] != w["length"] or g["rows"].keys() != w["rows"].keys():
+                out.append(f"{csv} {column} length: {g['length']} != {w['length']}")
+                continue
+            scale = max(abs(w["min"]), abs(w["max"]))
+            entries = [(k, g[k], w[k], RTOL * scale) for k in ("min", "max")]
+            entries.append(("l2", g["l2"], w["l2"], RTOL * w["l2"]))
+            entries += [(f"row {i}", g["rows"][i], w["rows"][i], RTOL * scale) for i in sorted(w["rows"], key=int)]
+            for what, a, b, tol in entries:
+                if not (a == b or a != a and b != b or abs(a - b) <= tol):
+                    out.append(f"{csv} {column} {what}: {a!r} != {b!r}")
+    return out
+
+
 def test_golden_file_covers_every_run():
     assert sorted(RECORD["runs"]) == sorted(RUNS)
 
@@ -67,7 +94,36 @@ def test_artifacts_match_golden(run_id, golden_run):
         assert not moved, f"artifacts {moved} changed bytes; scalars that moved: {exact}"
     else:
         differing = scalar_differences(got["scalars"], want["scalars"])
+        differing += column_differences(got["columns"], want["columns"])
         assert not differing, f"environment differs from golden.json in {env}; {differing}"
+
+
+def _flip_leading_digit(text: str) -> str:
+    """The number ``text`` with its first nonzero digit changed."""
+    i = next(i for i, ch in enumerate(text) if ch in "123456789")
+    return text[:i] + ("1" if text[i] != "1" else "2") + text[i + 1:]
+
+
+@pytest.mark.parametrize("run_id, csv", [("loop_equator-source_tau", "loop.csv"), ("geometry_axial", "geometry.csv")])
+def test_one_flipped_csv_digit_names_file_column_and_row(run_id, csv, golden_run, tmp_path):
+    code, out = golden_run(run_id)
+    assert code == 0
+    copy = shutil.copytree(out, tmp_path / run_id)
+    want = RECORD["runs"][run_id]["columns"]
+    assert column_differences(digest(copy)["columns"], want) == []
+    lines = (copy / csv).read_text(encoding="utf-8").splitlines()
+    header = lines[1].split(",")
+    column = header[-1]
+    values = csv_columns(copy / csv)[column]
+    sampled = sorted(want[csv][column]["rows"], key=int)
+    row = max(sampled[1:-1], key=lambda i: abs(values[int(i)]))  # an inner sampled row, not the min or max
+    cells = lines[2 + int(row)].split(",")
+    cells[-1] = _flip_leading_digit(cells[-1])
+    lines[2 + int(row)] = ",".join(cells)
+    (copy / csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    differing = column_differences(digest(copy)["columns"], want)
+    assert f"{csv} {column} row {row}" in [d.split(":")[0] for d in differing]
+    assert all(d.startswith(f"{csv} {column} ") for d in differing)
 
 
 def test_scalar_check_names_the_field():
