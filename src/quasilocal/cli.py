@@ -44,7 +44,7 @@ from .radial import (
     solve_radial,
     tortoise,
 )
-from .sphere import HarmonicField, SphereGrid, analyze, evaluate
+from .sphere import HarmonicField, analyze, evaluate
 from .svgplot import line_plot
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
@@ -296,16 +296,13 @@ def run_loop(conf, jobs: int) -> dict:
     if field_name == "constant":
         h = HarmonicField.zeros(4)
         h.coeffs[0, 4] = math.sqrt(4.0 * math.pi)
+        vals = evaluate(h, loop.theta, loop.phi)
     else:
         spec, _prof, s_tau, s_n, emb = _surface_embedding(conf)
-        if field_name == "source_tau":
-            h = analyze(s_tau)
-        elif field_name == "source_n":
-            h = analyze(s_n)
+        if field_name == "rho_bracket":
+            vals = rho_bracket(emb, loop.theta, loop.phi, spec.d)
         else:
-            wgrid = SphereGrid.for_band_limit(2 * emb.l_max)
-            h = analyze(rho_bracket(emb, wgrid, spec.d))
-    vals = evaluate(h, loop.theta, loop.phi)
+            vals = evaluate(analyze(s_tau if field_name == "source_tau" else s_n), loop.theta, loop.phi)
     return {
         "loop.csv": (["s", "theta", "phi", "integrand"], (loop.s, loop.theta, loop.phi, vals)),
         "loop.json": {

@@ -37,6 +37,7 @@ from .sphere import (
     HarmonicField,
     SphereGrid,
     _harmonic_derivatives,
+    _point_derivatives,
     _quadratic_form,
     analyze,
     apply_operator,
@@ -44,7 +45,6 @@ from .sphere import (
     coordinate_fields,
     evaluate,
     integrate,
-    synthesize,
 )
 
 __all__ = [
@@ -152,8 +152,8 @@ def grad_outer_double_divergence(h: HarmonicField, grid: SphereGrid) -> GridFiel
     return GridField(vals, grid)
 
 
-def rho_bracket(emb: EmbeddingSolution, grid: SphereGrid, d: float) -> GridField:
-    """The 1/d^2 block of the quasi-local mass density, pointwise.
+def rho_bracket(emb: EmbeddingSolution, theta, phi, d: float) -> np.ndarray:
+    """The 1/d^2 block of the quasi-local mass density at the points (theta, phi).
 
     (1/d^2) { (1/2)|Hess N|^2 + ((Delta+2)N)^2 - (1/4)(Delta N)^2
               - (1/4)(Delta tau)^2
@@ -164,22 +164,20 @@ def rho_bracket(emb: EmbeddingSolution, grid: SphereGrid, d: float) -> GridField
     Delta |grad tau|^2 = 2|Hess tau|^2 + 2 grad tau . grad(Delta tau) + 2|grad tau|^2,
     with ``grad_outer_double_divergence``'s expansion reduces the tau terms
     pointwise to (1/4)(Delta tau)^2 - (1/2)|Hess tau|^2 - |grad tau|^2.  The
-    derivatives of N and tau are synthesized from the solution's coefficients,
-    each once.  Quadrature of the result is exact when ``grid`` supports twice
-    the band limit of the embedding solution.
+    derivatives of N and tau are summed at the points from the solution's
+    coefficients, with theta tables that hold up to the poles, so the bracket
+    is exact at every point for the band-limited solution.
     """
-    nd = _harmonic_derivatives(emb.n_field, grid)
-    td = _harmonic_derivatives(emb.tau, grid)
-    op_n = synthesize(apply_operator(emb.n_field, "laplacian_plus_2"), grid).values
-    vals = (
-        0.5 * nd.hess_sq.values
+    nd, td = _point_derivatives((emb.n_field, emb.tau), theta, phi)
+    op_n = nd["laplacian"] + 2.0 * nd["value"]
+    return (
+        0.5 * nd["hess_sq"]
         + op_n**2
-        - 0.25 * nd.laplacian.values**2
-        + 0.25 * td.laplacian.values**2
-        - 0.5 * td.hess_sq.values
-        - td.grad_sq.values
+        - 0.25 * nd["laplacian"] ** 2
+        + 0.25 * td["laplacian"] ** 2
+        - 0.5 * td["hess_sq"]
+        - td["grad_sq"]
     ) / d**2
-    return GridField(vals, grid)
 
 
 class LoopSpec:

@@ -23,6 +23,10 @@ Conventions fixed here and used everywhere else in the package:
   transform first reads them, so a grid used for quadrature alone builds none.
   Nonlinear products should be formed on a grid sized for twice the band
   limit (``SphereGrid.for_band_limit(2 * l_max)``) to avoid aliasing.
+* The derivatives' theta tables (d/dtheta, d2/dtheta2, m/sin(theta) and its
+  d/dtheta) come from ladder relations between neighbouring orders: nothing
+  divides by sin(theta), so they hold at a colatitude of 1e-8 as on the
+  equator.  One builder serves a grid's rows and arbitrary points alike.
 """
 
 from __future__ import annotations
@@ -135,7 +139,7 @@ def _legendre_table(l_max: int, theta: np.ndarray) -> np.ndarray:
     The coefficients are built as whole arrays; the sectoral diagonal is a
     running product over l, its neighbour one product, and only the m <= l-2
     recurrence steps over l.  ``_real_scaled`` turns the table into the real
-    harmonics' Ybar, ``_derivative_tables`` into its theta-derivatives.
+    harmonics' Ybar, ``_ladder_tables`` into its theta-derivative tables.
     """
     x, s = np.cos(theta), np.sin(theta)
     L = l_max
@@ -166,33 +170,44 @@ def _real_scaled(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _derivative_tables(pbar: np.ndarray, theta: np.ndarray, n_deriv: int) -> list[np.ndarray]:
-    """The first ``n_deriv`` (<= 2) theta-derivatives of Ybar from the unscaled ``pbar``.
+def _ladder_tables(pbar: np.ndarray) -> tuple[np.ndarray, ...]:
+    """d/dtheta, d2/dtheta2, m/sin(theta) and d/dtheta (m/sin(theta)) of Ybar,
+    each shaped like ``pbar``, from the unscaled table ``pbar``.
 
-    The first derivative comes from the same-m relation, the second from the
-    associated Legendre equation.  The second derivative is formed in
-    ``pbar``'s buffer, so ``pbar`` is consumed when ``n_deriv`` is 2.
+    Ladder relations between neighbouring orders (DLMF 14.10), with P = Pbar:
+        d/dtheta P_l0 = -sqrt(l(l+1)) P_l1
+        d/dtheta P_lm = [sqrt((l+m)(l-m+1)) P_l,m-1 - sqrt((l-m)(l+m+1)) P_l,m+1] / 2
+        (m/sin) P_lm = sqrt((2l+1)/(2l-1)) [sqrt((l+m)(l+m-1)) P_l-1,m-1
+                                           + sqrt((l-m)(l-m-1)) P_l-1,m+1] / 2
+    for m >= 1; (m/sin) P_l0 = 0.  The second derivative is the first relation
+    applied twice, d/dtheta (m/sin) P the third applied to the first
+    derivative.  No step divides by sin(theta), so the tables hold up to the
+    poles; entries with m > l are zero.
     """
-    x, s = np.cos(theta), np.sin(theta)
     L = pbar.shape[0] - 1
-    ell = np.arange(L + 1)[:, None, None]
-    m = np.arange(L + 1)[None, :, None]
-    upper = (ell < m)[..., 0]
-    c = np.sqrt(np.maximum(ell * ell - m * m, 0) * (2.0 * ell + 1.0) / (2.0 * ell - 1.0))
-    dpbar = ell * x * pbar
-    dpbar[1:] -= c[1:] * pbar[:-1]
-    dpbar /= s
-    dpbar[0] = 0.0
-    dpbar[upper] = 0.0
-    tables = [dpbar]
-    if n_deriv >= 2:
-        product = ell * (ell + 1.0) - (m * m) / (s * s)
-        product *= pbar
-        d2pbar = np.multiply(-(x / s), dpbar, out=pbar)
-        d2pbar -= product
-        d2pbar[upper] = 0.0
-        tables.append(d2pbar)
-    return [_real_scaled(table) for table in tables]
+    ell = np.arange(L + 1.0)[:, None, None]
+    m = np.arange(L + 1.0)[None, :, None]
+    down = np.sqrt(np.maximum((ell + m) * (ell - m + 1.0), 0.0)) / 2.0  # weight of m - 1
+    up = np.sqrt(np.maximum((ell - m) * (ell + m + 1.0), 0.0)) / 2.0  # weight of m + 1
+    down[:, 0], up[:, 0] = 0.0, 2.0 * up[:, 0]
+    gain = np.sqrt((2.0 * ell[1:] + 1.0) / (2.0 * ell[1:] - 1.0)) / 2.0
+    from_below = gain * np.sqrt((ell[1:] + m) * (ell[1:] + m - 1.0))  # weight of l - 1, m - 1
+    from_above = gain * np.sqrt((ell[1:] - m) * (ell[1:] - m - 1.0))  # weight of l - 1, m + 1
+
+    def d_theta(table):
+        out = np.zeros_like(table)
+        out[:, 1:] = down[:, 1:] * table[:, :-1]
+        out[:, :-1] -= up[:, :-1] * table[:, 1:]
+        return out
+
+    def m_over_sin(table):
+        out = np.zeros_like(table)
+        out[1:, 1:] = from_below[:, 1:] * table[:-1, :-1]
+        out[1:, 1:-1] += from_above[:, 1:-1] * table[:-1, 2:]
+        return out
+
+    d1 = d_theta(pbar)
+    return tuple(_real_scaled(t) for t in (d1, d_theta(d1), m_over_sin(pbar), m_over_sin(d1)))
 
 
 class SphereGrid:
@@ -200,7 +215,7 @@ class SphereGrid:
 
     Only the quadrature rule and coordinates are built with the grid.  Ybar and
     the longitude tables are built when a transform first reads them, the
-    theta-derivative tables (read by ``grad_hess`` and the energy density
+    theta-derivative tables (read by ``grad_hess`` and the double divergence
     only) when those are first read.  A lock makes each first read build once,
     so instances can be shared freely between threads.
     """
@@ -233,7 +248,7 @@ class SphereGrid:
 
         Ybar and the longitude tables come first whichever is read first: Ybar
         is formed from a copy of Pbar, which the grid keeps until the
-        derivative build consumes it.
+        derivative tables are built from it.
         """
         tables = getattr(self, name)
         if tables is None:
@@ -243,7 +258,7 @@ class SphereGrid:
                     mphi = np.arange(self.l_max + 1)[:, None] * self.phi[None, :]
                     self._transforms = (_real_scaled(self._pbar.copy()), np.cos(mphi), np.sin(mphi))
                 if name == "_derivatives" and self._derivatives is None:
-                    self._derivatives = tuple(_derivative_tables(self._pbar, self.nodes, 2))
+                    self._derivatives = _ladder_tables(self._pbar)
                     self._pbar = None
                 tables = getattr(self, name)
         return tables
@@ -252,8 +267,8 @@ class SphereGrid:
     _cosm = property(lambda self: self._tables("_transforms")[1])
     _sinm = property(lambda self: self._tables("_transforms")[2])
 
-    def _ybar_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dYbar, d2Ybar), built on the first read."""
+    def _ybar_derivatives(self) -> tuple[np.ndarray, ...]:
+        """The four ``_ladder_tables`` of Ybar at the grid's rows, built on the first read."""
         return self._tables("_derivatives")
 
     @classmethod
@@ -374,9 +389,9 @@ def _check_band(h: HarmonicField, grid: SphereGrid) -> None:
 
 
 def _phi_stage(gc: np.ndarray, gs: np.ndarray, grid: SphereGrid) -> np.ndarray:
-    """sum_m [gc_m cos(m phi) + gs_m sin(m phi)] on the grid longitudes."""
-    n = len(gc)
-    return np.einsum("mj,mk->jk", gc, grid._cosm[:n]) + np.einsum("mj,mk->jk", gs, grid._sinm[:n])
+    """sum_m [gc_m cos(m phi) + gs_m sin(m phi)] on the grid longitudes; leading axes of gc, gs are kept."""
+    n = gc.shape[-2]
+    return np.einsum("...mj,mk->...jk", gc, grid._cosm[:n]) + np.einsum("...mj,mk->...jk", gs, grid._sinm[:n])
 
 
 def synthesize(h: HarmonicField, grid: SphereGrid) -> GridField:
@@ -385,21 +400,34 @@ def synthesize(h: HarmonicField, grid: SphereGrid) -> GridField:
     return GridField(_phi_stage(*_theta_sums(h, grid._ybar), grid), grid)
 
 
+def _points(l_max: int, theta, phi):
+    """(Pbar at the distinct colatitudes, the longitude stage at the points).
+
+    The stage takes theta sums at the distinct colatitudes, gathers them back
+    per point and sums them against cos(m phi), sin(m phi) of each point;
+    leading axes of its inputs are kept.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    nodes, inverse = np.unique(theta, return_inverse=True)
+    m = np.arange(l_max + 1, dtype=float)[:, None]
+    cosm, sinm = np.cos(m * phi[None, :]), np.sin(m * phi[None, :])
+
+    def stage(gc: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        n, terms = gc.shape[-2], "...mp,mp->...p"
+        return np.einsum(terms, gc[..., inverse], cosm[:n]) + np.einsum(terms, gs[..., inverse], sinm[:n])
+
+    return _legendre_table(l_max, nodes), stage
+
+
 def evaluate(h: HarmonicField, theta, phi) -> np.ndarray:
     """Evaluate the harmonic sum at arbitrary points (vectorized).
 
     The theta factors are built once per distinct colatitude and gathered back
     per point, so a coordinate circle costs one Legendre table.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    nodes, inverse = np.unique(theta, return_inverse=True)
-    gc, gs = _theta_sums(h, _real_scaled(_legendre_table(h.l_max, nodes)))
-    gc, gs = gc[:, inverse], gs[:, inverse]
-    m = np.arange(h.l_max + 1, dtype=float)[:, None]
-    return np.einsum("mp,mp->p", gc, np.cos(m * phi[None, :])) + np.einsum(
-        "mp,mp->p", gs, np.sin(m * phi[None, :])
-    )
+    pbar, stage = _points(h.l_max, theta, phi)
+    return stage(*_theta_sums(h, _real_scaled(pbar)))
 
 
 _OPERATORS = {
@@ -454,32 +482,43 @@ def grad_hess(field: GridField) -> SphereDerivatives:
     return _harmonic_derivatives(analyze(field), field.grid)
 
 
+def _derivatives(h: HarmonicField, tables, stage) -> dict[str, np.ndarray]:
+    """The value, gradient, |grad f|^2, |Hess f|^2 and Delta f of the field ``h``.
+
+    ``tables`` are Ybar and its ``_ladder_tables`` at the colatitudes, and
+    ``stage(gc, gs)`` sums theta sums over the longitudes.  With the m/sin
+    tables the orthonormal-frame terms need no division:
+        grad_phi = f_phi / sin,  Hess_tp = d/dtheta (f_phi / sin),
+    and Legendre's equation gives Hess_pp = Delta f - Hess_tt, with Delta f
+    from the coefficients times -l(l+1).
+    """
+    (c0, s0), (c1, s1), (c2, s2), (cq, sq), (cdq, sdq) = (_theta_sums(h, t) for t in tables)
+    cl, sl = _theta_sums(apply_operator(h, "laplacian"), tables[0])
+    # d/dphi takes (gc, gs) to m (gs, -gc); the m/sin tables carry the m
+    value, grad_theta, grad_phi, hess_tt, hess_tp, laplacian = stage(
+        np.stack((c0, c1, sq, c2, sdq, cl)), np.stack((s0, s1, -cq, s2, -cdq, sl))
+    )
+    hess_pp = laplacian - hess_tt
+    return {"value": value, "grad_theta": grad_theta, "grad_phi": grad_phi, "laplacian": laplacian,
+            "grad_sq": grad_theta**2 + grad_phi**2, "hess_sq": hess_tt**2 + 2.0 * hess_tp**2 + hess_pp**2}
+
+
 def _harmonic_derivatives(h: HarmonicField, grid: SphereGrid) -> SphereDerivatives:
     """``grad_hess`` of the field with coefficients ``h``, on ``grid``."""
     _check_band(h, grid)
-    (c0, s0), (c1, s1), (c2, s2) = (
-        _theta_sums(h, table) for table in (grid._ybar, *grid._ybar_derivatives())
-    )
-    # d/dphi takes (gc, gs) to m (gs, -gc)
-    m = np.arange(h.l_max + 1, dtype=float)[:, None]
-    grad_theta = _phi_stage(c1, s1, grid)
-    fp = _phi_stage(m * s0, -m * c0, grid)
-    hess_tt = _phi_stage(c2, s2, grid)
-    ftp = _phi_stage(m * s1, -m * c1, grid)
-    fpp = _phi_stage(-(m**2) * c0, -(m**2) * s0, grid)
-    s = grid.sin_theta[:, None]
-    c = grid.cos_theta[:, None]
-    grad_phi = fp / s
-    hess_tp = (ftp - (c / s) * fp) / s
-    hess_pp = fpp / (s * s) + (c / s) * grad_theta
-    g = lambda v: GridField(v, grid)
-    return SphereDerivatives(
-        grad_theta=g(grad_theta),
-        grad_phi=g(grad_phi),
-        grad_sq=g(grad_theta**2 + grad_phi**2),
-        hess_sq=g(hess_tt**2 + 2.0 * hess_tp**2 + hess_pp**2),
-        laplacian=g(hess_tt + hess_pp),
-    )
+    d = _derivatives(h, (grid._ybar, *grid._ybar_derivatives()), lambda gc, gs: _phi_stage(gc, gs, grid))
+    return SphereDerivatives(**{k: GridField(v, grid) for k, v in d.items() if k != "value"})
+
+
+def _point_derivatives(hs, theta, phi) -> list[dict[str, np.ndarray]]:
+    """``_derivatives`` of each field of ``hs`` at the points (theta, phi).
+
+    The fields share one set of theta tables, built once per distinct
+    colatitude, and one set of longitude factors.
+    """
+    pbar, stage = _points(max(h.l_max for h in hs), theta, phi)
+    tables = (_real_scaled(pbar.copy()), *_ladder_tables(pbar))
+    return [_derivatives(h, tables, stage) for h in hs]
 
 
 def integrate(field: GridField) -> float:

@@ -797,21 +797,44 @@ SURFACE_FIELDS = {
 
 
 def test_loop_evaluates_the_field_once(tmp_path, capsys, monkeypatch):
-    fields = []
-    real = quasilocal.sphere.evaluate
+    # a source field is evaluated once from its coefficients; the rho bracket is
+    # summed at the samples by rho_bracket, with no evaluate call and no grid
+    # beyond the embedding's source grid
+    fields, brackets, grids = [], [], []
+    real_evaluate, real_rho, real_init = (
+        quasilocal.sphere.evaluate, quasilocal.energy.rho_bracket, quasilocal.sphere.SphereGrid.__init__
+    )
 
     def counted(h, theta, phi):
         fields.append(h)
-        return real(h, theta, phi)
+        return real_evaluate(h, theta, phi)
+
+    def recorded(*args):
+        brackets.append(args)
+        return real_rho(*args)
+
+    def init(grid, *args):
+        grids.append(args)
+        real_init(grid, *args)
 
     for module in (quasilocal.sphere, quasilocal.energy, quasilocal.cli):
         monkeypatch.setattr(module, "evaluate", counted)
-    args = SURFACE_FIELDS["rho_bracket"] + ["--set", "numerics.l_max=8", "--out", tmp_path]
-    assert run(args) == EXIT_OK
-    capsys.readouterr()
-    assert len(fields) == 1
-    doc = json.loads((tmp_path / "loop.json").read_text())
-    assert doc["total"] == loop_integral(fields[0], LoopSpec.equator(doc["n_samples"]))
+    monkeypatch.setattr(quasilocal.cli, "rho_bracket", recorded)
+    monkeypatch.setattr(quasilocal.sphere.SphereGrid, "__init__", init)
+    for name, args in SURFACE_FIELDS.items():
+        fields.clear(), brackets.clear(), grids.clear()
+        out = tmp_path / name
+        assert run(args + ["--set", "numerics.l_max=8", "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert grids == [(9, 17, 8)], name
+        doc = json.loads((out / "loop.json").read_text())
+        loop = LoopSpec.equator(doc["n_samples"])
+        if name == "rho_bracket":
+            assert fields == [] and len(brackets) == 1
+            assert doc["total"] == loop.quadrature(real_rho(*brackets[0]))
+        else:
+            assert len(fields) == 1 and brackets == []
+            assert doc["total"] == loop_integral(fields[0], loop)
 
 
 NEAR_HORIZON = {

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasilocal.radial
 import quasilocal.sphere
@@ -35,7 +37,7 @@ from quasilocal import (
 )
 from quasilocal.embedding import EmbeddingSolution, build_sources, radius_on_sphere
 from quasilocal.energy import fit_inverse_powers, grad_outer_double_divergence
-from quasilocal.sphere import HarmonicField, _quadratic_form
+from quasilocal.sphere import HarmonicField, _quadratic_form, evaluate
 
 from conftest import random_harmonic
 from test_embedding import WAVY_PROFILE, SyntheticProfile, constant_profile
@@ -225,11 +227,17 @@ def test_assemble_energy_periodicity():
 # ----------------------------------------------------------------------
 
 
+def _rho_on_grid(emb, grid, d):
+    """``rho_bracket`` at the grid's node mesh, as a GridField."""
+    theta, phi = np.meshgrid(grid.nodes, grid.phi, indexing="ij")
+    return GridField(rho_bracket(emb, theta.ravel(), phi.ravel(), d).reshape(theta.shape), grid)
+
+
 def test_rho_bracket_zero():
     L = 8
     grid = SphereGrid.for_band_limit(2 * L)
     emb = EmbeddingSolution(tau=HarmonicField.zeros(L), n_field=HarmonicField.zeros(L))
-    rb = rho_bracket(emb, grid, 100.0)
+    rb = _rho_on_grid(emb, grid, 100.0)
     assert np.max(np.abs(rb.values)) == 0.0
 
 
@@ -262,7 +270,7 @@ def test_rho_bracket_symbolic_oracle_z2z3():
     assert np.max(np.abs(d.laplacian.values + 6.0 * (z2 * z3).values)) < 1e-11
     assert integrate(d.hess_sq) == pytest.approx(8.0 * np.pi, rel=1e-12)
     emb = EmbeddingSolution(tau=tau, n_field=HarmonicField.zeros(L))
-    rb = rho_bracket(emb, grid, 10.0)
+    rb = _rho_on_grid(emb, grid, 10.0)
     assert np.all(np.isfinite(rb.values))
     # N = 0: bracket reduces to tau terms; check the integral against the
     # closed-form pieces (divergence terms integrate to zero)
@@ -297,9 +305,42 @@ def test_rho_bracket_matches_the_round_trip_formula(l_max):
     emb = EmbeddingSolution(
         tau=random_harmonic(l_max, seed=60 + l_max), n_field=random_harmonic(l_max, seed=70 + l_max)
     )
-    got = rho_bracket(emb, grid, 20.0).values
+    got = _rho_on_grid(emb, grid, 20.0).values
     want = _rho_bracket_round_trip(emb, grid, 20.0)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+# every one of the 512 samples has its own colatitude
+DISTINCT_COLATITUDES = LoopSpec(
+    lambda s: 1.2 + 0.3 * math.sin(2.0 * math.pi * s) + 0.2 * math.sin(4.0 * math.pi * s)
+    + 0.1 * math.cos(6.0 * math.pi * s),
+    lambda s: 2.0 * math.pi * s,
+    n_samples=512,
+)
+
+
+def _loops():
+    """Coordinate circles from 1e-8 to 1.5 off either pole, and the distinct-colatitude loop."""
+    off_pole = st.floats(-8.0, math.log10(1.5)).map(lambda u: 10.0**u)
+    circles = st.tuples(off_pole, st.booleans()).map(
+        lambda a: LoopSpec.circle(math.pi - a[0] if a[1] else a[0], 64)
+    )
+    return st.one_of(circles, st.just(DISTINCT_COLATITUDES))
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(l_max=st.integers(0, 24), seed=st.integers(0, 2**16), loop=_loops())
+def test_pointwise_rho_bracket_matches_the_grid_round_trip(l_max, seed, loop):
+    # The reference sums the bracket's band-2L series, analysed on the 2L grid, at
+    # the samples.  Its round-off scales with the bracket's largest value on the
+    # sphere, which near a pole can be a thousand times the largest on the loop.
+    assert np.unique(DISTINCT_COLATITUDES.theta).size == 512
+    emb = EmbeddingSolution(tau=random_harmonic(l_max, seed), n_field=random_harmonic(l_max, seed + 1))
+    grid = SphereGrid.for_band_limit(2 * l_max)
+    on_grid = _rho_bracket_round_trip(emb, grid, 20.0)
+    want = evaluate(analyze(GridField(on_grid, grid)), loop.theta, loop.phi)
+    got = rho_bracket(emb, loop.theta, loop.phi, 20.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(on_grid))
 
 
 def test_parity_integral_vanishes_but_loops_do_not(axial_profile, grid16):

@@ -70,7 +70,8 @@ def column_differences(got: dict, want: dict) -> list[str]:
             scale = max(abs(w["min"]), abs(w["max"]))
             entries = [(k, g[k], w[k], RTOL * scale) for k in ("min", "max")]
             entries.append(("l2", g["l2"], w["l2"], RTOL * w["l2"]))
-            entries += [(f"row {i}", g["rows"][i], w["rows"][i], RTOL * scale) for i in sorted(w["rows"], key=int)]
+            rows = sorted(w["rows"], key=int)
+            entries += [(f"row {i}", g["rows"][i], w["rows"][i], RTOL * scale) for i in rows]
             for what, a, b, tol in entries:
                 if not (a == b or a != a and b != b or abs(a - b) <= tol):
                     out.append(f"{csv} {column} {what}: {a!r} != {b!r}")
@@ -104,7 +105,9 @@ def _flip_leading_digit(text: str) -> str:
     return text[:i] + ("1" if text[i] != "1" else "2") + text[i + 1:]
 
 
-@pytest.mark.parametrize("run_id, csv", [("loop_equator-source_tau", "loop.csv"), ("geometry_axial", "geometry.csv")])
+@pytest.mark.parametrize(
+    "run_id, csv", [("loop_equator-source_tau", "loop.csv"), ("geometry_axial", "geometry.csv")]
+)
 def test_one_flipped_csv_digit_names_file_column_and_row(run_id, csv, golden_run, tmp_path):
     code, out = golden_run(run_id)
     assert code == 0

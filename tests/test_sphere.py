@@ -7,6 +7,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_legendre, roots_legendre, sph_legendre_p
@@ -30,11 +31,12 @@ from quasilocal import (
 import quasilocal.sphere
 from quasilocal.sphere import (
     SphereDerivatives,
-    _derivative_tables,
     _eigenvalues,
     _harmonic_derivatives,
+    _ladder_tables,
     _legendre_p_derivs,
     _legendre_table,
+    _point_derivatives,
     _quadratic_form,
     _real_scaled,
     _theta_sums,
@@ -265,12 +267,11 @@ def test_orthonormality_gram():
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
 
-def _tables(l_max, theta, n_deriv):
-    """Ybar and its first ``n_deriv`` theta-derivatives, composed as ``SphereGrid`` does."""
+def _tables(l_max, theta):
+    """Ybar and its four ladder tables (d/dtheta, d2/dtheta2, m/sin, d/dtheta m/sin),
+    composed as ``SphereGrid`` does."""
     pbar = _legendre_table(l_max, theta)
-    if n_deriv == 0:
-        return (_real_scaled(pbar),)
-    return (_real_scaled(pbar.copy()), *_derivative_tables(pbar, theta, n_deriv))
+    return (_real_scaled(pbar.copy()), *_ladder_tables(pbar))
 
 
 def test_harmonic_tables_match_scipy():
@@ -281,7 +282,7 @@ def test_harmonic_tables_match_scipy():
     # 40-digit mpmath at l=43, m=6, theta=0.132), more than a pointwise 1e-12.
     l_max = 64
     theta = SphereGrid.for_band_limit(l_max).nodes
-    tables = np.stack(_tables(l_max, theta, 2))
+    tables = np.stack(_tables(l_max, theta)[:3])
     l, m = np.tril_indices(l_max + 1)
     ref = sph_legendre_p(l[:, None], m[:, None], theta[None, :], diff_n=2)
     ref = ref * np.where(m > 0, np.sqrt(2.0), 1.0)[:, None] * ((-1.0) ** m)[:, None]
@@ -291,8 +292,59 @@ def test_harmonic_tables_match_scipy():
     assert not np.any(tables[:, upper[0], upper[1], :])
 
 
-def _per_degree_tables(l_max, theta, n_deriv=2):
-    """The table builder as it stood before its coefficients became whole arrays (kept verbatim)."""
+def _mpmath_tables(l_max, theta):
+    """Ybar, d/dtheta, d2/dtheta2, (m/sin) Ybar and its d/dtheta at 40 digits, shape (5, L+1, L+1, n).
+
+    mpmath.legenp carries the Condon-Shortley phase, as scipy does.  At order m
+    its hypergeometric series has a pole and fails to converge near the poles,
+    so it is called at order -m and |cos theta|, where the series terminates,
+    and turned back by DLMF 14.9.3 and 14.7.17.  The derivatives follow from
+    the same-m relation and Legendre's equation; their divisions by sin(theta)
+    cost at most about 16 of the 40 digits at theta = 1e-8.
+    """
+    out = np.zeros((5, l_max + 1, l_max + 1, len(theta)))
+    with mpmath.workdps(40):
+        for j, th in enumerate(theta):
+            th = mpmath.mpf(float(th))
+            x, s = mpmath.cos(th), mpmath.sin(th)
+
+            def p_lm(l, m):  # P_l^m(x), Condon-Shortley phase
+                if m > l:
+                    return mpmath.mpf(0)
+                parity = (-1) ** (l + m) if x < 0 else 1
+                ratio = mpmath.factorial(l + m) / mpmath.factorial(l - m)
+                return parity * (-1) ** m * ratio * mpmath.legenp(l, -m, abs(x), type=2)
+
+            for l in range(l_max + 1):
+                for m in range(l + 1):
+                    p, p_below = p_lm(l, m), p_lm(l - 1, m) if l else 0
+                    d1 = (l * x * p - (l + m) * p_below) / s
+                    d2 = -(x / s) * d1 - (l * (l + 1) - m * m / (s * s)) * p
+                    q, dq = m * p / s, m * (d1 / s - x * p / (s * s))
+                    ratio = mpmath.factorial(l - m) / mpmath.factorial(l + m)
+                    norm = mpmath.sqrt((2 * l + 1) / (4 * mpmath.pi) * ratio) * (-1) ** m
+                    norm *= mpmath.sqrt(2) if m else 1
+                    for k, v in enumerate((p, d1, d2, q, dq)):
+                        out[k, l, m, j] = float(norm * v)
+    return out
+
+
+def test_ladder_tables_match_mpmath_at_the_poles():
+    # each (table, l, m) row to 1e-12 of its largest magnitude over the colatitudes;
+    # d/dtheta (m/sin) Pbar_11 vanishes identically, and the oracle gives it as 1e-38
+    l_max = 24
+    theta = np.array([1e-8, 1e-4, 0.7, np.pi / 2, np.pi - 1e-8])
+    got = np.stack(_tables(l_max, theta))
+    want = _mpmath_tables(l_max, theta)
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * scale, 1e-30))
+    upper = np.triu_indices(l_max + 1, 1)
+    assert not np.any(got[:, upper[0], upper[1], :])
+
+
+def _per_degree_ybar(l_max, theta):
+    """The Ybar part of the table builder as it stood before its coefficients became
+    whole arrays (kept verbatim; its theta-derivative formulas are gone with the builder)."""
     theta = np.asarray(theta, dtype=float)
     x, s = np.cos(theta), np.sin(theta)
     L = l_max
@@ -305,26 +357,8 @@ def _per_degree_tables(l_max, theta, n_deriv=2):
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
         pbar[l, : l - 1] = a * (x * pbar[l - 1, : l - 1] - b * pbar[l - 2, : l - 1])
-    tables = [pbar]
-    ell = np.arange(L + 1)[:, None, None]
-    m = np.arange(L + 1)[None, :, None]
-    upper = (ell < m)[..., 0]
-    if n_deriv >= 1:
-        c = np.sqrt(np.maximum(ell * ell - m * m, 0) * (2.0 * ell + 1.0) / (2.0 * ell - 1.0))
-        dpbar = ell * x * pbar
-        dpbar[1:] -= c[1:] * pbar[:-1]
-        dpbar /= s
-        dpbar[0] = 0.0
-        dpbar[upper] = 0.0
-        tables.append(dpbar)
-    if n_deriv >= 2:
-        d2pbar = -(x / s) * dpbar
-        d2pbar -= (ell * (ell + 1.0) - (m * m) / (s * s)) * pbar
-        d2pbar[upper] = 0.0
-        tables.append(d2pbar)
-    for table in tables:
-        table[:, 1:] *= np.sqrt(2.0)
-    return tuple(tables)
+    pbar[:, 1:] *= np.sqrt(2.0)
+    return pbar
 
 
 def _same_bytes(got, want):
@@ -341,19 +375,17 @@ TABLE_CASES = [
 @pytest.mark.parametrize("l_max, n_theta", TABLE_CASES)
 def test_tables_are_bitwise_the_per_degree_builder(l_max, n_theta):
     theta = np.arccos(gauss_legendre(n_theta)[0][::-1])
-    for n_deriv in (0, 1, 2):
-        assert _same_bytes(_tables(l_max, theta, n_deriv), _per_degree_tables(l_max, theta, n_deriv))
+    assert _tables(l_max, theta)[0].tobytes() == _per_degree_ybar(l_max, theta).tobytes()
     if n_theta >= l_max + 1:
         grid = SphereGrid(n_theta, 2 * l_max + 1, l_max)
-        want = _per_degree_tables(l_max, grid.nodes, 2)
-        assert _same_bytes((grid._ybar, *grid._ybar_derivatives()), want)
+        assert grid._ybar.tobytes() == _per_degree_ybar(l_max, grid.nodes).tobytes()
 
 
 @pytest.mark.parametrize("l_max", [0, 5, 16, 64])
 def test_evaluate_on_one_colatitude_is_bitwise_the_per_degree_builder(l_max):
     loop = LoopSpec.circle(0.83, 64)
     h = random_harmonic(l_max, seed=l_max)
-    gc, gs = _theta_sums(h, _per_degree_tables(l_max, loop.theta[:1], 0)[0])
+    gc, gs = _theta_sums(h, _per_degree_ybar(l_max, loop.theta[:1]))
     m = np.arange(l_max + 1, dtype=float)[:, None]
     want = np.einsum("mp,mp->p", gc[:, [0] * 64], np.cos(m * loop.phi[None, :])) + np.einsum(
         "mp,mp->p", gs[:, [0] * 64], np.sin(m * loop.phi[None, :])
@@ -393,7 +425,8 @@ def test_grid_builds_derivative_tables_on_first_read():
     assert grid._derivatives is None and grid._transforms is None and grid._pbar is None
     tables = grid._ybar_derivatives()
     assert grid._transforms is not None  # Ybar is formed from Pbar before the derivatives
-    assert grid._pbar is None  # consumed as the second derivative's buffer
+    assert grid._pbar is None  # dropped once the ladder tables are built from it
+    assert len(tables) == 4
     assert grid._ybar_derivatives() is tables
 
 
@@ -410,7 +443,7 @@ def test_first_derivative_read_is_shared_between_threads(monkeypatch):
         return build
 
     # _harmonic_derivatives reads Ybar first, then the derivative tables
-    monkeypatch.setattr(quasilocal.sphere, "_derivative_tables", slow(_derivative_tables, builds))
+    monkeypatch.setattr(quasilocal.sphere, "_ladder_tables", slow(_ladder_tables, builds))
     monkeypatch.setattr(quasilocal.sphere, "_legendre_table", slow(_legendre_table, legendre_builds))
     grid = SphereGrid.for_band_limit(24)
     start = threading.Barrier(4, timeout=10)
@@ -442,7 +475,7 @@ def test_evaluate_matches_synthesize(grid16):
 
 def _evaluate_every_point(h, theta, phi):
     """``evaluate`` with a Legendre table column built for every point."""
-    gc, gs = _theta_sums(h, _tables(h.l_max, theta, 0)[0])
+    gc, gs = _theta_sums(h, _tables(h.l_max, theta)[0])
     m = np.arange(h.l_max + 1, dtype=float)[:, None]
     return np.einsum("mp,mp->p", gc, np.cos(m * phi[None, :])) + np.einsum(
         "mp,mp->p", gs, np.sin(m * phi[None, :])
