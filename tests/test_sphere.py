@@ -663,6 +663,21 @@ def test_derivatives_from_coefficients_match_the_round_trip(l_max):
         assert np.max(np.abs(g.values - w.values)) <= 1e-12 * np.max(np.abs(w.values)), field.name
 
 
+@pytest.mark.parametrize("l_max", [0, 3, 16])
+def test_point_derivatives_match_the_grid_derivatives(l_max):
+    # one set of tables, summed by the per-point longitude stage and by the grid's
+    grid = SphereGrid.for_band_limit(2 * l_max)
+    h = random_harmonic(l_max, seed=80 + l_max)
+    theta, phi = np.meshgrid(grid.nodes, grid.phi, indexing="ij")
+    (got,) = _point_derivatives((h,), theta.ravel(), phi.ravel())
+    d = _harmonic_derivatives(h, grid)
+    want = {f.name: getattr(d, f.name).values for f in dataclasses.fields(SphereDerivatives)}
+    want["value"] = synthesize(h, grid).values
+    assert sorted(got) == sorted(want)
+    for name, w in want.items():
+        assert np.max(np.abs(got[name].reshape(w.shape) - w)) <= 1e-13 * np.max(np.abs(w)), name
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bochner_identity(seed):
     # int |Hess f|^2 = int (Lap f)^2 - int |grad f|^2 on the unit sphere
