@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from record_golden import GOLDEN, RUNS, compare, csv_columns, digest, environment
+from record_golden import GOLDEN, RUNS, _same, compare, csv_columns, digest, environment
 
 RECORD = json.loads(GOLDEN.read_text(encoding="utf-8"))
 RTOL = 1e-10
@@ -73,7 +73,7 @@ def column_differences(got: dict, want: dict) -> list[str]:
             rows = sorted(w["rows"], key=int)
             entries += [(f"row {i}", g["rows"][i], w["rows"][i], RTOL * scale) for i in rows]
             for what, a, b, tol in entries:
-                if not (a == b or a != a and b != b or abs(a - b) <= tol):
+                if not (_same(a, b) or abs(a - b) <= tol):
                     out.append(f"{csv} {column} {what}: {a!r} != {b!r}")
     return out
 
