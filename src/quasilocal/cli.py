@@ -229,9 +229,11 @@ def run_sweep(conf, jobs: int) -> dict:
         },
     }
     if conf["outputs"]["svg"]:
+        order = np.argsort(report.d_values, kind="stable")  # the line runs along d
+        d = report.d_values[order]
         artifacts["sweep_falloff.svg"] = line_plot(
-            report.d_values,
-            [np.abs(report.e[0] * report.d_values**2)],
+            d,
+            [np.abs(report.e[0, order] * d**2)],
             labels=[f"t={report.t_values[0]:g}"],
             title="|E d^2| vs d",
             xlabel="d",

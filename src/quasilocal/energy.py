@@ -79,6 +79,7 @@ def energy_coefficients(
     a: AProfile,
     spec: SurfaceSpec,
     emb: EmbeddingSolution,
+    grid: SphereGrid | None = None,
 ) -> EnergyCoefficients:
     """Evaluate E1 and E2 for one surface.
 
@@ -89,11 +90,13 @@ def energy_coefficients(
     The operator terms are quadratic forms of the embedding solution, read
     from its coefficients by Parseval.  A and A' are evaluated with the same
     z1 substitution used for the embedding sources, and the A terms are
-    integrated by quadrature.
+    integrated by quadrature on ``grid``, the grid for twice the band limit
+    (``SphereGrid.for_band_limit(2 * emb.l_max)``, built when not given).
     """
     # the A terms are not band-limited, so their quadrature error depends on the
     # grid: keep the one for twice the band limit
-    grid = SphereGrid.for_band_limit(2 * emb.l_max)
+    if grid is None:
+        grid = SphereGrid.for_band_limit(2 * emb.l_max)
     z1, z2, z3 = (f.values for f in coordinate_fields(grid))
     r = radius_on_sphere(spec, z1[:, :1])  # once per colatitude row, as build_sources
     av, apv = a.a(r), a.a_prime(r)
@@ -258,44 +261,66 @@ class DecayFit:
     condition: float
 
 
+class _InversePowerDesign:
+    """Normal equations of sum_k c_k / d^k at ascending d, shared by all values at those d.
+
+    The basis is evaluated in x = d_min/d to keep the normal matrix
+    well-conditioned; a condition number above 1e15 raises FitError.
+    """
+
+    def __init__(self, d: np.ndarray, powers):
+        if len(np.unique(d)) < len(powers) + 1:
+            raise FitError("need more distinct d values than fit powers")
+        self.powers = tuple(powers)
+        self.scale = d.min()
+        x = self.scale / d
+        self.design = np.vstack([x**k for k in self.powers]).T
+        self.gram = self.design.T @ self.design
+        self.condition = float(np.linalg.cond(self.gram))
+        if not np.isfinite(self.condition) or self.condition > 1e15:
+            raise FitError(f"degenerate design matrix (condition {self.condition:.3g})")
+
+    def solve(self, y) -> tuple[list[float], float, float]:
+        """(coefficients c_k, rms residual, condition number) for values ``y`` at the design's d."""
+        y = np.asarray(y)
+        coef = np.linalg.solve(self.gram, self.design.T @ y)
+        resid = float(np.sqrt(np.mean((self.design @ coef - y) ** 2)))
+        return [float(c * self.scale**k) for c, k in zip(coef, self.powers)], resid, self.condition
+
+    def decay(self, y) -> DecayFit:
+        """``solve`` as a DecayFit, for the powers (1, 2, 3)."""
+        (c1, c2, c3), resid, condition = self.solve(y)
+        return DecayFit(c1=c1, c2=c2, c3=c3, residual=resid, condition=condition)
+
+
+def _sorted_samples(samples) -> tuple[np.ndarray, list[float]]:
+    """d ascending and the values in the same order, ties in d ordered by value."""
+    pts = sorted((float(d), float(v)) for d, v in samples)
+    return np.array([p[0] for p in pts]), [p[1] for p in pts]
+
+
 def fit_inverse_powers(samples, powers):
     """Least squares of sum_k c_k / d^k on (d, value) pairs, by normal equations.
 
-    The basis is evaluated in x = d_min/d to keep the normal matrix
-    well-conditioned.  Returns (coefficients, rms residual, condition number
-    of the scaled normal matrix); a condition number above 1e15 raises
-    FitError.
+    Returns (coefficients, rms residual, condition number of the normal
+    matrix in x = d_min/d); a condition number above 1e15 raises FitError.
     """
-    pts = sorted((float(d), float(v)) for d, v in samples)
-    d = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    if len(np.unique(d)) < len(powers) + 1:
-        raise FitError("need more distinct d values than fit powers")
-    x = d.min() / d
-    design = np.vstack([x**k for k in powers]).T
-    gram = design.T @ design
-    condition = float(np.linalg.cond(gram))
-    if not np.isfinite(condition) or condition > 1e15:
-        raise FitError(f"degenerate design matrix (condition {condition:.3g})")
-    coef = np.linalg.solve(gram, design.T @ y)
-    resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-    return [float(c * d.min() ** k) for c, k in zip(coef, powers)], resid, condition
+    d, y = _sorted_samples(samples)
+    return _InversePowerDesign(d, powers).solve(y)
 
 
 def fit_decay(samples) -> DecayFit:
-    """Fit E(d) = c1/d + c2/d^2 + c3/d^3 with ``fit_inverse_powers``.
+    """Fit E(d) = c1/d + c2/d^2 + c3/d^3 by ``fit_inverse_powers``'s normal equations.
 
     ``samples`` is an iterable of (d, E) pairs; needs at least four distinct
     d values spanning at least a factor of four.
     """
-    pts = list(samples)
-    d = np.array([float(p[0]) for p in pts])
+    d, y = _sorted_samples(samples)
     if len(np.unique(d)) < 4:
         raise FitError("need at least 4 distinct d values")
     if d.max() < 4.0 * d.min():
         raise FitError("d values must span at least a factor of 4")
-    (c1, c2, c3), resid, condition = fit_inverse_powers(pts, (1, 2, 3))
-    return DecayFit(c1=c1, c2=c2, c3=c3, residual=resid, condition=condition)
+    return _InversePowerDesign(d, (1, 2, 3)).decay(y)
 
 
 @dataclass(frozen=True)
@@ -325,12 +350,15 @@ def surface_embedding(
     spec: SurfaceSpec,
     l_max: int = 16,
     tol: float = 1e-10,
+    grid: SphereGrid | None = None,
 ):
     """Radial solve, A(r), embedding sources and spectral solve for one surface.
 
     The radial solution is integrated at unit amplitude over the surface's
-    radial coverage.  Returns (profile, s_tau, s_n, embedding).  A(r) exists
-    for axial modes only, so any other mode is rejected before integrating.
+    radial coverage, and the sources are sampled on ``grid``
+    (``SphereGrid.for_band_limit(l_max)``, built when not given).  Returns
+    (profile, s_tau, s_n, embedding).  A(r) exists for axial modes only, so
+    any other mode is rejected before integrating.
     """
     if mode.kind != "axial":
         raise DomainError(
@@ -339,7 +367,9 @@ def surface_embedding(
     spec.validate_outside_horizon(bg)
     unit_mode = dataclasses.replace(mode, amplitude=1.0)
     prof = a_profile(solve_radial(bg, unit_mode, boundary, [spec.d], tol))
-    s_tau, s_n = build_sources(prof, spec, SphereGrid.for_band_limit(l_max))
+    if grid is None:
+        grid = SphereGrid.for_band_limit(l_max)
+    s_tau, s_n = build_sources(prof, spec, grid)
     return prof, s_tau, s_n, solve_embedding(s_tau, s_n)
 
 
@@ -352,14 +382,18 @@ def surface_energy(
     l_max: int = 16,
     tol: float = 1e-10,
     c_factor: float | None = None,
+    grids: tuple[SphereGrid, SphereGrid] | None = None,
 ) -> SurfaceEnergyResult:
     """``surface_embedding`` plus energy assembly for one surface.
 
     The mode amplitude enters (squared) through c_factor, which defaults to
-    C_ell(theta_d)^2 * amplitude^2.
+    C_ell(theta_d)^2 * amplitude^2.  ``grids`` is the pair of grids for
+    ``l_max`` and ``2 * l_max`` that the two stages read; each is built when
+    not given.
     """
-    prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol)
-    coeffs = energy_coefficients(prof, spec, emb)
+    grid, grid_2l = grids or (None, None)
+    prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol, grid)
+    coeffs = energy_coefficients(prof, spec, emb, grid_2l)
     if c_factor is None:
         c_factor = default_c_factor(mode, spec)
     e, dedt = assemble_energy(coeffs, mode, spec, c_factor, t_values)
@@ -388,11 +422,16 @@ class EnergyReport:
 
     @property
     def fits(self) -> tuple:
-        """One DecayFit per t, or () when the d values cannot support the basis."""
+        """One DecayFit per t, or () when the d values cannot support the basis.
+
+        Every t shares one design, built from the d values; each row is
+        sorted as ``fit_decay`` sorts it, so each fit is that of ``fit_decay``.
+        """
         d = self.d_values
         if len(np.unique(d)) < 4 or d.max() < 4.0 * d.min():
             return ()
-        return tuple(fit_decay(zip(d, row)) for row in self.e)
+        design = _InversePowerDesign(np.sort(d), (1, 2, 3))
+        return tuple(design.decay(_sorted_samples(zip(d, row))[1]) for row in self.e)
 
     def columns(self) -> tuple:
         """Flat (t, d, E, dE/dt) columns, t-major."""
@@ -415,16 +454,21 @@ def sweep_energy(
 ) -> EnergyReport:
     """Run the full pipeline across a d-sweep; the report fits the falloff per t.
 
+    The grids for ``l_max`` and ``2 * l_max`` are built once per call, before
+    any d runs, and every d reads the same two, from whichever thread runs
+    it: a grid builds its tables once, under its lock, on their first read.
     Results are aggregated in d order regardless of scheduling, so the
     report is deterministic for any ``jobs``.
     """
     d_values = np.atleast_1d(np.asarray(d_values, dtype=float))
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    grids = (SphereGrid.for_band_limit(l_max), SphereGrid.for_band_limit(2 * l_max))
 
     def run_one(d: float) -> SurfaceEnergyResult:
         spec = dataclasses.replace(surface_template, d=float(d))
         return surface_energy(
-            bg, mode, boundary, spec, t_values, l_max=l_max, tol=tol, c_factor=c_factor
+            bg, mode, boundary, spec, t_values, l_max=l_max, tol=tol, c_factor=c_factor,
+            grids=grids,
         )
 
     if jobs > 1:

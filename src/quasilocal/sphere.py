@@ -84,8 +84,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights * (2.0 / weights.sum())
 
 
-# for SphereGrid, which copies what it takes: a sweep builds each grid once per d,
-# and the energy stage's grid builds nothing but this rule and its coordinates
+# for SphereGrid, which copies what it takes: a sweep builds its two grids once
+# per call and a single surface once per surface, and the energy stage's grid
+# builds nothing but this rule and its coordinates
 _grid_rule = functools.lru_cache(maxsize=64)(gauss_legendre)
 
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -672,6 +673,22 @@ def test_energy_plot_matches_csv(t, d, tmp_path, capsys, monkeypatch):
     assert kw["labels"] == [f"d={v:g}" for v in json.loads(d)]
     for dj, ys in zip(json.loads(d), series):
         assert list(ys) == [e_at[(ti, dj)] for ti in x]
+
+
+def test_sweep_plot_runs_along_d(tmp_path, capsys, monkeypatch):
+    # a shuffled d list is drawn in ascending d, each point its d's |E d^2| at the first t
+    calls, real = [], quasilocal.cli.line_plot
+    monkeypatch.setattr(quasilocal.cli, "line_plot", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    assert run(["sweep", "--out", tmp_path, "--set", "surface.d=[400,50,200,100]",
+                "--set", "numerics.l_max=8", "--set", "numerics.tolerance=1e-9"]) == EXIT_OK
+    capsys.readouterr()
+    (points,) = re.findall(r'<polyline points="([^"]*)"', (tmp_path / "sweep_falloff.svg").read_text())
+    x = [float(pair.split(",")[0]) for pair in points.split()]
+    assert len(x) == 4 and x == sorted(x) and len(set(x)) == 4
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[2:6]]
+    (d, (ys,)), = calls
+    assert list(d) == [50.0, 100.0, 200.0, 400.0]
+    assert list(ys) == [abs(float(e) * float(dj) ** 2) for dj in d for _, dr, e, _ in rows if float(dr) == dj]
 
 
 def test_geometry_artifacts(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Energy coefficients, assembly, mass-density bracket, loops, falloff fits."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from quasilocal import (
     AxialMode,
     DomainError,
     EnergyCoefficients,
+    EnergyReport,
     FitError,
     GridField,
     LoopSpec,
@@ -119,12 +123,16 @@ def test_energy_stage_builds_no_transform_table(grid16, monkeypatch):
 
 
 def test_sweep_builds_one_legendre_table_per_source_grid(bg_unit, mode_l2, monkeypatch):
+    # every d, on any thread, reads the one source grid of its call; the next
+    # call builds its own, so nothing is shared across calls
     calls = _legendre_table_calls(monkeypatch)
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     t_values = np.pi / mode_l2.sigma * np.arange(9) / 8
     d_values = np.geomspace(50.0, 400.0, 4)
-    sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16)
-    assert calls == [16] * 4
+    for jobs in (1, 3, 3):
+        sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16, jobs=jobs)
+        assert calls == [16]
+        calls.clear()
 
 
 def test_energy_zero_perturbation(grid16):
@@ -447,6 +455,45 @@ def test_fit_inverse_powers_rejects_degenerate_design():
         fit_inverse_powers([(50.0, 1.0), (100.0, 2.0)], (0, 1))
 
 
+def _bits(fit):
+    return [float(v).hex() for v in dataclasses.astuple(fit)]
+
+
+# rows whose fits move in the last bits if tied d are not also sorted by value
+_ROWS = np.random.default_rng(0).standard_normal((3, 6)) * 1e-4
+
+
+@pytest.mark.parametrize("d, e", [
+    pytest.param([400.0, 50.0, 200.0, 100.0, 75.0, 300.0], _ROWS, id="shuffled-d"),
+    pytest.param([100.0, 50.0, 400.0, 100.0, 200.0, 50.0], _ROWS, id="duplicate-d"),
+    pytest.param([100.0, 50.0, 400.0, 100.0, 200.0, 50.0],
+                 [[0.0, -0.0, 1e-3, -0.0, 2e-4, 0.0], [-0.0, 5e-4, 0.0, 0.0, -0.0, -0.0]],
+                 id="signed-zeros"),
+    pytest.param([400.0, 50.0, 200.0, 100.0, 75.0, 300.0],
+                 [[0.0] * 6, [-0.0] * 6, _ROWS[0]], id="zero-rows"),
+])
+def test_report_fits_are_bitwise_fit_decay(d, e):
+    # one design for every t, yet each row's fit is fit_decay's to the last bit
+    e = np.asarray(e, dtype=float)
+    d = np.asarray(d)
+    rep = EnergyReport(np.arange(len(e), dtype=float), d, e, e, d, d, d, d)
+    want = [fit_decay(zip(d, row)) for row in e]
+    assert rep.fits == tuple(want)
+    assert [_bits(f) for f in rep.fits] == [_bits(f) for f in want]
+
+
+def test_report_fits_raise_fit_decays_error_on_a_degenerate_design():
+    d = np.array([400.000000001, 50.0, 400.0, 50.000000001])
+    e = np.ones((2, 4))
+    rep = EnergyReport(np.zeros(2), d, e, e, d, d, d, d)
+    with pytest.raises(FitError) as want:
+        fit_decay(zip(d, e[0]))
+    with pytest.raises(FitError) as got:
+        rep.fits
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("degenerate design matrix")
+
+
 def test_fit_predict():
     # the pure 1/d^2 decay is recovered with the other two coefficients at round-off
     fit = fit_decay([(d, 5.0 / d**2) for d in (50.0, 100.0, 200.0, 400.0)])
@@ -468,6 +515,29 @@ def test_sweep_deterministic_across_jobs(bg_unit, mode_l2):
     rep2 = sweep_energy(bg_unit, mode_l2, bnd, template, [50.0, 100.0, 200.0, 400.0], [0.3], jobs=3, **kw)
     assert np.array_equal(rep1.e, rep2.e)
     assert rep1.fits[0].c2 == rep2.fits[0].c2
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_sweep_leaves_no_reference_cycle(bg_unit, mode_l2, monkeypatch, jobs):
+    # with the cyclic collector off, the sweep's grids die with the report:
+    # nothing holds a grid that the grid holds back
+    refs, real = [], SphereGrid.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(SphereGrid, "__init__", init)
+    bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
+    gc.disable()
+    try:
+        rep = sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0],
+                           [0.0, 0.3], l_max=8, tol=1e-9, jobs=jobs)
+        assert len(refs) == 2  # the source grid and the 2L grid, once each
+        del rep
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_sweep_report_columns(bg_unit, mode_l2):
