@@ -36,15 +36,14 @@ from .sphere import (
     GridField,
     HarmonicField,
     SphereGrid,
+    _grid_rule,
     _harmonic_derivatives,
     _point_derivatives,
     _quadratic_form,
     analyze,
     apply_operator,
     c_theta,
-    coordinate_fields,
     evaluate,
-    integrate,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ def energy_coefficients(
     a: AProfile,
     spec: SurfaceSpec,
     emb: EmbeddingSolution,
-    grid: SphereGrid | None = None,
 ) -> EnergyCoefficients:
     """Evaluate E1 and E2 for one surface.
 
@@ -88,25 +86,26 @@ def energy_coefficients(
     E2 = int [A^2 z2^2 z3^2 - tau Delta(Delta + 2) tau]
 
     The operator terms are quadratic forms of the embedding solution, read
-    from its coefficients by Parseval.  A and A' are evaluated with the same
-    z1 substitution used for the embedding sources, and the A terms are
-    integrated by quadrature on ``grid``, the grid for twice the band limit
-    (``SphereGrid.for_band_limit(2 * emb.l_max)``, built when not given).
+    from its coefficients by Parseval.  A and A' depend on z1 alone, through
+    the z1 substitution used for the embedding sources, so the A terms' phi
+    integrals are taken in closed form, with s^2 = 1 - z1^2:
+        int z2^2 (7 z3^2 + 1) dphi = pi (s^2 + 7 s^4 / 4)
+        int z3^2 (3 z2^2 - 1) dphi = pi (3 s^4 / 4 - s^2)
+        int z2^2 z3^2 dphi = pi s^4 / 4
+    and their z1 integrals by the Gauss rule on 2 * emb.l_max + 1 nodes, the
+    rows of the grid for twice the band limit.
     """
     # the A terms are not band-limited, so their quadrature error depends on the
-    # grid: keep the one for twice the band limit
-    if grid is None:
-        grid = SphereGrid.for_band_limit(2 * emb.l_max)
-    z1, z2, z3 = (f.values for f in coordinate_fields(grid))
-    r = radius_on_sphere(spec, z1[:, :1])  # once per colatitude row, as build_sources
+    # rule: keep the rows of the grid for twice the band limit
+    z1, w = _grid_rule(2 * emb.l_max + 1)
+    s2 = (1.0 - z1) * (1.0 + z1)
+    r = radius_on_sphere(spec, z1)
     av, apv = a.a(r), a.a_prime(r)
-    e1_a = integrate(GridField(0.5 * (
-        av**2 * z2**2 * (7.0 * z3**2 + 1.0) + 2.0 * av * apv * z1 * z3**2 * (3.0 * z2**2 - 1.0)
-    ), grid))
-    e2_a = integrate(GridField(av**2 * z2**2 * z3**2, grid))
+    e1_a = 0.5 * np.pi * (w @ (av**2 * (s2 + 1.75 * s2**2) + 2.0 * av * apv * z1 * (0.75 * s2**2 - s2)))
+    e2_a = 0.25 * np.pi * (w @ (av**2 * s2**2))
     e1 = e1_a - 0.5 * _quadratic_form(emb.n_field, "laplacian_plus_2")
     e2 = e2_a - _quadratic_form(emb.tau, "laplacian_laplacian_plus_2")
-    return EnergyCoefficients(e1=e1, e2=e2)
+    return EnergyCoefficients(e1=float(e1), e2=float(e2))
 
 
 def assemble_energy(
@@ -382,18 +381,17 @@ def surface_energy(
     l_max: int = 16,
     tol: float = 1e-10,
     c_factor: float | None = None,
-    grids: tuple[SphereGrid, SphereGrid] | None = None,
+    grid: SphereGrid | None = None,
 ) -> SurfaceEnergyResult:
     """``surface_embedding`` plus energy assembly for one surface.
 
     The mode amplitude enters (squared) through c_factor, which defaults to
-    C_ell(theta_d)^2 * amplitude^2.  ``grids`` is the pair of grids for
-    ``l_max`` and ``2 * l_max`` that the two stages read; each is built when
-    not given.
+    C_ell(theta_d)^2 * amplitude^2.  ``grid`` is the source grid for
+    ``l_max`` that ``surface_embedding`` reads, built when not given; the
+    energy stage builds no grid.
     """
-    grid, grid_2l = grids or (None, None)
     prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol, grid)
-    coeffs = energy_coefficients(prof, spec, emb, grid_2l)
+    coeffs = energy_coefficients(prof, spec, emb)
     if c_factor is None:
         c_factor = default_c_factor(mode, spec)
     e, dedt = assemble_energy(coeffs, mode, spec, c_factor, t_values)
@@ -454,21 +452,21 @@ def sweep_energy(
 ) -> EnergyReport:
     """Run the full pipeline across a d-sweep; the report fits the falloff per t.
 
-    The grids for ``l_max`` and ``2 * l_max`` are built once per call, before
-    any d runs, and every d reads the same two, from whichever thread runs
-    it: a grid builds its tables once, under its lock, on their first read.
-    Results are aggregated in d order regardless of scheduling, so the
-    report is deterministic for any ``jobs``.
+    The source grid for ``l_max`` is built once per call, before any d runs,
+    and every d reads it from whichever thread runs it; the grid's transform
+    tables are built with it and only read after.  Results are aggregated in
+    d order regardless of scheduling, so the report is deterministic for any
+    ``jobs``.
     """
     d_values = np.atleast_1d(np.asarray(d_values, dtype=float))
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    grids = (SphereGrid.for_band_limit(l_max), SphereGrid.for_band_limit(2 * l_max))
+    grid = SphereGrid.for_band_limit(l_max)
 
     def run_one(d: float) -> SurfaceEnergyResult:
         spec = dataclasses.replace(surface_template, d=float(d))
         return surface_energy(
             bg, mode, boundary, spec, t_values, l_max=l_max, tol=tol, c_factor=c_factor,
-            grids=grids,
+            grid=grid,
         )
 
     if jobs > 1:

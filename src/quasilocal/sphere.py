@@ -19,8 +19,8 @@ Conventions fixed here and used everywhere else in the package:
 * Grids pair Gauss-Legendre colatitude nodes (poles excluded) with a uniform
   longitude grid; transforms are direct matrix contractions, exact for
   band-limited fields whenever n_theta >= l_max + 1 and n_phi >= 2 l_max + 1.
-  A grid builds its Ybar, longitude and theta-derivative tables only when a
-  transform first reads them, so a grid used for quadrature alone builds none.
+  A grid builds its Ybar and longitude tables when it is made, and its
+  theta-derivative tables when ``grad_hess`` first reads them.
   Nonlinear products should be formed on a grid sized for twice the band
   limit (``SphereGrid.for_band_limit(2 * l_max)``) to avoid aliasing.
 * The derivatives' theta tables (d/dtheta, d2/dtheta2, m/sin(theta) and its
@@ -84,9 +84,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights * (2.0 / weights.sum())
 
 
-# for SphereGrid, which copies what it takes: a sweep builds its two grids once
-# per call and a single surface once per surface, and the energy stage's grid
-# builds nothing but this rule and its coordinates
+# for SphereGrid, which copies what it takes, and the energy stage's theta sum,
+# which reads the rule for twice the band limit once per surface
 _grid_rule = functools.lru_cache(maxsize=64)(gauss_legendre)
 
 
@@ -214,11 +213,10 @@ def _ladder_tables(pbar: np.ndarray) -> tuple[np.ndarray, ...]:
 class SphereGrid:
     """Gauss-Legendre x uniform-longitude product grid with transform tables.
 
-    Only the quadrature rule and coordinates are built with the grid.  Ybar and
-    the longitude tables are built when a transform first reads them, the
-    theta-derivative tables (read by ``grad_hess`` and the double divergence
-    only) when those are first read.  A lock makes each first read build once,
-    so instances can be shared freely between threads.
+    The quadrature rule, coordinates, Ybar and the longitude tables are built
+    with the grid.  The theta-derivative tables, read by ``grad_hess`` and the
+    double divergence only, are built on their first read; a lock makes that
+    read build once, so instances can be shared freely between threads.
     """
 
     def __init__(self, n_theta: int, n_phi: int, l_max: int):
@@ -240,37 +238,23 @@ class SphereGrid:
         self.sin_theta = np.sin(self.nodes)
         self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         self._dphi = 2.0 * np.pi / n_phi
+        self._ybar = _real_scaled(_legendre_table(self.l_max, self.nodes))
+        mphi = np.arange(self.l_max + 1)[:, None] * self.phi[None, :]
+        self._cosm, self._sinm = np.cos(mphi), np.sin(mphi)
 
-        self._pbar = self._transforms = self._derivatives = None
+        self._derivatives = None
         self._lock = threading.Lock()
 
-    def _tables(self, name: str):
-        """The table tuple ``name`` ("_transforms" or "_derivatives"), built on its first read.
-
-        Ybar and the longitude tables come first whichever is read first: Ybar
-        is formed from a copy of Pbar, which the grid keeps until the
-        derivative tables are built from it.
-        """
-        tables = getattr(self, name)
-        if tables is None:
-            with self._lock:
-                if self._transforms is None:
-                    self._pbar = _legendre_table(self.l_max, self.nodes)
-                    mphi = np.arange(self.l_max + 1)[:, None] * self.phi[None, :]
-                    self._transforms = (_real_scaled(self._pbar.copy()), np.cos(mphi), np.sin(mphi))
-                if name == "_derivatives" and self._derivatives is None:
-                    self._derivatives = _ladder_tables(self._pbar)
-                    self._pbar = None
-                tables = getattr(self, name)
-        return tables
-
-    _ybar = property(lambda self: self._tables("_transforms")[0])
-    _cosm = property(lambda self: self._tables("_transforms")[1])
-    _sinm = property(lambda self: self._tables("_transforms")[2])
-
     def _ybar_derivatives(self) -> tuple[np.ndarray, ...]:
-        """The four ``_ladder_tables`` of Ybar at the grid's rows, built on the first read."""
-        return self._tables("_derivatives")
+        """The four ``_ladder_tables`` of Ybar at the grid's rows, built on the first read.
+
+        The build holds the lock and reads no other table under it.
+        """
+        if self._derivatives is None:
+            with self._lock:
+                if self._derivatives is None:
+                    self._derivatives = _ladder_tables(_legendre_table(self.l_max, self.nodes))
+        return self._derivatives
 
     @classmethod
     def for_band_limit(cls, l_max: int) -> "SphereGrid":

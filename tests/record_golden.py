@@ -6,7 +6,8 @@
 ``--diff`` exits 0 when every run is unchanged and 1 when any artifact hash or
 scalar moved (or a run failed), so it can serve as a gate.  For a CSV whose
 hash changed it also prints each column whose summary moved, with its largest
-move.
+move.  It first prints each field of ``environment()`` that differs from the
+file's, so that round-off moves on another host can be told from real ones.
 
 Rewrite the file only when a change is meant to move artifact bytes, and give
 the old and new values with the tolerance they still meet in CHANGES.md;
@@ -18,6 +19,7 @@ this script out of the test run.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -64,8 +66,26 @@ RUNS = {
 }
 
 
+def blas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs, or None without that library.
+
+    A DYNAMIC_ARCH build picks its kernel from the CPU when it is loaded
+    (``OPENBLAS_CORETYPE`` forces another), so one BLAS version can round
+    differently on two hosts.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def environment() -> dict:
-    """What decides the last bits of an artifact: numpy, its BLAS and SIMD, the machine."""
+    """What decides the last bits of an artifact: numpy, its BLAS and kernel, SIMD, the machine."""
     try:
         conf = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.25 only prints its config
@@ -74,9 +94,17 @@ def environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_kernel": blas_kernel(),
         "simd": sorted(conf.get("SIMD Extensions", {}).get("found", [])),
         "machine": platform.machine(),
     }
+
+
+def environment_moves(old: dict, new: dict) -> list[str]:
+    """``environment.field: old -> new`` for each field that differs; a field
+    on one side only reads None on the other."""
+    return [f"environment.{key}: {old.get(key)!r} -> {new.get(key)!r}"
+            for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
 
 
 def run_cli(run_id: str, out: Path) -> int:
@@ -205,7 +233,10 @@ def compare(old: dict, new: dict) -> list[str]:
 def main(argv=()) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     diff = "--diff" in argv
-    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"] if diff else {}
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if diff else {"runs": {}}
+    if diff:
+        for line in environment_moves(recorded.get("environment", {}), environment()):
+            print(line)
     runs, moved_any = {}, False
     with tempfile.TemporaryDirectory() as tmp:
         for run_id in RUNS:
@@ -215,7 +246,7 @@ def main(argv=()) -> int:
                 return 1
             runs[run_id] = digest(out)
             if diff:
-                moved = compare(recorded.get(run_id, {"artifacts": {}, "scalars": {}}), runs[run_id])
+                moved = compare(recorded["runs"].get(run_id, {"artifacts": {}, "scalars": {}}), runs[run_id])
                 moved_any = moved_any or bool(moved)
                 print(f"{run_id}: {'unchanged' if not moved else f'{len(moved)} changes'}")
                 for line in moved:

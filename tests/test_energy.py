@@ -65,10 +65,11 @@ def test_energy_coefficients_constant_profile(grid16):
 
 
 def _full_grid_energy(a, spec, emb):
-    """``energy_coefficients``' formulas with A and A' evaluated at every grid point.
+    """``energy_coefficients``' formulas summed on the grid for twice the band limit,
+    with A and A' evaluated at every grid point.
 
-    The operator terms are the same Parseval sums; what this pins is that A
-    and A' are evaluated once per colatitude row.
+    The operator terms are the same Parseval sums; what this pins is the A
+    terms' closed-form phi integrals and their theta sum over the grid's rows.
     """
     grid = SphereGrid.for_band_limit(2 * emb.l_max)
     z1v, z2v, z3v = (f.values for f in coordinate_fields(grid))
@@ -88,14 +89,16 @@ def _full_grid_energy(a, spec, emb):
 
 
 @pytest.mark.parametrize("substitution", ["exact", "paper"])
-@pytest.mark.parametrize("l_max", [4, 16])
-def test_row_energy_is_bitwise_the_full_grid(axial_profile, l_max, substitution):
+@pytest.mark.parametrize("l_max", [4, 16, 48])
+def test_closed_form_energy_matches_the_full_grid(axial_profile, l_max, substitution):
+    # the same quadrature error, summed in another order: round-off apart
     for prof, d in ((axial_profile, 40.0), (WAVY_PROFILE, 7.5)):
         spec = SurfaceSpec(d=d, substitution=substitution)
         emb = solve_embedding(*build_sources(prof, spec, SphereGrid.for_band_limit(l_max)))
         got = energy_coefficients(prof, spec, emb)
         want = _full_grid_energy(prof, spec, emb)
-        assert (got.e1, got.e2) == want  # floats compare by value; no NaN here
+        assert got.e1 == pytest.approx(want[0], rel=1e-14, abs=0.0)
+        assert got.e2 == pytest.approx(want[1], rel=1e-14, abs=0.0)
 
 
 def test_energy_evaluates_the_profile_once_per_row(grid16):
@@ -103,7 +106,19 @@ def test_energy_evaluates_the_profile_once_per_row(grid16):
     shapes = []
     prof = SyntheticProfile(*(lambda r, f=f: shapes.append(r.shape) or f(r) for f in WAVY_PROFILE._fns))
     energy_coefficients(prof, SurfaceSpec(d=7.5), emb)
-    assert shapes == [(2 * grid16.l_max + 1, 1)] * 2
+    assert shapes == [(2 * grid16.l_max + 1,)] * 2
+
+
+def _grid_builds(monkeypatch):
+    """The (n_theta, n_phi, l_max) of the ``SphereGrid``s built from now on."""
+    builds, real = [], SphereGrid.__init__
+
+    def init(self, *args):
+        builds.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(SphereGrid, "__init__", init)
+    return builds
 
 
 def _legendre_table_calls(monkeypatch):
@@ -115,11 +130,29 @@ def _legendre_table_calls(monkeypatch):
 
 
 def test_energy_stage_builds_no_transform_table(grid16, monkeypatch):
-    # the 2L grid serves the A-term quadrature only
+    # the A terms' theta sum reads the Gauss rule alone
     emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), grid16))
     calls = _legendre_table_calls(monkeypatch)
     energy_coefficients(WAVY_PROFILE, SurfaceSpec(d=7.5), emb)
     assert calls == []
+
+
+def test_energy_stage_builds_no_grid(grid16, monkeypatch):
+    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), grid16))
+    builds = _grid_builds(monkeypatch)
+    energy_coefficients(WAVY_PROFILE, SurfaceSpec(d=7.5), emb)
+    assert builds == []
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_each_sweep_builds_one_grid(bg_unit, mode_l2, monkeypatch, jobs):
+    builds = _grid_builds(monkeypatch)
+    bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
+    for _ in range(2):
+        sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0], [0.0, 0.3],
+                     l_max=8, tol=1e-9, jobs=jobs)
+        assert builds == [(9, 17, 8)]  # the source grid, shared by every d
+        builds.clear()
 
 
 def test_sweep_builds_one_legendre_table_per_source_grid(bg_unit, mode_l2, monkeypatch):
@@ -519,8 +552,8 @@ def test_sweep_deterministic_across_jobs(bg_unit, mode_l2):
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_sweep_leaves_no_reference_cycle(bg_unit, mode_l2, monkeypatch, jobs):
-    # with the cyclic collector off, the sweep's grids die with the report:
-    # nothing holds a grid that the grid holds back
+    # with the cyclic collector off, the sweep's grid dies with the report:
+    # nothing holds the grid that the grid holds back
     refs, real = [], SphereGrid.__init__
 
     def init(self, *args):
@@ -533,9 +566,9 @@ def test_sweep_leaves_no_reference_cycle(bg_unit, mode_l2, monkeypatch, jobs):
     try:
         rep = sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0],
                            [0.0, 0.3], l_max=8, tol=1e-9, jobs=jobs)
-        assert len(refs) == 2  # the source grid and the 2L grid, once each
+        assert len(refs) == 1  # the source grid, once
         del rep
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None]
     finally:
         gc.enable()
 

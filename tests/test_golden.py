@@ -12,9 +12,13 @@ Rewrite the file with ``python3 tests/record_golden.py``.
 
 import json
 import math
+import os
+import platform
 import re
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,17 @@ def test_environment_differences_name_the_field():
     assert environment_differences(current, {**current, "blas": "other"}) == ["blas"]
 
 
+def test_environment_records_the_blas_kernel_the_library_runs():
+    # OPENBLAS_CORETYPE is read when OpenBLAS loads, so set it before numpy is imported
+    if environment()["blas_kernel"] is None or platform.machine() != "x86_64":
+        pytest.skip("no bundled x86 OpenBLAS to force a kernel on")
+    script = "import record_golden; print(record_golden.environment()['blas_kernel'])"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"}
+    done = subprocess.run([sys.executable, "-c", script], cwd=Path(__file__).parent, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "Sandybridge"
+
+
 def test_compare_lists_what_moved():
     old = {"artifacts": {"a.csv": "1", "a.json": "2", "gone.svg": "3"},
            "scalars": {"a.json.e1[0]": 2.0, "a.json.kind": "x", "a.json.n": 4, "a.json.z": 0.0}}
@@ -187,3 +202,28 @@ def test_diff_exits_1_only_when_a_run_moved(tmp_path, monkeypatch, capsys):
     record_golden.GOLDEN.write_text(json.dumps(recorded), encoding="utf-8")
     assert record_golden.main(["--diff"]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == [f"{run_id}: 1 changes", f"  {name}: sha256 changed"]
+
+
+def test_diff_prints_the_environment_fields_that_differ_first(tmp_path, monkeypatch, capsys):
+    import record_golden
+
+    run_id = "radial_profile"
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(record_golden, "RUNS", {run_id: RUNS[run_id]})
+    monkeypatch.setattr(record_golden, "GOLDEN", tmp_path / "golden.json")
+    out = tmp_path / "run"
+    assert record_golden.run_cli(run_id, out) == 0
+    current = environment()
+    recorded = {"environment": {**current, "blas_kernel": "Prescott", "numpy": "0.0"},
+                "runs": {run_id: digest(out)}}
+    record_golden.GOLDEN.write_text(json.dumps(recorded), encoding="utf-8")
+    assert record_golden.main(["--diff"]) == 0  # the environment alone moves no run
+    assert capsys.readouterr().out.splitlines() == [
+        f"environment.blas_kernel: 'Prescott' -> {current['blas_kernel']!r}",
+        f"environment.numpy: '0.0' -> {current['numpy']!r}",
+        f"{run_id}: unchanged",
+    ]
+    recorded["environment"] = current
+    record_golden.GOLDEN.write_text(json.dumps(recorded), encoding="utf-8")
+    assert record_golden.main(["--diff"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{run_id}: unchanged"]

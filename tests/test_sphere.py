@@ -393,12 +393,12 @@ def test_evaluate_on_one_colatitude_is_bitwise_the_per_degree_builder(l_max):
     assert evaluate(h, loop.theta, loop.phi).tobytes() == want.tobytes()
 
 
-def test_fresh_grid_holds_only_its_quadrature_rule():
+def test_fresh_grid_holds_no_derivative_table():
     grid = SphereGrid(9, 19, 8)
-    integrate(coordinate_fields(grid)[1])  # quadrature and coordinates read no table
+    analyze(coordinate_fields(grid)[1])  # a transform reads no derivative table
     arrays = {name for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
-    assert arrays == {"cos_theta", "weights", "nodes", "sin_theta", "phi"}
-    assert grid._pbar is None and grid._transforms is None and grid._derivatives is None
+    assert arrays == {"cos_theta", "weights", "nodes", "sin_theta", "phi", "_ybar", "_cosm", "_sinm"}
+    assert grid._derivatives is None
 
 
 @pytest.mark.parametrize("l_max", range(41))
@@ -422,12 +422,21 @@ def test_table_read_order_does_not_change_the_bytes(l_max):
 
 def test_grid_builds_derivative_tables_on_first_read():
     grid = SphereGrid.for_band_limit(8)
-    assert grid._derivatives is None and grid._transforms is None and grid._pbar is None
+    assert grid._derivatives is None
     tables = grid._ybar_derivatives()
-    assert grid._transforms is not None  # Ybar is formed from Pbar before the derivatives
-    assert grid._pbar is None  # dropped once the ladder tables are built from it
     assert len(tables) == 4
     assert grid._ybar_derivatives() is tables
+
+
+def test_first_derivative_read_does_not_deadlock():
+    # the build runs under the grid's non-reentrant lock: a nested acquire
+    # would hang the thread, and the join below fails the test instead
+    grid = SphereGrid.for_band_limit(8)
+    reader = threading.Thread(target=grid._ybar_derivatives, daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert grid._derivatives is not None
 
 
 def test_first_derivative_read_is_shared_between_threads(monkeypatch):
@@ -442,10 +451,10 @@ def test_first_derivative_read_is_shared_between_threads(monkeypatch):
             return real(*args)
         return build
 
-    # _harmonic_derivatives reads Ybar first, then the derivative tables
+    # the grid builds Ybar when it is made, the derivative tables' Pbar on their first read
+    grid = SphereGrid.for_band_limit(24)
     monkeypatch.setattr(quasilocal.sphere, "_ladder_tables", slow(_ladder_tables, builds))
     monkeypatch.setattr(quasilocal.sphere, "_legendre_table", slow(_legendre_table, legendre_builds))
-    grid = SphereGrid.for_band_limit(24)
     start = threading.Barrier(4, timeout=10)
 
     def first_read(_):
