@@ -22,18 +22,19 @@ from quasilocal import (
     integrate,
     integrate_wave,
     loop_integral,
+    synthesize,
 )
 from quasilocal.embedding import build_sources
 
 bg = BackgroundParams(m=1.0)
 mode = AxialMode(ell=2, sigma=0.5)
 sol = integrate_wave(bg, mode, AnchorBoundary(z=0.0, dz=1.0, r=50.0), (48.0, 52.0), tol=1e-11)
-grid = SphereGrid.for_band_limit(16)
-_, s_n = build_sources(a_profile(sol), SurfaceSpec(d=50.0), grid)
+_, s_n = build_sources(a_profile(sol), SurfaceSpec(d=50.0), 16)
+density = synthesize(s_n, SphereGrid.for_band_limit(16))
 
 print("== the density and its vanishing sphere integral ==")
-print(f"  max |density|        = {np.max(np.abs(s_n.values)):.4f}")
-print(f"  full-sphere integral = {integrate(s_n):.3e}  (parity zero)")
+print(f"  max |density|        = {np.max(np.abs(density.values)):.4f}")
+print(f"  full-sphere integral = {integrate(density):.3e}  (parity zero)")
 
 print("\n== circles vs shaped loops ==")
 for th0 in (np.pi / 4, np.pi / 3, np.pi / 2):

@@ -44,7 +44,7 @@ from .radial import (
     solve_radial,
     tortoise,
 )
-from .sphere import HarmonicField, analyze, evaluate
+from .sphere import HarmonicField, evaluate
 from .svgplot import line_plot
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
@@ -304,7 +304,7 @@ def run_loop(conf, jobs: int) -> dict:
         if field_name == "rho_bracket":
             vals = rho_bracket(emb, loop.theta, loop.phi, spec.d)
         else:
-            vals = evaluate(analyze(s_tau if field_name == "source_tau" else s_n), loop.theta, loop.phi)
+            vals = evaluate(s_tau if field_name == "source_tau" else s_n, loop.theta, loop.phi)
     return {
         "loop.csv": (["s", "theta", "phi", "integrand"], (loop.s, loop.theta, loop.phi, vals)),
         "loop.json": {

@@ -9,7 +9,9 @@ with A, A', A'' evaluated at the radius induced on the sphere by the
 center-distance substitution.  Both operators are singular on low degrees
 (l <= 1 for the first, l = 1 for the second); kernel components of the
 sources are projected out and reported as diagnostics, never inverted, so
-the returned (tau, N) are the minimal-L2-norm solutions.
+the returned (tau, N) are the minimal-L2-norm solutions.  Since z2 z3 =
+(1/2) sin^2(theta) sin(2 phi), the sources, tau and N lie in the one sine
+m = 2 column; ``build_sources`` sums it from the Gauss rows, building no grid.
 
 The direction-dependent constant C_ell(theta_d) and the mode amplitude are
 deliberately excluded from the sources; energy assembly reattaches them
@@ -26,14 +28,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError, SolvabilityWarning
 from .radial import AProfile
-from .sphere import (
-    GridField,
-    HarmonicField,
-    SphereGrid,
-    _eigenvalues,
-    analyze,
-    coordinate_fields,
-)
+from .sphere import HarmonicField, _eigenvalues, _grid_rule, _legendre_table, _real_scaled
 
 __all__ = [
     "EmbeddingSolution",
@@ -92,28 +87,39 @@ def radius_range(spec: SurfaceSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def build_sources(
-    a: AProfile,
-    spec: SurfaceSpec,
-    grid: SphereGrid,
-) -> tuple[GridField, GridField]:
-    """Right-hand sides (S_tau, S_N) evaluated pointwise on the grid."""
+def _row_profiles(a: AProfile, spec: SurfaceSpec, z1) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of z2 z3 in (S_tau, S_N) at the colatitudes with cos(theta) = z1."""
+    r = radius_on_sphere(spec, z1)
+    av, apv, appv = a.a(r), a.a_prime(r), a.a_double_prime(r)
+    return -appv * (1.0 - z1**2) + 6.0 * apv * z1 + 12.0 * av, appv - 2.0 * apv * z1 + 4.0 * av
+
+
+def build_sources(a: AProfile, spec: SurfaceSpec, l_max: int) -> tuple[HarmonicField, HarmonicField]:
+    """Right-hand sides (S_tau, S_N) as harmonic coefficients up to degree ``l_max``.
+
+    A source is p(z1) z2 z3 = (1/2) p(cos theta) sin^2(theta) sin(2 phi), so it
+    lies in the sine m = 2 column, ``coeffs[:, l_max - 2]``; every other entry
+    is +0.0.  Its phi integral is pi/2 and its theta integral the Gauss rule
+    on the l_max + 1 rows of ``SphereGrid.for_band_limit(l_max)``:
+        s_l = (pi/2) sum_j w_j p(z1_j) sin^2(theta_j) Ybar_l2(theta_j),
+    which is ``analyze`` of the sources sampled on that grid, without the
+    grid.  A, A' and A'' are evaluated once per row.
+    """
     lo, hi = radius_range(spec)
     if lo < a.r_min - 1e-9 or hi > a.r_max + 1e-9:
         raise CoverageError(
             f"surface needs A(r) on [{lo}, {hi}] but profile covers "
             f"[{a.r_min}, {a.r_max}]"
         )
-    z1, z2, z3 = coordinate_fields(grid)
-    # z1 is cos(theta), constant along a row: A and its derivatives once per row
-    r = radius_on_sphere(spec, z1.values[:, :1])
-    av = a.a(r)
-    apv = a.a_prime(r)
-    appv = a.a_double_prime(r)
-    z23 = z2.values * z3.values
-    s_tau = (-appv * (1.0 - z1.values**2) + 6.0 * apv * z1.values + 12.0 * av) * z23
-    s_n = (appv - 2.0 * apv * z1.values + 4.0 * av) * z23
-    return GridField(s_tau, grid), GridField(s_n, grid)
+    sources = HarmonicField.zeros(l_max), HarmonicField.zeros(l_max)
+    if l_max < 2:
+        return sources
+    z1, w = _grid_rule(l_max + 1)
+    ybar_l2 = _real_scaled(_legendre_table(l_max, np.arccos(z1)))[2:, 2]
+    weight = 0.5 * np.pi * w * (1.0 - z1) * (1.0 + z1)
+    for h, profile in zip(sources, _row_profiles(a, spec, z1)):
+        h.coeffs[2:, l_max - 2] = ybar_l2 @ (weight * profile)
+    return sources
 
 
 @dataclass(frozen=True)
@@ -130,16 +136,17 @@ class EmbeddingSolution:
         return self.tau.l_max
 
 
-def solve_embedding(s_tau: GridField, s_n: GridField) -> EmbeddingSolution:
+def solve_embedding(h_tau: HarmonicField, h_n: HarmonicField) -> EmbeddingSolution:
     """Spectral division by the operator eigenvalues, kernel projected out.
 
     tau_(l,m) = s_(l,m) / [l(l+1)(l(l+1)-2)] for l >= 2 and zero on l <= 1;
-    N_(l,m) = s_(l,m) / [2 - l(l+1)] for l != 1 and zero on l = 1.  Kernel
+    N_(l,m) = s_(l,m) / [2 - l(l+1)] for l != 1 and zero on l = 1.  A +0.0
+    source entry gives +0.0, not the -0.0 of a negative divisor.  Kernel
     magnitudes above KERNEL_TOLERANCE x source norm trigger a
     SolvabilityWarning (an inconsistent source, e.g. one with a z1 component).
+    Sources from ``build_sources`` have none by construction; any fields of
+    one band limit may be given.
     """
-    h_tau = analyze(s_tau)
-    h_n = analyze(s_n)
     L = h_tau.l_max
 
     tau = np.zeros_like(h_tau.coeffs)
@@ -150,7 +157,7 @@ def solve_embedding(s_tau: GridField, s_n: GridField) -> EmbeddingSolution:
     nf = np.zeros_like(h_n.coeffs)
     eig_n = _eigenvalues("laplacian_plus_2", L)
     nf[0] = h_n.coeffs[0] / eig_n[0]
-    nf[2:] = h_n.coeffs[2:] / eig_n[2:, None]
+    nf[2:] = h_n.coeffs[2:] / eig_n[2:, None] + 0.0  # -0.0 + 0.0 is +0.0
     res_n = h_n.degree_norm(1)
 
     norm_tau = h_tau.norm()

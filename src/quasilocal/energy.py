@@ -349,15 +349,14 @@ def surface_embedding(
     spec: SurfaceSpec,
     l_max: int = 16,
     tol: float = 1e-10,
-    grid: SphereGrid | None = None,
 ):
     """Radial solve, A(r), embedding sources and spectral solve for one surface.
 
     The radial solution is integrated at unit amplitude over the surface's
-    radial coverage, and the sources are sampled on ``grid``
-    (``SphereGrid.for_band_limit(l_max)``, built when not given).  Returns
-    (profile, s_tau, s_n, embedding).  A(r) exists for axial modes only, so
-    any other mode is rejected before integrating.
+    radial coverage, and the sources are the harmonic coefficients of
+    ``build_sources`` up to ``l_max``; no grid is built.  Returns (profile,
+    s_tau, s_n, embedding).  A(r) exists for axial modes only, so any other
+    mode is rejected before integrating.
     """
     if mode.kind != "axial":
         raise DomainError(
@@ -366,9 +365,7 @@ def surface_embedding(
     spec.validate_outside_horizon(bg)
     unit_mode = dataclasses.replace(mode, amplitude=1.0)
     prof = a_profile(solve_radial(bg, unit_mode, boundary, [spec.d], tol))
-    if grid is None:
-        grid = SphereGrid.for_band_limit(l_max)
-    s_tau, s_n = build_sources(prof, spec, grid)
+    s_tau, s_n = build_sources(prof, spec, l_max)
     return prof, s_tau, s_n, solve_embedding(s_tau, s_n)
 
 
@@ -381,16 +378,13 @@ def surface_energy(
     l_max: int = 16,
     tol: float = 1e-10,
     c_factor: float | None = None,
-    grid: SphereGrid | None = None,
 ) -> SurfaceEnergyResult:
     """``surface_embedding`` plus energy assembly for one surface.
 
     The mode amplitude enters (squared) through c_factor, which defaults to
-    C_ell(theta_d)^2 * amplitude^2.  ``grid`` is the source grid for
-    ``l_max`` that ``surface_embedding`` reads, built when not given; the
-    energy stage builds no grid.
+    C_ell(theta_d)^2 * amplitude^2.  Neither stage builds a grid.
     """
-    prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol, grid)
+    prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol)
     coeffs = energy_coefficients(prof, spec, emb)
     if c_factor is None:
         c_factor = default_c_factor(mode, spec)
@@ -452,22 +446,17 @@ def sweep_energy(
 ) -> EnergyReport:
     """Run the full pipeline across a d-sweep; the report fits the falloff per t.
 
-    The source grid for ``l_max`` is built once per call, before any d runs,
-    and every d reads it from whichever thread runs it; the grid's transform
-    tables are built with it and only read after.  Results are aggregated in
-    d order regardless of scheduling, so the report is deterministic for any
+    Each d is one ``surface_energy`` call, which builds no grid, so the d
+    share no state whichever thread runs them.  Results are aggregated in d
+    order regardless of scheduling, so the report is deterministic for any
     ``jobs``.
     """
     d_values = np.atleast_1d(np.asarray(d_values, dtype=float))
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    grid = SphereGrid.for_band_limit(l_max)
 
     def run_one(d: float) -> SurfaceEnergyResult:
         spec = dataclasses.replace(surface_template, d=float(d))
-        return surface_energy(
-            bg, mode, boundary, spec, t_values, l_max=l_max, tol=tol, c_factor=c_factor,
-            grid=grid,
-        )
+        return surface_energy(bg, mode, boundary, spec, t_values, l_max=l_max, tol=tol, c_factor=c_factor)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -251,28 +251,20 @@ class RadialSolution:
     rstar: np.ndarray
     z: np.ndarray
     dz: np.ndarray
-    r: np.ndarray
+    r_min: float  # the radii of rstar's ends, not of the drifting integrated r
+    r_max: float
     tol: float
     _legs: tuple = field(repr=False)  # (r*0, descending, ascending); a missing leg is None
     asymptotic_truncation: float | None = None
     # (r, z, dz) of the last eval_r call, one tuple so no thread sees a mixed entry
     _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
-    @property
-    def r_min(self) -> float:
-        return float(self.r.min())
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r.max())
-
     def eval_rstar(self, rs) -> np.ndarray:
         """Dense-output states (z, dz, r) at tortoise coordinates.
 
         Returns shape (3,) + rs.shape.  A point goes to the ascending leg if r*
         >= r*0 - 1e-12 (1 + |r*0|), else to the descending one (or to the only
-        leg), whose last step extrapolates past its end: the drift of the
-        integrated r lets radii in [r_min, r_max] map ~1e-9 past the legs.
+        leg), whose last step extrapolates past its end within the 1e-9 window.
         """
         rs_in = np.atleast_1d(np.asarray(rs, dtype=float))
         shape = rs_in.shape
@@ -456,7 +448,8 @@ def integrate_wave(
         rstar=ts_all,
         z=ys_all[:, 0],
         dz=ys_all[:, 1],
-        r=ys_all[:, 2],
+        r_min=inverse_tortoise(float(ts_all[0]), bg),
+        r_max=inverse_tortoise(float(ts_all[-1]), bg),
         tol=tol,
         _legs=(rs0, down and down[2], up and up[2]),
         asymptotic_truncation=trunc,

@@ -19,8 +19,9 @@ Conventions fixed here and used everywhere else in the package:
 * Grids pair Gauss-Legendre colatitude nodes (poles excluded) with a uniform
   longitude grid; transforms are direct matrix contractions, exact for
   band-limited fields whenever n_theta >= l_max + 1 and n_phi >= 2 l_max + 1.
-  A grid builds its Ybar and longitude tables when it is made, and its
-  theta-derivative tables when ``grad_hess`` first reads them.
+  A grid builds every table when it is made and never writes one after, so
+  threads may share it.  The pipeline builds none: its fields live in one
+  azimuthal order, taken from the Gauss rows alone (``embedding``).
   Nonlinear products should be formed on a grid sized for twice the band
   limit (``SphereGrid.for_band_limit(2 * l_max)``) to avoid aliasing.
 * The derivatives' theta tables (d/dtheta, d2/dtheta2, m/sin(theta) and its
@@ -32,7 +33,6 @@ Conventions fixed here and used everywhere else in the package:
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +84,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights * (2.0 / weights.sum())
 
 
-# for SphereGrid, which copies what it takes, and the energy stage's theta sum,
-# which reads the rule for twice the band limit once per surface
+# for SphereGrid, which copies what it takes, and the theta sums of the sources
+# and the energy stage, which read their rules once per surface
 _grid_rule = functools.lru_cache(maxsize=64)(gauss_legendre)
 
 
@@ -213,10 +213,10 @@ def _ladder_tables(pbar: np.ndarray) -> tuple[np.ndarray, ...]:
 class SphereGrid:
     """Gauss-Legendre x uniform-longitude product grid with transform tables.
 
-    The quadrature rule, coordinates, Ybar and the longitude tables are built
-    with the grid.  The theta-derivative tables, read by ``grad_hess`` and the
-    double divergence only, are built on their first read; a lock makes that
-    read build once, so instances can be shared freely between threads.
+    The quadrature rule, coordinates, Ybar, its four theta-derivative tables
+    and the longitude tables are built with the grid from one Legendre table;
+    nothing is written after, so instances can be shared freely between
+    threads.
     """
 
     def __init__(self, n_theta: int, n_phi: int, l_max: int):
@@ -238,23 +238,11 @@ class SphereGrid:
         self.sin_theta = np.sin(self.nodes)
         self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         self._dphi = 2.0 * np.pi / n_phi
-        self._ybar = _real_scaled(_legendre_table(self.l_max, self.nodes))
+        pbar = _legendre_table(self.l_max, self.nodes)
+        self._ladder = _ladder_tables(pbar)  # reads the unscaled table
+        self._ybar = _real_scaled(pbar)
         mphi = np.arange(self.l_max + 1)[:, None] * self.phi[None, :]
         self._cosm, self._sinm = np.cos(mphi), np.sin(mphi)
-
-        self._derivatives = None
-        self._lock = threading.Lock()
-
-    def _ybar_derivatives(self) -> tuple[np.ndarray, ...]:
-        """The four ``_ladder_tables`` of Ybar at the grid's rows, built on the first read.
-
-        The build holds the lock and reads no other table under it.
-        """
-        if self._derivatives is None:
-            with self._lock:
-                if self._derivatives is None:
-                    self._derivatives = _ladder_tables(_legendre_table(self.l_max, self.nodes))
-        return self._derivatives
 
     @classmethod
     def for_band_limit(cls, l_max: int) -> "SphereGrid":
@@ -491,7 +479,7 @@ def _derivatives(h: HarmonicField, tables, stage) -> dict[str, np.ndarray]:
 def _harmonic_derivatives(h: HarmonicField, grid: SphereGrid) -> SphereDerivatives:
     """``grad_hess`` of the field with coefficients ``h``, on ``grid``."""
     _check_band(h, grid)
-    d = _derivatives(h, (grid._ybar, *grid._ybar_derivatives()), lambda gc, gs: _phi_stage(gc, gs, grid))
+    d = _derivatives(h, (grid._ybar, *grid._ladder), lambda gc, gs: _phi_stage(gc, gs, grid))
     return SphereDerivatives(**{k: GridField(v, grid) for k, v in d.items() if k != "value"})
 
 

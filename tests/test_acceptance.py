@@ -4,7 +4,6 @@ Tolerances are pinned here exactly as stated; the suite is the exit gate
 for the package.  Each criterion runs in seconds.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +15,7 @@ from quasilocal import (
     AxialMode,
     BackgroundParams,
     EnergyCoefficients,
+    GridField,
     LoopSpec,
     PerturbationProfiles,
     PolarMode,
@@ -45,7 +45,7 @@ from quasilocal.radial import a_profile
 from quasilocal.sphere import HarmonicField
 
 from conftest import random_harmonic
-from test_embedding import constant_profile
+from test_embedding import constant_profile, full_grid_sources
 
 
 def report(n, ok, detail):
@@ -81,7 +81,7 @@ def test_criterion_2_constant_profile_closed_form():
     grid = SphereGrid.for_band_limit(16)
     spec = SurfaceSpec(d=100.0)
     prof = constant_profile(c)
-    emb = solve_embedding(*build_sources(prof, spec, grid))
+    emb = solve_embedding(*build_sources(prof, spec, 16))
     z1, z2, z3 = coordinate_fields(grid)
     h23 = analyze(z2 * z3)
     err_tau = np.max(np.abs(emb.tau.coeffs - (c / 2.0) * h23.coeffs))
@@ -171,7 +171,12 @@ def test_criterion_5_axial_falloff():
 
 
 def test_criterion_6_kernel_solvability():
-    """l in {0,1} source residuals <= 1e-8 x source norm at d >= 50, l_max >= 16."""
+    """l in {0,1} source residuals <= 1e-8 x source norm at d >= 50, l_max >= 16.
+
+    The pipeline's one-order sources hold no l <= 1 entry by construction, so
+    the sources sampled on the full 2-D grid and analyzed, whose l <= 1
+    content is round-off and not a structural zero, are measured too.
+    """
     bg = BackgroundParams(m=1.0)
     mode = AxialMode(ell=2, sigma=0.5)
     worst = 0.0
@@ -185,13 +190,17 @@ def test_criterion_6_kernel_solvability():
             l_max=l_max,
             tol=1e-10,
         )
+        spec = SurfaceSpec(t=0.3, d=d)
+        s_tau, _ = build_sources(res.profile, spec, l_max)
         grid = SphereGrid.for_band_limit(l_max)
-        s_tau, _ = build_sources(res.profile, dataclasses.replace(SurfaceSpec(t=0.3, d=d)), grid)
-        norm = analyze(s_tau).norm()
+        oracle = solve_embedding(
+            *(analyze(GridField(v, grid)) for v in full_grid_sources(res.profile, spec, grid))
+        )
+        norm = s_tau.norm()
         worst = max(
             worst,
-            max(res.embedding.kernel_residual_tau.values()) / norm,
-            res.embedding.kernel_residual_n / norm,
+            *(max(e.kernel_residual_tau.values()) / norm for e in (res.embedding, oracle)),
+            *(e.kernel_residual_n / norm for e in (res.embedding, oracle)),
         )
     report(6, worst <= 1e-8, f"worst kernel residual / norm = {worst:.2e} (<= 1e-8)")
 

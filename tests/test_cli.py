@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import quasilocal.cli
 import quasilocal.config
-import quasilocal.embedding
 import quasilocal.energy
 import quasilocal.radial
 import quasilocal.sphere
@@ -424,7 +423,14 @@ def test_non_finite_csv_value_exits_before_writing(args, target, column, tmp_pat
     ["sweep", "--config", SCENARIOS / "axial_sweep.json", "--jobs", 2],
 ], ids=["embed", "sweep-jobs2"])
 def test_kernel_residual_exits_before_writing(args, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(quasilocal.embedding, "KERNEL_TOLERANCE", 0.0)
+    real = quasilocal.energy.build_sources
+
+    def with_z1(*a):  # an l = 1 component far past the solvability tolerance
+        s_tau, s_n = real(*a)
+        s_tau.coeffs[1, s_tau.l_max] = 1e-6 * s_tau.norm()
+        return s_tau, s_n
+
+    monkeypatch.setattr(quasilocal.energy, "build_sources", with_z1)
     filters = list(warnings.filters)
     out = tmp_path / "out"
     assert run(args + ["--out", out]) == EXIT_NUMERICAL
@@ -596,6 +602,16 @@ def test_radial_artifact_header(tmp_path, capsys):
     assert doc["residual_max"] < 1e-7
 
 
+@pytest.mark.parametrize("tolerance", [1e-3, 1e-4, 1e-5])
+def test_loose_tolerance_samples_stay_on_the_legs(tolerance, tmp_path, capsys):
+    # r_min and r_max are the exact radii of the tortoise ends, not the drifted
+    # integrated r, so no sample falls outside the covered range
+    assert run(["radial", "--config", SCENARIOS / "polar_potential.json", "--out", tmp_path,
+                "--set", f"numerics.tolerance={tolerance}"]) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads((tmp_path / "radial.json").read_text())["residual_max"] <= tolerance
+
+
 def test_radial_samples_take_one_dense_output_pass(tmp_path, capsys, monkeypatch):
     # z, dz and A, A', A'' of the samples share one pass; the other calls are
     # residual_max's, ten Gauss nodes per interval
@@ -614,8 +630,8 @@ def test_radial_samples_take_one_dense_output_pass(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("phase", [0.0, 3.9138])
 def test_asymptotic_start_with_a_small_surface(phase, tmp_path, capsys):
-    # the sample grid starts ~1e-9 below the sampled tortoise range, which the
-    # drift of the integrated r allows; such points go to the nearest leg end
+    # a surface near the horizon below an asymptotic start: r_min and r_max
+    # are the radii of the legs' tortoise ends, so every sample lies on a leg
     code = run([
         "radial", "--out", tmp_path,
         "--set", "mode.boundary.type=asymptotic",
@@ -642,6 +658,9 @@ def test_embed_artifacts(tmp_path, capsys):
     doc = json.loads((tmp_path / "embed.json").read_text())
     norm = float(doc["kernel_residual_n"])
     assert norm < 1e-10
+    for name in ("embed_tau.csv", "embed_n.csv"):  # off-order entries are +0.0
+        cells = [line.rsplit(",", 1)[1] for line in (tmp_path / name).read_text().splitlines()[2:]]
+        assert "-0.0" not in cells and cells.count("0.0") == len(cells) - 7
 
 
 def test_energy_artifacts(tmp_path, capsys):
@@ -815,8 +834,7 @@ SURFACE_FIELDS = {
 
 def test_loop_evaluates_the_field_once(tmp_path, capsys, monkeypatch):
     # a source field is evaluated once from its coefficients; the rho bracket is
-    # summed at the samples by rho_bracket, with no evaluate call and no grid
-    # beyond the embedding's source grid
+    # summed at the samples by rho_bracket, with no evaluate call; no grid is built
     fields, brackets, grids = [], [], []
     real_evaluate, real_rho, real_init = (
         quasilocal.sphere.evaluate, quasilocal.energy.rho_bracket, quasilocal.sphere.SphereGrid.__init__
@@ -843,7 +861,7 @@ def test_loop_evaluates_the_field_once(tmp_path, capsys, monkeypatch):
         out = tmp_path / name
         assert run(args + ["--set", "numerics.l_max=8", "--out", out]) == EXIT_OK
         capsys.readouterr()
-        assert grids == [(9, 17, 8)], name
+        assert grids == [], name
         doc = json.loads((out / "loop.json").read_text())
         loop = LoopSpec.equator(doc["n_samples"])
         if name == "rho_bracket":
@@ -852,6 +870,24 @@ def test_loop_evaluates_the_field_once(tmp_path, capsys, monkeypatch):
         else:
             assert len(fields) == 1 and brackets == []
             assert doc["total"] == loop_integral(fields[0], loop)
+
+
+NO_GRID_RUNS = {name: ["--set", f"loop.field={name}"] for name in ("source_tau", "source_n", "rho_bracket")}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_COMMANDS) + sorted(NO_GRID_RUNS))
+def test_no_subcommand_builds_a_grid(name, tmp_path, capsys, monkeypatch):
+    # every pipeline field lies in one azimuthal order, taken from the Gauss rows
+    grids, real_init = [], quasilocal.sphere.SphereGrid.__init__
+    monkeypatch.setattr(quasilocal.sphere.SphereGrid, "__init__",
+                        lambda grid, *a: grids.append(a) or real_init(grid, *a))
+    scenario = "loop_equator" if name in NO_GRID_RUNS else name
+    args = [SCENARIO_COMMANDS[scenario], "--config", SCENARIOS / f"{scenario}.json", "--out", tmp_path,
+            "--set", "numerics.l_max=8", "--set", "numerics.radial_samples=40",
+            "--set", "numerics.geometry_resolution=32", "--set", "geometry.gauss_bonnet_tol=1e-4"]
+    assert run(args + NO_GRID_RUNS.get(name, [])) == EXIT_OK
+    capsys.readouterr()
+    assert grids == []
 
 
 NEAR_HORIZON = {

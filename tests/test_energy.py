@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasilocal.embedding
+import quasilocal.energy
 import quasilocal.radial
 import quasilocal.sphere
 from quasilocal import (
@@ -52,13 +54,13 @@ from test_embedding import WAVY_PROFILE, SyntheticProfile, constant_profile
 # ----------------------------------------------------------------------
 
 
-def test_energy_coefficients_constant_profile(grid16):
+def test_energy_coefficients_constant_profile():
     # sphere moments (verified symbolically): int Z2^2 Z3^2 = 4pi/15,
     # int Z2^2 = 4pi/3 give E1 = 32 pi c^2 / 15, E2 = -4 pi c^2 / 3
     c = 2.0
     spec = SurfaceSpec(d=100.0)
     prof = constant_profile(c)
-    emb = solve_embedding(*build_sources(prof, spec, grid16))
+    emb = solve_embedding(*build_sources(prof, spec, 16))
     coeffs = energy_coefficients(prof, spec, emb)
     assert coeffs.e1 == pytest.approx(32.0 * np.pi / 15.0 * c**2, rel=1e-8)
     assert coeffs.e2 == pytest.approx(-4.0 * np.pi / 3.0 * c**2, rel=1e-8)
@@ -94,19 +96,19 @@ def test_closed_form_energy_matches_the_full_grid(axial_profile, l_max, substitu
     # the same quadrature error, summed in another order: round-off apart
     for prof, d in ((axial_profile, 40.0), (WAVY_PROFILE, 7.5)):
         spec = SurfaceSpec(d=d, substitution=substitution)
-        emb = solve_embedding(*build_sources(prof, spec, SphereGrid.for_band_limit(l_max)))
+        emb = solve_embedding(*build_sources(prof, spec, l_max))
         got = energy_coefficients(prof, spec, emb)
         want = _full_grid_energy(prof, spec, emb)
         assert got.e1 == pytest.approx(want[0], rel=1e-14, abs=0.0)
         assert got.e2 == pytest.approx(want[1], rel=1e-14, abs=0.0)
 
 
-def test_energy_evaluates_the_profile_once_per_row(grid16):
-    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), grid16))
+def test_energy_evaluates_the_profile_once_per_row():
+    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), 16))
     shapes = []
     prof = SyntheticProfile(*(lambda r, f=f: shapes.append(r.shape) or f(r) for f in WAVY_PROFILE._fns))
     energy_coefficients(prof, SurfaceSpec(d=7.5), emb)
-    assert shapes == [(2 * grid16.l_max + 1,)] * 2
+    assert shapes == [(2 * 16 + 1,)] * 2
 
 
 def _grid_builds(monkeypatch):
@@ -125,65 +127,64 @@ def _legendre_table_calls(monkeypatch):
     """The band limits of the ``_legendre_table`` calls made from now on."""
     calls, real = [], quasilocal.sphere._legendre_table
     build = lambda L, theta: calls.append(L) or real(L, theta)  # noqa: E731
-    monkeypatch.setattr(quasilocal.sphere, "_legendre_table", build)
+    for module in (quasilocal.sphere, quasilocal.embedding):
+        monkeypatch.setattr(module, "_legendre_table", build)
     return calls
 
 
-def test_energy_stage_builds_no_transform_table(grid16, monkeypatch):
+def test_energy_stage_builds_no_transform_table(monkeypatch):
     # the A terms' theta sum reads the Gauss rule alone
-    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), grid16))
+    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), 16))
     calls = _legendre_table_calls(monkeypatch)
     energy_coefficients(WAVY_PROFILE, SurfaceSpec(d=7.5), emb)
     assert calls == []
 
 
-def test_energy_stage_builds_no_grid(grid16, monkeypatch):
-    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), grid16))
+def test_energy_stage_builds_no_grid(monkeypatch):
+    emb = solve_embedding(*build_sources(WAVY_PROFILE, SurfaceSpec(d=7.5), 16))
     builds = _grid_builds(monkeypatch)
     energy_coefficients(WAVY_PROFILE, SurfaceSpec(d=7.5), emb)
     assert builds == []
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
-def test_each_sweep_builds_one_grid(bg_unit, mode_l2, monkeypatch, jobs):
+def test_each_sweep_builds_no_grid(bg_unit, mode_l2, monkeypatch, jobs):
     builds = _grid_builds(monkeypatch)
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
-    for _ in range(2):
-        sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0], [0.0, 0.3],
-                     l_max=8, tol=1e-9, jobs=jobs)
-        assert builds == [(9, 17, 8)]  # the source grid, shared by every d
-        builds.clear()
+    sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0], [0.0, 0.3],
+                 l_max=8, tol=1e-9, jobs=jobs)
+    assert builds == []
 
 
-def test_sweep_builds_one_legendre_table_per_source_grid(bg_unit, mode_l2, monkeypatch):
-    # every d, on any thread, reads the one source grid of its call; the next
-    # call builds its own, so nothing is shared across calls
+def test_sweep_builds_one_legendre_table_per_surface(bg_unit, mode_l2, monkeypatch):
+    # each d's sources read the order-2 column of one table at the Gauss rows;
+    # nothing is shared between the d, on any thread, or across calls
     calls = _legendre_table_calls(monkeypatch)
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     t_values = np.pi / mode_l2.sigma * np.arange(9) / 8
     d_values = np.geomspace(50.0, 400.0, 4)
     for jobs in (1, 3, 3):
         sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16, jobs=jobs)
-        assert calls == [16]
+        assert calls == [16] * 4
         calls.clear()
 
 
-def test_energy_zero_perturbation(grid16):
+def test_energy_zero_perturbation():
     spec = SurfaceSpec(d=100.0)
     prof = constant_profile(0.0)
-    emb = solve_embedding(*build_sources(prof, spec, grid16))
+    emb = solve_embedding(*build_sources(prof, spec, 16))
     coeffs = energy_coefficients(prof, spec, emb)
     assert coeffs.e1 == 0.0
     assert coeffs.e2 == 0.0
 
 
-def test_energy_quadratic_scaling(grid16):
+def test_energy_quadratic_scaling():
     spec = SurfaceSpec(d=100.0)
     one = constant_profile(1.0)
     lam = 2.0
     two = constant_profile(lam)
-    c1 = energy_coefficients(one, spec, solve_embedding(*build_sources(one, spec, grid16)))
-    c2 = energy_coefficients(two, spec, solve_embedding(*build_sources(two, spec, grid16)))
+    c1 = energy_coefficients(one, spec, solve_embedding(*build_sources(one, spec, 16)))
+    c2 = energy_coefficients(two, spec, solve_embedding(*build_sources(two, spec, 16)))
     assert c2.e1 == pytest.approx(lam**2 * c1.e1, rel=1e-14)
     assert c2.e2 == pytest.approx(lam**2 * c1.e2, rel=1e-14)
 
@@ -389,8 +390,9 @@ def test_parity_integral_vanishes_but_loops_do_not(axial_profile, grid16):
     # along any constant-colatitude circle); a loop whose shape oscillates at
     # the azimuthal frequency of the density picks up a finite arc integral
     spec = SurfaceSpec(d=50.0)
-    s_tau, s_n = build_sources(axial_profile, spec, grid16)
-    assert abs(integrate(s_n)) <= 1e-12 * np.max(np.abs(s_n.values))
+    s_tau, s_n = build_sources(axial_profile, spec, 16)
+    density = synthesize(s_n, grid16)
+    assert abs(integrate(density)) <= 1e-12 * np.max(np.abs(density.values))
     assert abs(loop_integral(s_n, LoopSpec.circle(np.pi / 4.0, 256))) <= 1e-12
     wavy = LoopSpec(
         lambda s: np.pi / 2 + 0.4 * np.sin(4 * np.pi * s),
@@ -398,7 +400,7 @@ def test_parity_integral_vanishes_but_loops_do_not(axial_profile, grid16):
         512,
     )
     val = loop_integral(s_n, wavy)
-    assert abs(val) > 1e-3 * np.max(np.abs(s_n.values))
+    assert abs(val) > 1e-3 * np.max(np.abs(density.values))
 
 
 # ----------------------------------------------------------------------
@@ -552,23 +554,24 @@ def test_sweep_deterministic_across_jobs(bg_unit, mode_l2):
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_sweep_leaves_no_reference_cycle(bg_unit, mode_l2, monkeypatch, jobs):
-    # with the cyclic collector off, the sweep's grid dies with the report:
-    # nothing holds the grid that the grid holds back
-    refs, real = [], SphereGrid.__init__
+    # with the cyclic collector off, each d's radial solution, which its
+    # profile and embedding result hold, is freed once the sweep returns
+    refs, real = [], quasilocal.energy.solve_radial
 
-    def init(self, *args):
-        real(self, *args)
-        refs.append(weakref.ref(self))
+    def solve(*args):
+        sol = real(*args)
+        refs.append(weakref.ref(sol))
+        return sol
 
-    monkeypatch.setattr(SphereGrid, "__init__", init)
+    monkeypatch.setattr(quasilocal.energy, "solve_radial", solve)
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     gc.disable()
     try:
         rep = sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0],
                            [0.0, 0.3], l_max=8, tol=1e-9, jobs=jobs)
-        assert len(refs) == 1  # the source grid, once
+        assert len(refs) == 4  # one per d
         del rep
-        assert [r() for r in refs] == [None]
+        assert [r() for r in refs] == [None] * 4
     finally:
         gc.enable()
 

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -393,68 +392,90 @@ def test_evaluate_on_one_colatitude_is_bitwise_the_per_degree_builder(l_max):
     assert evaluate(h, loop.theta, loop.phi).tobytes() == want.tobytes()
 
 
-def test_fresh_grid_holds_no_derivative_table():
+def _grid_tables(grid):
+    return (grid._ybar, *grid._ladder, grid._cosm, grid._sinm)
+
+
+def test_fresh_grid_holds_every_table_and_no_lock():
     grid = SphereGrid(9, 19, 8)
-    analyze(coordinate_fields(grid)[1])  # a transform reads no derivative table
-    arrays = {name for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
+    slots = vars(grid)
+    arrays = {name for name, value in slots.items() if isinstance(value, np.ndarray)}
     assert arrays == {"cos_theta", "weights", "nodes", "sin_theta", "phi", "_ybar", "_cosm", "_sinm"}
-    assert grid._derivatives is None
+    assert len(grid._ladder) == 4 and all(t.shape == grid._ybar.shape for t in grid._ladder)
+    assert all(value is not None for value in slots.values())
+    lock_types = (type(threading.Lock()), type(threading.RLock()))
+    assert not any(isinstance(value, lock_types) for value in slots.values())
 
 
 @pytest.mark.parametrize("l_max", range(41))
 def test_lazy_transform_tables_are_bitwise_the_eager_build(l_max):
+    # every table a grid holds is its builder's output at the grid's rows
     for grid in (SphereGrid.for_band_limit(l_max), SphereGrid(2 * l_max + 1, 4 * l_max + 1, l_max)):
-        ybar, cosm, sinm = grid._ybar, grid._cosm, grid._sinm
         m = np.arange(l_max + 1)[:, None]
-        assert ybar.tobytes() == _real_scaled(_legendre_table(l_max, grid.nodes)).tobytes()
-        assert cosm.tobytes() == np.cos(m * grid.phi[None, :]).tobytes()
-        assert sinm.tobytes() == np.sin(m * grid.phi[None, :]).tobytes()
+        want = (
+            _real_scaled(_legendre_table(l_max, grid.nodes)),
+            *_ladder_tables(_legendre_table(l_max, grid.nodes)),
+            np.cos(m * grid.phi[None, :]),
+            np.sin(m * grid.phi[None, :]),
+        )
+        assert _same_bytes(_grid_tables(grid), want)
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 8, 33])
 def test_table_read_order_does_not_change_the_bytes(l_max):
-    ybar_first, derivatives_first = SphereGrid.for_band_limit(l_max), SphereGrid.for_band_limit(l_max)
-    first = (ybar_first._ybar, ybar_first._cosm, ybar_first._sinm, *ybar_first._ybar_derivatives())
-    derivatives = derivatives_first._ybar_derivatives()
-    second = (derivatives_first._ybar, derivatives_first._cosm, derivatives_first._sinm, *derivatives)
-    assert _same_bytes(first, second)
+    h = random_harmonic(l_max, seed=l_max)
+    derivatives_first, transform_first = SphereGrid.for_band_limit(l_max), SphereGrid.for_band_limit(l_max)
+    _harmonic_derivatives(h, derivatives_first)
+    analyze(synthesize(h, transform_first))
+    assert _same_bytes(_grid_tables(derivatives_first), _grid_tables(transform_first))
 
 
-def test_grid_builds_derivative_tables_on_first_read():
+def _table_builds(monkeypatch):
+    """"legendre" or "ladder" for each ``_legendre_table`` or ``_ladder_tables`` call made from now on."""
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(quasilocal.sphere, "_legendre_table", counted("legendre", _legendre_table))
+    monkeypatch.setattr(quasilocal.sphere, "_ladder_tables", counted("ladder", _ladder_tables))
+    return calls
+
+
+def test_grid_makes_one_legendre_table(monkeypatch):
+    calls = _table_builds(monkeypatch)
     grid = SphereGrid.for_band_limit(8)
-    assert grid._derivatives is None
-    tables = grid._ybar_derivatives()
-    assert len(tables) == 4
-    assert grid._ybar_derivatives() is tables
+    assert calls == ["legendre", "ladder"]
+    h = random_harmonic(8, seed=2)
+    grad_hess(synthesize(h, grid))
+    analyze(synthesize(h, grid))
+    assert calls == ["legendre", "ladder"]  # the transforms only read
 
 
 def test_first_derivative_read_does_not_deadlock():
-    # the build runs under the grid's non-reentrant lock: a nested acquire
-    # would hang the thread, and the join below fails the test instead
+    # a grid's first derivative read takes no lock: run it on a daemon thread,
+    # and a hang fails the join below instead of the whole run
+    h = random_harmonic(8, seed=3)
     grid = SphereGrid.for_band_limit(8)
-    reader = threading.Thread(target=grid._ybar_derivatives, daemon=True)
+    results = []
+    reader = threading.Thread(target=lambda: results.append(_harmonic_derivatives(h, grid)), daemon=True)
     reader.start()
     reader.join(timeout=10)
     assert not reader.is_alive()
-    assert grid._derivatives is not None
+    assert len(results) == 1
+    want = _harmonic_derivatives(h, SphereGrid.for_band_limit(8))
+    for f in dataclasses.fields(SphereDerivatives):
+        assert getattr(results[0], f.name).values.tobytes() == getattr(want, f.name).values.tobytes()
 
 
 def test_first_derivative_read_is_shared_between_threads(monkeypatch):
+    # 4 threads read one fresh grid at once; none builds a table, none waits
+    # on another (a hang fails the 10 s result timeout), and every result is
+    # bitwise the one-thread result
     h = random_harmonic(24, seed=5)
     want = _harmonic_derivatives(h, SphereGrid.for_band_limit(24))
-    builds, legendre_builds = [], []
-
-    def slow(real, calls):
-        def build(*args):
-            calls.append(threading.get_ident())
-            time.sleep(0.02)  # widen the window for a racing first read
-            return real(*args)
-        return build
-
-    # the grid builds Ybar when it is made, the derivative tables' Pbar on their first read
     grid = SphereGrid.for_band_limit(24)
-    monkeypatch.setattr(quasilocal.sphere, "_ladder_tables", slow(_ladder_tables, builds))
-    monkeypatch.setattr(quasilocal.sphere, "_legendre_table", slow(_legendre_table, legendre_builds))
+    calls = _table_builds(monkeypatch)
     start = threading.Barrier(4, timeout=10)
 
     def first_read(_):
@@ -469,7 +490,7 @@ def test_first_derivative_read_is_shared_between_threads(monkeypatch):
             results = [f.result(timeout=10) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(builds) == 1 and len(legendre_builds) == 1
+    assert calls == []
     for got in results:
         for f in dataclasses.fields(SphereDerivatives):
             assert getattr(got, f.name).values.tobytes() == getattr(want, f.name).values.tobytes()
