@@ -43,6 +43,7 @@ from .radial import (
     BackgroundParams,
     PolarMode,
     RadialSolution,
+    RadialStack,
     SurfaceAnchorBoundary,
     a_profile,
     integrate_wave,

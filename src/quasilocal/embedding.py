@@ -87,11 +87,36 @@ def radius_range(spec: SurfaceSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def _row_profiles(a: AProfile, spec: SurfaceSpec, z1) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of z2 z3 in (S_tau, S_N) at the colatitudes with cos(theta) = z1."""
-    r = radius_on_sphere(spec, z1)
-    av, apv, appv = a.a(r), a.a_prime(r), a.a_double_prime(r)
+def _source_rule(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z1, weight, Ybar_l2) of the sources' l_max + 1 Gauss rows; none below l_max 2.
+
+    weight_j = (pi/2) w_j sin^2(theta_j); Ybar_l2 has one row per degree
+    l = 2..l_max.  A sweep builds it once for all its surfaces.
+    """
+    if l_max < 2:
+        return np.empty(0), np.empty(0), np.empty((0, 0))
+    z1, w = _grid_rule(l_max + 1)
+    ybar_l2 = _real_scaled(_legendre_table(l_max, np.arccos(z1)))[2:, 2]
+    return z1, 0.5 * np.pi * w * (1.0 - z1) * (1.0 + z1), ybar_l2
+
+
+def _row_profiles(z1, av, apv, appv) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of z2 z3 in (S_tau, S_N) where cos(theta) = z1, from A, A' and A'' there."""
     return -appv * (1.0 - z1**2) + 6.0 * apv * z1 + 12.0 * av, appv - 2.0 * apv * z1 + 4.0 * av
+
+
+def _sources(l_max: int, rule, rows) -> tuple[HarmonicField, HarmonicField]:
+    """(S_tau, S_N) from ``rows`` = (A, A', A'') at the rows of ``rule = _source_rule(l_max)``.
+
+    s_l = sum_j weight_j p(z1_j) Ybar_l2(theta_j) for each ``_row_profiles`` factor p.
+    """
+    sources = HarmonicField.zeros(l_max), HarmonicField.zeros(l_max)
+    if l_max < 2:
+        return sources
+    z1, weight, ybar_l2 = rule
+    for h, profile in zip(sources, _row_profiles(z1, *rows)):
+        h.coeffs[2:, l_max - 2] = ybar_l2 @ (weight * profile)
+    return sources
 
 
 def build_sources(a: AProfile, spec: SurfaceSpec, l_max: int) -> tuple[HarmonicField, HarmonicField]:
@@ -111,15 +136,9 @@ def build_sources(a: AProfile, spec: SurfaceSpec, l_max: int) -> tuple[HarmonicF
             f"surface needs A(r) on [{lo}, {hi}] but profile covers "
             f"[{a.r_min}, {a.r_max}]"
         )
-    sources = HarmonicField.zeros(l_max), HarmonicField.zeros(l_max)
-    if l_max < 2:
-        return sources
-    z1, w = _grid_rule(l_max + 1)
-    ybar_l2 = _real_scaled(_legendre_table(l_max, np.arccos(z1)))[2:, 2]
-    weight = 0.5 * np.pi * w * (1.0 - z1) * (1.0 + z1)
-    for h, profile in zip(sources, _row_profiles(a, spec, z1)):
-        h.coeffs[2:, l_max - 2] = ybar_l2 @ (weight * profile)
-    return sources
+    rule = _source_rule(l_max)
+    r = radius_on_sphere(spec, rule[0])
+    return _sources(l_max, rule, (a.a(r), a.a_prime(r), a.a_double_prime(r)))
 
 
 @dataclass(frozen=True)

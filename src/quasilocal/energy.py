@@ -26,12 +26,22 @@ import numpy as np
 from .embedding import (
     EmbeddingSolution,
     SurfaceSpec,
-    build_sources,
+    _source_rule,
+    _sources,
     radius_on_sphere,
     solve_embedding,
 )
 from .errors import DomainError, FitError
-from .radial import AProfile, AxialMode, BackgroundParams, a_profile, solve_radial
+from .radial import (
+    AProfile,
+    AxialMode,
+    BackgroundParams,
+    _a,
+    _a_double_prime,
+    _a_prime,
+    a_profile,
+    solve_surfaces,
+)
 from .sphere import (
     GridField,
     HarmonicField,
@@ -98,9 +108,14 @@ def energy_coefficients(
     # the A terms are not band-limited, so their quadrature error depends on the
     # rule: keep the rows of the grid for twice the band limit
     z1, w = _grid_rule(2 * emb.l_max + 1)
-    s2 = (1.0 - z1) * (1.0 + z1)
     r = radius_on_sphere(spec, z1)
-    av, apv = a.a(r), a.a_prime(r)
+    return _energy_sums((z1, w), a.a(r), a.a_prime(r), emb)
+
+
+def _energy_sums(rule, av, apv, emb: EmbeddingSolution) -> EnergyCoefficients:
+    """E1 and E2 from A and A' at the rows of ``rule`` = (z1, w), the 2L + 1 Gauss rows."""
+    z1, w = rule
+    s2 = (1.0 - z1) * (1.0 + z1)
     e1_a = 0.5 * np.pi * (w @ (av**2 * (s2 + 1.75 * s2**2) + 2.0 * av * apv * z1 * (0.75 * s2**2 - s2)))
     e2_a = 0.25 * np.pi * (w @ (av**2 * s2**2))
     e1 = e1_a - 0.5 * _quadratic_form(emb.n_field, "laplacian_plus_2")
@@ -342,6 +357,46 @@ def default_c_factor(mode: AxialMode, spec: SurfaceSpec) -> float:
         return math.inf
 
 
+def _surfaces(bg, mode, boundary, specs, l_max: int, tol: float, energy: bool = True, jobs: int = 1):
+    """The pipeline for the surfaces ``specs``, each shared stage run once for all of them.
+
+    One ``solve_surfaces`` call gives every surface its radial solution at
+    unit amplitude.  The sources' Gauss rule and Ybar_l2, and with
+    ``energy`` the energy stage's 2 l_max + 1 rows, are built once, and
+    every surface's rows take A, A' and A'' from one dense-output pass.
+    The per-surface rest (the source sums, ``solve_embedding`` and the
+    energy sums) runs on ``jobs`` threads.  Returns (profile, s_tau, s_n,
+    embedding, coefficients or None) per surface.  A(r) exists for axial
+    modes only, so any other mode is rejected before integrating.
+    """
+    if mode.kind != "axial":
+        raise DomainError(
+            f"A(r) is defined for axial solutions only; mode kind is {mode.kind!r}"
+        )
+    for spec in specs:
+        spec.validate_outside_horizon(bg)
+    unit_mode = dataclasses.replace(mode, amplitude=1.0)
+    stack = solve_surfaces(bg, unit_mode, boundary, [spec.d for spec in specs], tol)
+    source_rule = _source_rule(l_max)
+    energy_rule = _grid_rule(2 * l_max + 1)
+    n_src = len(source_rule[0])
+    nodes = np.concatenate([source_rule[0], energy_rule[0]]) if energy else source_rule[0]
+    r = np.array([radius_on_sphere(spec, nodes) for spec in specs])
+    z, dz = stack.eval_r(r)
+    av, apv, appv = (f(r, z, dz, bg.m, unit_mode) for f in (_a, _a_prime, _a_double_prime))
+
+    def finish(i):
+        s_tau, s_n = _sources(l_max, source_rule, (av[i, :n_src], apv[i, :n_src], appv[i, :n_src]))
+        emb = solve_embedding(s_tau, s_n)
+        coeffs = _energy_sums(energy_rule, av[i, n_src:], apv[i, n_src:], emb) if energy else None
+        return a_profile(stack.solutions[i]), s_tau, s_n, emb, coeffs
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(finish, range(len(specs))))
+    return [finish(i) for i in range(len(specs))]
+
+
 def surface_embedding(
     bg: BackgroundParams,
     mode: AxialMode,
@@ -352,21 +407,34 @@ def surface_embedding(
 ):
     """Radial solve, A(r), embedding sources and spectral solve for one surface.
 
-    The radial solution is integrated at unit amplitude over the surface's
-    radial coverage, and the sources are the harmonic coefficients of
+    The sweep's pipeline at one d without its energy stage: the radial
+    solution is integrated at unit amplitude over the surface's radial
+    coverage, and the sources are the harmonic coefficients of
     ``build_sources`` up to ``l_max``; no grid is built.  Returns (profile,
     s_tau, s_n, embedding).  A(r) exists for axial modes only, so any other
     mode is rejected before integrating.
     """
-    if mode.kind != "axial":
-        raise DomainError(
-            f"A(r) is defined for axial solutions only; mode kind is {mode.kind!r}"
-        )
-    spec.validate_outside_horizon(bg)
-    unit_mode = dataclasses.replace(mode, amplitude=1.0)
-    prof = a_profile(solve_radial(bg, unit_mode, boundary, [spec.d], tol))
-    s_tau, s_n = build_sources(prof, spec, l_max)
-    return prof, s_tau, s_n, solve_embedding(s_tau, s_n)
+    prof, s_tau, s_n, emb, _ = _surfaces(bg, mode, boundary, [spec], l_max, tol, energy=False)[0]
+    return prof, s_tau, s_n, emb
+
+
+def _energy_results(bg, mode, boundary, specs, t_values, l_max, tol, c_factor, jobs=1):
+    """``_surfaces`` with each surface's energy assembled, as SurfaceEnergyResults."""
+    results = []
+    for spec, (prof, _s_tau, _s_n, emb, coeffs) in zip(
+        specs, _surfaces(bg, mode, boundary, specs, l_max, tol, jobs=jobs)
+    ):
+        cf = default_c_factor(mode, spec) if c_factor is None else c_factor
+        e, dedt = assemble_energy(coeffs, mode, spec, cf, t_values)
+        results.append(SurfaceEnergyResult(
+            coefficients=coeffs,
+            embedding=emb,
+            profile=prof,
+            c_factor=cf,
+            e=np.atleast_1d(e),
+            dedt=np.atleast_1d(dedt),
+        ))
+    return results
 
 
 def surface_energy(
@@ -379,24 +447,12 @@ def surface_energy(
     tol: float = 1e-10,
     c_factor: float | None = None,
 ) -> SurfaceEnergyResult:
-    """``surface_embedding`` plus energy assembly for one surface.
+    """``surface_embedding`` plus energy assembly for one surface: the sweep at one d.
 
     The mode amplitude enters (squared) through c_factor, which defaults to
     C_ell(theta_d)^2 * amplitude^2.  Neither stage builds a grid.
     """
-    prof, _s_tau, _s_n, emb = surface_embedding(bg, mode, boundary, spec, l_max, tol)
-    coeffs = energy_coefficients(prof, spec, emb)
-    if c_factor is None:
-        c_factor = default_c_factor(mode, spec)
-    e, dedt = assemble_energy(coeffs, mode, spec, c_factor, t_values)
-    return SurfaceEnergyResult(
-        coefficients=coeffs,
-        embedding=emb,
-        profile=prof,
-        c_factor=c_factor,
-        e=np.atleast_1d(e),
-        dedt=np.atleast_1d(dedt),
-    )
+    return _energy_results(bg, mode, boundary, [spec], t_values, l_max, tol, c_factor)[0]
 
 
 @dataclass(frozen=True)
@@ -446,23 +502,19 @@ def sweep_energy(
 ) -> EnergyReport:
     """Run the full pipeline across a d-sweep; the report fits the falloff per t.
 
-    Each d is one ``surface_energy`` call, which builds no grid, so the d
-    share no state whichever thread runs them.  Results are aggregated in d
-    order regardless of scheduling, so the report is deterministic for any
-    ``jobs``.
+    The radial solve, the Gauss rules and Ybar_l2, and the dense-output pass
+    for A, A' and A'' run once for all d: a ``surface_anchor`` boundary
+    integrates every d's anchor as one stacked system, and any other
+    boundary one solution over the coverage of all d.  Only the per-d
+    source sums, ``solve_embedding`` and energy sums run on ``jobs``
+    threads.  Results are aggregated in d order regardless of scheduling,
+    so the report is deterministic for any ``jobs``; at one d it is
+    ``surface_energy``'s.
     """
     d_values = np.atleast_1d(np.asarray(d_values, dtype=float))
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-
-    def run_one(d: float) -> SurfaceEnergyResult:
-        spec = dataclasses.replace(surface_template, d=float(d))
-        return surface_energy(bg, mode, boundary, spec, t_values, l_max=l_max, tol=tol, c_factor=c_factor)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, d_values))
-    else:
-        results = [run_one(d) for d in d_values]
+    specs = [dataclasses.replace(surface_template, d=float(d)) for d in d_values]
+    results = _energy_results(bg, mode, boundary, specs, t_values, l_max, tol, c_factor, jobs)
 
     e = np.stack([r.e for r in results], axis=1)
     dedt = np.stack([r.dedt for r in results], axis=1)

@@ -15,6 +15,14 @@ to scipy's ``solve_ivp`` in steps, states and dense output; the right-hand
 side takes and returns Python floats, as that stepper asks.  The leg's step
 interpolants are stacked in one table and evaluated for a batch of points at
 once; ``eval_r`` keeps its last result, so A, A' and A'' share one pass.
+
+Several anchors integrate as one system of 3 n states (a RadialStack).  The
+right-hand side does not depend on r*, so anchor i's solution is the first
+anchor's system shifted by its anchor's r* offset: one ascending and one
+descending leg, in the first anchor's r* and run to the widest bound any
+anchor needs, serve every member, each a column view of the shared legs,
+and ``RadialStack.eval_r`` reads every member's radii in one dense-output
+call per leg.  One anchor is the plain three-state system.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ __all__ = [
     "BackgroundParams",
     "PolarMode",
     "RadialSolution",
+    "RadialStack",
     "SurfaceAnchorBoundary",
     "a_profile",
     "integrate_wave",
@@ -45,6 +54,7 @@ __all__ = [
     "potential_polar",
     "radial_coverage",
     "solve_radial",
+    "solve_surfaces",
     "tortoise",
 ]
 
@@ -254,8 +264,11 @@ class RadialSolution:
     r_min: float  # the radii of rstar's ends, not of the drifting integrated r
     r_max: float
     tol: float
-    _legs: tuple = field(repr=False)  # (r*0, descending, ascending); a missing leg is None
+    _legs: tuple = field(repr=False)  # (r*0, descending, ascending) tables; a missing leg is None
     asymptotic_truncation: float | None = None
+    # a stack member reads rows _column.._column + 2 of its legs' tables, at r* - _shift
+    _shift: float = field(default=0.0, repr=False)
+    _column: int = field(default=0, repr=False)
     # (r, z, dz) of the last eval_r call, one tuple so no thread sees a mixed entry
     _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
@@ -276,13 +289,17 @@ class RadialSolution:
             )
         rs0, down, up = self._legs
         if down is None or up is None:
-            return (up or down)(rs).reshape((3,) + shape)
+            return self._leg(up or down, rs).reshape((3,) + shape)
         above = rs >= rs0 - 1e-12 * (1 + abs(rs0))
         out = np.empty((3, rs.size))
         for leg, mask in ((up, above), (down, ~above)):
             if np.any(mask):
-                out[:, mask] = leg(rs[mask])
+                out[:, mask] = self._leg(leg, rs[mask])
         return out.reshape((3,) + shape)
+
+    def _leg(self, table, rs) -> np.ndarray:
+        """This solution's (z, dz, r) rows of a leg table, at its own r*."""
+        return table(rs - self._shift)[self._column:self._column + 3]
 
     def eval_r(self, r) -> tuple[np.ndarray, np.ndarray]:
         """(Z, dZ/dr*) at Schwarzschild radius r (any array shape).
@@ -333,7 +350,61 @@ class RadialSolution:
         return np.max(res, initial=0.0) / scale
 
 
-def _rhs_factory(bg: BackgroundParams, mode) -> Callable:
+@dataclass(frozen=True)
+class RadialStack:
+    """The solutions of one integration, one per surface.
+
+    The members of an ``integrate_wave`` stack share its two leg tables,
+    each reading its own three columns at its own r* shifted into the first
+    member's; a solution repeated serves every surface of a global boundary.
+    """
+
+    solutions: tuple
+
+    @property
+    def rstar(self) -> np.ndarray:
+        """The first member's nodes: those of the shared legs."""
+        return self.solutions[0].rstar
+
+    @property
+    def asymptotic_truncation(self) -> float | None:
+        return self.solutions[0].asymptotic_truncation
+
+    def eval_r(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, dZ/dr*) at radii ``r`` of shape (members, k), row i on member i.
+
+        Every member's points go through one dense-output call per leg; each
+        value is bitwise that of its member's ``eval_r``, under the same
+        coverage checks and the same rule for picking a point's leg.
+        """
+        r = np.asarray(r, dtype=float)
+        sols = self.solutions
+        # per member, as a column that broadcasts along its row of radii
+        r_min, r_max, lo, hi, rs0, shift = np.array(
+            [(s.r_min, s.r_max, s.rstar[0], s.rstar[-1], s._legs[0], s._shift) for s in sols]
+        ).T[:, :, None]
+        column = np.array([s._column for s in sols])
+        if np.any(r < r_min - 1e-9) or np.any(r > r_max + 1e-9):
+            raise CoverageError("radius outside a member's covered range")
+        rs = tortoise(r, sols[0].background)
+        if not np.all((rs >= lo - 1e-9 * (1 + abs(lo))) & (rs <= hi + 1e-9 * (1 + abs(hi)))):
+            raise CoverageError("tortoise coordinate outside a member's covered range")
+        t = rs - shift
+        _, down, up = sols[0]._legs
+        if down is None or up is None:
+            parts = [(up or down, np.ones(r.shape, dtype=bool))]
+        else:
+            above = rs >= rs0 - 1e-12 * (1 + abs(rs0))
+            parts = [(up, above), (down, ~above)]
+        out = np.empty((2,) + r.shape)
+        for leg, mask in parts:
+            if np.any(mask):
+                rows = column[np.nonzero(mask)[0]] + np.array([[0], [1]])
+                out[:, mask] = leg(t[mask])[rows, np.arange(rows.shape[1])]
+        return out[0], out[1]
+
+
+def _rhs_factory(bg: BackgroundParams, mode, n: int = 1) -> Callable:
     sigma_sq = mode.sigma**2
     m = bg.m
     if mode.kind == "axial":
@@ -348,7 +419,17 @@ def _rhs_factory(bg: BackgroundParams, mode) -> Callable:
         z, dz, r = y
         return dz, (v(r, m, param) - sigma_sq) * z, (r - 2.0 * m) / r
 
-    return rhs
+    if n == 1:
+        return rhs
+
+    # n systems as consecutive (z, dz, r) triples, each through ``rhs``
+    def stacked(t, y):
+        out = []
+        for i in range(0, len(y), 3):
+            out += rhs(t, y[i:i + 3])
+        return out
+
+    return stacked
 
 
 def _asymptotic_start(bg, mode, boundary, tol) -> tuple[float, float]:
@@ -369,25 +450,11 @@ def _asymptotic_start(bg, mode, boundary, tol) -> tuple[float, float]:
     return float(tortoise(r_start, bg)), potential(r_start, bg, mode) / sigma_sq
 
 
-def integrate_wave(
-    bg: BackgroundParams,
-    mode,
-    boundary,
-    r_range: tuple[float, float],
-    tol: float = 1e-10,
-) -> RadialSolution:
-    """March the radial wave equation over ``r_range`` (Schwarzschild radii).
-
-    ``boundary`` is an AnchorBoundary (exact data at a point) or an
-    AsymptoticBoundary (sinusoidal data where the potential is below
-    tol * sigma^2).  Boundary data is scaled by ``mode.amplitude``.  Each
-    direction from the start is one adaptive DOP853 leg with dense output.
-    """
+def _start(bg: BackgroundParams, mode, boundary, r_range, tol):
+    """(r*_lo, r*_hi, r*0, z0, dz0, truncation) of one boundary over ``r_range``."""
     r_lo, r_hi = float(r_range[0]), float(r_range[1])
     if not (bg.horizon < r_lo < r_hi):
         raise DomainError(f"radial range {r_range} must satisfy 2m < r_lo < r_hi")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     rs_lo = float(tortoise(r_lo, bg))
     rs_hi = float(tortoise(r_hi, bg))
     amp = mode.amplitude
@@ -420,19 +487,61 @@ def integrate_wave(
         rs_hi = rs0
     else:
         raise DomainError(f"unsupported boundary type {type(boundary).__name__}")
+    return rs_lo, rs_hi, rs0, z0, dz0, trunc
 
-    r0 = inverse_tortoise(rs0, bg)
-    y0 = np.array([z0, dz0, r0])
-    rhs = _rhs_factory(bg, mode)
-    scale = max(abs(z0), abs(dz0) / mode.sigma, 1e-30)
+
+def integrate_wave(
+    bg: BackgroundParams,
+    mode,
+    boundary,
+    r_range,
+    tol: float = 1e-10,
+) -> RadialSolution | RadialStack:
+    """March the radial wave equation over ``r_range`` (Schwarzschild radii).
+
+    ``boundary`` is an AnchorBoundary (exact data at a point) or an
+    AsymptoticBoundary (sinusoidal data where the potential is below
+    tol * sigma^2).  Boundary data is scaled by ``mode.amplitude``.  Each
+    direction from the start is one adaptive DOP853 leg with dense output.
+
+    A list of AnchorBoundary, with a list of one range each, integrates as
+    one system of 3 n states and returns their RadialStack: r* is the first
+    anchor's, anchor i is its system shifted by the difference of the
+    anchors' r*, and each leg runs to the widest bound any anchor's range
+    needs.  The step control takes one RMS norm over all 3 n states, so
+    both tolerances are divided by sqrt(n): a step it accepts keeps each
+    anchor's own norm within what that anchor's own solve accepts.
+    """
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
+    stacked = isinstance(boundary, (list, tuple))
+    if not stacked:
+        starts = [_start(bg, mode, boundary, r_range, tol)]
+    elif boundary and len(boundary) == len(r_range) and all(isinstance(b, AnchorBoundary) for b in boundary):
+        starts = [_start(bg, mode, b, rr, tol) for b, rr in zip(boundary, r_range)]
+    else:
+        raise DomainError("a stack takes a list of AnchorBoundary and one radial range each")
+    rs_los, rs_his, rs0s, z0s, dz0s, truncs = zip(*starts)
+    rs0 = rs0s[0]
+    shifts = [x - rs0 for x in rs0s]
+    t_lo = min(x - shift for x, shift in zip(rs_los, shifts))
+    t_hi = max(x - shift for x, shift in zip(rs_his, shifts))
+    rtol = tol / math.sqrt(len(starts))
+    y0, atol = [], []
+    for rs0_i, z0, dz0 in zip(rs0s, z0s, dz0s):
+        r0 = inverse_tortoise(rs0_i, bg)
+        scale = max(abs(z0), abs(dz0) / mode.sigma, 1e-30)
+        y0 += z0, dz0, r0
+        atol += rtol * scale * 1e-2, rtol * scale * 1e-2, rtol * 1e-2 * max(r0, 1.0)
+    y0, atol = np.array(y0), np.array(atol)
+    rhs = _rhs_factory(bg, mode, len(starts))
 
     def integrate_leg(t1):
         if abs(t1 - rs0) < 1e-14 * (1 + abs(rs0)):
             return None
-        atol = np.array([tol * scale * 1e-2, tol * scale * 1e-2, tol * 1e-2 * max(r0, 1.0)])
-        return dop853(rhs, rs0, t1, y0, rtol=tol, atol=atol)
+        return dop853(rhs, rs0, t1, y0, rtol=rtol, atol=atol)
 
-    up, down = integrate_leg(rs_hi), integrate_leg(rs_lo)
+    up, down = integrate_leg(t_hi), integrate_leg(t_lo)
     if up is None and down is None:
         raise DomainError(f"radial range {r_range} is too short for an integration leg")
     # ascending nodes: the descending leg reversed, then the ascending leg past r*0
@@ -440,20 +549,27 @@ def integrate_wave(
     if up:
         parts.append((up[0][len(parts):], up[1][len(parts):]))
     ts_all, ys_all = (np.concatenate(a) for a in zip(*parts))
+    tables = (down and down[2], up and up[2])
 
-    return RadialSolution(
-        kind=mode.kind,
-        background=bg,
-        mode=mode,
-        rstar=ts_all,
-        z=ys_all[:, 0],
-        dz=ys_all[:, 1],
-        r_min=inverse_tortoise(float(ts_all[0]), bg),
-        r_max=inverse_tortoise(float(ts_all[-1]), bg),
-        tol=tol,
-        _legs=(rs0, down and down[2], up and up[2]),
-        asymptotic_truncation=trunc,
+    solutions = tuple(
+        RadialSolution(
+            kind=mode.kind,
+            background=bg,
+            mode=mode,
+            rstar=ts_all + shift,
+            z=ys_all[:, 3 * i],
+            dz=ys_all[:, 3 * i + 1],
+            r_min=inverse_tortoise(float(ts_all[0] + shift), bg),
+            r_max=inverse_tortoise(float(ts_all[-1] + shift), bg),
+            tol=tol,
+            _legs=(rs0_i, *tables),
+            asymptotic_truncation=trunc,
+            _shift=shift,
+            _column=3 * i,
+        )
+        for i, (rs0_i, trunc, shift) in enumerate(zip(rs0s, truncs, shifts))
     )
+    return RadialStack(solutions) if stacked else solutions[0]
 
 
 def radial_coverage(bg: BackgroundParams, boundary, d_values) -> tuple[float, float]:
@@ -480,14 +596,54 @@ def solve_radial(
 ) -> RadialSolution:
     """``integrate_wave`` over the radial coverage of the spheres at ``d_values``.
 
-    A SurfaceAnchorBoundary is resolved against the first distance; an
-    explicit ``r_range`` replaces the coverage interval.
+    A SurfaceAnchorBoundary is resolved against the first distance (see
+    ``solve_surfaces`` for one solution per distance); an explicit
+    ``r_range`` replaces the coverage interval.
     """
     if isinstance(boundary, SurfaceAnchorBoundary):
         boundary = boundary.resolve(d_values[0])
     if r_range is None:
         r_range = radial_coverage(bg, boundary, d_values)
     return integrate_wave(bg, mode, boundary, r_range, tol=tol)
+
+
+def solve_surfaces(bg: BackgroundParams, mode, boundary, d_values, tol: float = 1e-10) -> RadialStack:
+    """One radial solution per sphere at ``d_values``, from one ``integrate_wave`` call.
+
+    A SurfaceAnchorBoundary is resolved against every distinct distance, in
+    order of first appearance, and the anchors integrate as one stack, each
+    over its own sphere's coverage; a repeated d shares its first one's
+    solution.  Any other boundary does not depend on d: one
+    ``solve_radial`` solution over the coverage of all the spheres serves
+    every d.
+    """
+    if isinstance(boundary, SurfaceAnchorBoundary):
+        member = {d: i for i, d in enumerate(dict.fromkeys(d_values))}
+        anchors = [boundary.resolve(d) for d in member]
+        ranges = [radial_coverage(bg, a, [d]) for a, d in zip(anchors, member)]
+        stack = integrate_wave(bg, mode, anchors, ranges, tol)
+        return RadialStack(tuple(stack.solutions[member[d]] for d in d_values))
+    return RadialStack((solve_radial(bg, mode, boundary, d_values, tol),) * len(d_values))
+
+
+# AProfile's A, A' and A'' from (r, Z, Z'), also for radii of several solutions at once
+def _a(r, z, dz, m, mode):
+    s2 = mode.sigma**2
+    return (r - 2.0 * m) / (s2 * r**2) * z + dz / s2
+
+
+def _a_prime(r, z, dz, m, mode):
+    s2, mu2 = mode.sigma**2, mode.mu_sq
+    coef_z = ((mu2 + 1.0) * r - 2.0 * m) / (s2 * r**3) - r / (r - 2.0 * m)
+    return coef_z * z + dz / (s2 * r)
+
+
+def _a_double_prime(r, z, dz, m, mode):
+    s2, mu2 = mode.sigma**2, mode.mu_sq
+    rm = r - 2.0 * m
+    coef_z = -mu2 / (s2 * r**3) + 2.0 * m / rm**2 - 1.0 / rm
+    coef_dz = mu2 / (s2 * r * rm) - r**2 / rm**2
+    return coef_z * z + coef_dz * dz
 
 
 @dataclass(frozen=True)
@@ -520,36 +676,20 @@ class AProfile:
     def r_max(self) -> float:
         return self.solution.r_max
 
-    def _zz(self, r):
+    def _eval(self, formula, r):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         z, dz = self.solution.eval_r(r_arr)
-        return r_arr, z, dz
+        out = formula(r_arr, z, dz, self.solution.background.m, self.solution.mode)
+        return float(out[0]) if np.isscalar(r) else out
 
     def a(self, r):
-        r_arr, z, dz = self._zz(r)
-        m, s2 = self.solution.background.m, self.solution.mode.sigma**2
-        out = (r_arr - 2.0 * m) / (s2 * r_arr**2) * z + dz / s2
-        return float(out[0]) if np.isscalar(r) else out
+        return self._eval(_a, r)
 
     def a_prime(self, r):
-        r_arr, z, dz = self._zz(r)
-        m, mode = self.solution.background.m, self.solution.mode
-        s2, mu2 = mode.sigma**2, mode.mu_sq
-        coef_z = ((mu2 + 1.0) * r_arr - 2.0 * m) / (s2 * r_arr**3) - r_arr / (
-            r_arr - 2.0 * m
-        )
-        out = coef_z * z + dz / (s2 * r_arr)
-        return float(out[0]) if np.isscalar(r) else out
+        return self._eval(_a_prime, r)
 
     def a_double_prime(self, r):
-        r_arr, z, dz = self._zz(r)
-        m, mode = self.solution.background.m, self.solution.mode
-        s2, mu2 = mode.sigma**2, mode.mu_sq
-        rm = r_arr - 2.0 * m
-        coef_z = -mu2 / (s2 * r_arr**3) + 2.0 * m / rm**2 - 1.0 / rm
-        coef_dz = mu2 / (s2 * r_arr * rm) - r_arr**2 / rm**2
-        out = coef_z * z + coef_dz * dz
-        return float(out[0]) if np.isscalar(r) else out
+        return self._eval(_a_double_prime, r)
 
 
 def a_profile(sol: RadialSolution) -> AProfile:

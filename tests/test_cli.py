@@ -423,14 +423,14 @@ def test_non_finite_csv_value_exits_before_writing(args, target, column, tmp_pat
     ["sweep", "--config", SCENARIOS / "axial_sweep.json", "--jobs", 2],
 ], ids=["embed", "sweep-jobs2"])
 def test_kernel_residual_exits_before_writing(args, tmp_path, capsys, monkeypatch):
-    real = quasilocal.energy.build_sources
+    real = quasilocal.energy._sources
 
     def with_z1(*a):  # an l = 1 component far past the solvability tolerance
         s_tau, s_n = real(*a)
         s_tau.coeffs[1, s_tau.l_max] = 1e-6 * s_tau.norm()
         return s_tau, s_n
 
-    monkeypatch.setattr(quasilocal.energy, "build_sources", with_z1)
+    monkeypatch.setattr(quasilocal.energy, "_sources", with_z1)
     filters = list(warnings.filters)
     out = tmp_path / "out"
     assert run(args + ["--out", out]) == EXIT_NUMERICAL

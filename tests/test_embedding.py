@@ -273,7 +273,8 @@ def test_row_sources_are_bitwise_the_full_grid(axial_profile, l_max, substitutio
     z1, z2, z3 = (f.values for f in coordinate_fields(grid))
     for prof, d in ((axial_profile, 40.0), (WAVY_PROFILE, 7.5)):
         spec = SurfaceSpec(d=d, substitution=substitution)
-        rows = _row_profiles(prof, spec, z1[:, 0])
+        r = radius_on_sphere(spec, z1[:, 0])
+        rows = _row_profiles(z1[:, 0], prof.a(r), prof.a_prime(r), prof.a_double_prime(r))
         for row, want in zip(rows, full_grid_sources(prof, spec, grid)):
             assert (row[:, None] * (z2 * z3)).tobytes() == want.tobytes()
 

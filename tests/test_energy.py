@@ -15,6 +15,7 @@ import quasilocal.energy
 import quasilocal.radial
 import quasilocal.sphere
 from quasilocal import (
+    AnchorBoundary,
     AxialMode,
     DomainError,
     EnergyCoefficients,
@@ -156,16 +157,16 @@ def test_each_sweep_builds_no_grid(bg_unit, mode_l2, monkeypatch, jobs):
     assert builds == []
 
 
-def test_sweep_builds_one_legendre_table_per_surface(bg_unit, mode_l2, monkeypatch):
-    # each d's sources read the order-2 column of one table at the Gauss rows;
-    # nothing is shared between the d, on any thread, or across calls
+def test_sweep_builds_one_legendre_table(bg_unit, mode_l2, monkeypatch):
+    # every d's sources read the order-2 column of one table at the Gauss
+    # rows, built once per sweep on any thread and not kept across calls
     calls = _legendre_table_calls(monkeypatch)
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     t_values = np.pi / mode_l2.sigma * np.arange(9) / 8
     d_values = np.geomspace(50.0, 400.0, 4)
     for jobs in (1, 3, 3):
         sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16, jobs=jobs)
-        assert calls == [16] * 4
+        assert calls == [16]
         calls.clear()
 
 
@@ -554,26 +555,75 @@ def test_sweep_deterministic_across_jobs(bg_unit, mode_l2):
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_sweep_leaves_no_reference_cycle(bg_unit, mode_l2, monkeypatch, jobs):
-    # with the cyclic collector off, each d's radial solution, which its
-    # profile and embedding result hold, is freed once the sweep returns
-    refs, real = [], quasilocal.energy.solve_radial
+    # with the cyclic collector off, the sweep's one stacked radial solve and
+    # each d's member of it, which its profile holds, are freed once the
+    # sweep returns
+    refs, real = [], quasilocal.radial.integrate_wave
 
     def solve(*args):
-        sol = real(*args)
-        refs.append(weakref.ref(sol))
-        return sol
+        stack = real(*args)
+        refs.extend(weakref.ref(x) for x in (stack, *stack.solutions))
+        return stack
 
-    monkeypatch.setattr(quasilocal.energy, "solve_radial", solve)
+    monkeypatch.setattr(quasilocal.radial, "integrate_wave", solve)
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     gc.disable()
     try:
         rep = sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0],
                            [0.0, 0.3], l_max=8, tol=1e-9, jobs=jobs)
-        assert len(refs) == 4  # one per d
+        assert len(refs) == 1 + 4  # one solve, one member per d
         del rep
-        assert [r() for r in refs] == [None] * 4
+        assert [r() for r in refs] == [None] * 5
     finally:
         gc.enable()
+
+
+def _integrate_wave_calls(monkeypatch):
+    """The boundary argument of every ``integrate_wave`` call made from now on."""
+    calls, real = [], quasilocal.radial.integrate_wave
+    monkeypatch.setattr(quasilocal.radial, "integrate_wave", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+    return calls
+
+
+def _assert_coefficients_close(report, results, rel):
+    for e1, e2, res in zip(report.e1, report.e2, results):
+        assert e1 == pytest.approx(res.coefficients.e1, rel=rel, abs=0.0)
+        assert e2 == pytest.approx(res.coefficients.e2, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("d_values", [[50.0, 100.0, 200.0, 400.0], [5.0, 10.0, 50.0, 400.0]])
+def test_stacked_sweep_agrees_with_each_surface(bg_unit, mode_l2, d_values, monkeypatch):
+    # one stacked radial solve for every d; each d's E1 and E2 those of its
+    # own surface_energy to the radial tolerance
+    bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
+    calls = _integrate_wave_calls(monkeypatch)
+    rep = sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, [0.3], l_max=8, tol=1e-10)
+    assert len(calls) == 1 and len(calls[0]) == len(d_values)
+    results = [surface_energy(bg_unit, mode_l2, bnd, SurfaceSpec(d=d), [0.3], l_max=8, tol=1e-10)
+               for d in d_values]
+    _assert_coefficients_close(rep, results, 1e-9)
+
+
+def test_one_surface_sweep_is_surface_energy(bg_unit, mode_l2):
+    bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0, offset=0.5)
+    spec = SurfaceSpec(t=0.3, d=60.0, theta_d=1.1)
+    rep = sweep_energy(bg_unit, mode_l2, bnd, spec, [60.0], [0.0, 0.3], l_max=8, tol=1e-10)
+    res = surface_energy(bg_unit, mode_l2, bnd, spec, [0.0, 0.3], l_max=8, tol=1e-10)
+    assert (rep.e1[0], rep.e2[0]) == (res.coefficients.e1, res.coefficients.e2)
+    assert rep.e[:, 0].tobytes() == res.e.tobytes() and rep.dedt[:, 0].tobytes() == res.dedt.tobytes()
+
+
+def test_anchor_sweep_solves_once(bg_unit, mode_l2, monkeypatch):
+    # a global anchor does not depend on d: one solve over the coverage of
+    # every d, whose E1 and E2 agree with each d's own narrower solve
+    bnd = AnchorBoundary(z=0.0, dz=1.0, r=60.0)
+    d_values = [50.0, 100.0, 200.0, 400.0]
+    calls = _integrate_wave_calls(monkeypatch)
+    rep = sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, [0.3], l_max=8, tol=1e-10)
+    assert calls == [bnd]
+    results = [surface_energy(bg_unit, mode_l2, bnd, SurfaceSpec(d=d), [0.3], l_max=8, tol=1e-10)
+               for d in d_values]
+    _assert_coefficients_close(rep, results, 1e-9)
 
 
 def test_sweep_report_columns(bg_unit, mode_l2):

@@ -393,16 +393,13 @@ _CLAMPED_CASE = (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
                  AnchorBoundary(z=0.0, dz=1.0, r=30.0), (28.0, 33.0), 1e-15)
 
 
-@pytest.mark.parametrize("case", sorted(_STACKED_CASES) + ["clamped"])
-def test_stepper_is_bitwise_solve_ivp(case, legs):
-    bg, mode, bnd, r_range, tol = _STACKED_CASES.get(case, _CLAMPED_CASE)
-    integrate_wave(bg, mode, bnd, r_range, tol=tol)
-    assert len(legs) == (2 if isinstance(bnd, AnchorBoundary) else 1)
-    assert not legs[-1][1].sol.ascending
+def _assert_legs_are_solve_ivp(legs, n_warnings=0):
+    """Each recorded leg bitwise solve_ivp's: nodes, states, interpolants, and
+    dense output at random points, at the nodes and just past both ends."""
     rng = np.random.default_rng(7)
     for (ts, ys, table), ref, warned, ref_warned in legs:
         assert warned == ref_warned
-        assert len(warned) == (case == "clamped")
+        assert len(warned) == n_warnings
         ode = ref.sol
         assert all(type(s) is Dop853DenseOutput for s in ode.interpolants)
         assert ts.tobytes() == ref.t.tobytes()
@@ -420,6 +417,109 @@ def test_stepper_is_bitwise_solve_ivp(case, legs):
             np.array([lo, hi, lo - span, hi + span]),
         ):
             assert table(t).tobytes() == ode(t).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_STACKED_CASES) + ["clamped"])
+def test_stepper_is_bitwise_solve_ivp(case, legs):
+    bg, mode, bnd, r_range, tol = _STACKED_CASES.get(case, _CLAMPED_CASE)
+    integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    assert len(legs) == (2 if isinstance(bnd, AnchorBoundary) else 1)
+    assert not legs[-1][1].sol.ascending
+    _assert_legs_are_solve_ivp(legs, n_warnings=int(case == "clamped"))
+
+
+def _surface_anchors(bg, d_values, offset=0.0):
+    """The anchors and ranges ``solve_surfaces`` stacks for surface anchors at ``d_values``."""
+    anchors = [SurfaceAnchorBoundary(z=0.0, dz=1.0, offset=offset).resolve(d) for d in d_values]
+    return anchors, [radial_coverage(bg, a, [d]) for a, d in zip(anchors, d_values)]
+
+
+def test_stacked_stepper_is_bitwise_solve_ivp(bg_unit, mode_l2, legs):
+    # four anchors as one 12-state system: solve_ivp on the same stacked right-hand side
+    anchors, ranges = _surface_anchors(bg_unit, [50.0, 100.0, 200.0, 400.0])
+    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
+    assert len(legs) == 2 and legs[0][0][1].shape[1] == 12
+    _assert_legs_are_solve_ivp(legs)
+    # each member is its three columns of the shared legs, at its r* shifted
+    # into the first anchor's
+    rng = np.random.default_rng(11)
+    (up_ts, up_ys, _), (down_ts, down_ys, _) = (leg[0] for leg in legs)
+    for i, sol in enumerate(stack.solutions):
+        rs0 = tortoise(anchors[i].r, bg_unit)
+        shift = rs0 - tortoise(anchors[0].r, bg_unit)
+        assert sol.rstar.tobytes() == (np.concatenate([down_ts[::-1], up_ts[1:]]) + shift).tobytes()
+        for got, col in ((sol.z, 3 * i), (sol.dz, 3 * i + 1)):
+            assert got.tobytes() == np.concatenate([down_ys[::-1, col], up_ys[1:, col]]).tobytes()
+        for ode, rs in (
+            (legs[0][1].sol, rng.uniform(rs0 + 1e-3, sol.rstar[-1], 200)),
+            (legs[1][1].sol, rng.uniform(sol.rstar[0], rs0 - 1e-3, 200)),
+        ):
+            assert sol.eval_rstar(rs).tobytes() == ode(rs - shift)[3 * i:3 * i + 3].tobytes()
+
+
+def test_one_anchor_stack_is_the_plain_integration(bg_unit, mode_l2):
+    bnd, r_range = AnchorBoundary(z=0.0, dz=1.0, r=30.0), (20.0, 80.0)
+    plain = integrate_wave(bg_unit, mode_l2, bnd, r_range, tol=1e-10)
+    stack = integrate_wave(bg_unit, mode_l2, [bnd], [r_range], tol=1e-10)
+    (member,) = stack.solutions
+    for name in ("rstar", "z", "dz"):
+        assert getattr(member, name).tobytes() == getattr(plain, name).tobytes()
+    assert (member.r_min, member.r_max) == (plain.r_min, plain.r_max)
+    r = np.linspace(plain.r_min, plain.r_max, 301)
+    for got, want in zip(member.eval_r(r), plain.eval_r(r)):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(stack.eval_r(r[None, :]), plain.eval_r(r)):
+        assert got[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d_values", [[50.0, 100.0, 200.0, 400.0], [5.0, 10.0, 50.0, 400.0]])
+def test_stack_reads_every_member_in_one_pass(bg_unit, mode_l2, d_values, monkeypatch):
+    # one call per leg table; each value bitwise its member's own eval_r, on
+    # both sides of its anchor
+    anchors, ranges = _surface_anchors(bg_unit, d_values)
+    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
+    r = np.array([np.linspace(lo + 0.2, hi - 0.2, 41) for lo, hi in ranges])
+    want = [sol.eval_r(row) for sol, row in zip(stack.solutions, r)]
+    calls = []
+    call = _dop853.Dop853Table.__call__
+    monkeypatch.setattr(_dop853.Dop853Table, "__call__", lambda self, t: calls.append(t.size) or call(self, t))
+    z, dz = stack.eval_r(r)
+    assert len(calls) == 2 and sum(calls) == r.size
+    for i, (wz, wdz) in enumerate(want):
+        assert z[i].tobytes() == wz.tobytes() and dz[i].tobytes() == wdz.tobytes()
+    with pytest.raises(CoverageError):
+        stack.eval_r(r + np.array([[0.0], [0.0], [0.0], [1e3]]))
+
+
+def _max_z_error(sol, ref, r):
+    return np.max(np.abs(sol.eval_r(r)[0] - ref.eval_r(r)[0]))
+
+
+@pytest.mark.parametrize("d_values", [
+    np.geomspace(50.0, 400.0, 4), np.geomspace(50.0, 12800.0, 9), [5.0, 10.0, 50.0, 400.0],
+], ids=["50-400", "50-12800", "5-400"])
+def test_stacked_members_are_as_accurate_as_their_own_solves(bg_unit, mode_l2, d_values):
+    # the step control weighs every member's states together, so a member's
+    # steps are not the ones its own solve would take; at tolerance 1e-10 its
+    # Z error stays within twice that of its own solve at the same tolerance
+    anchors, ranges = _surface_anchors(bg_unit, d_values)
+    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
+    for sol, anchor, r_range in zip(stack.solutions, anchors, ranges):
+        ref = integrate_wave(bg_unit, mode_l2, anchor, r_range, tol=1e-13)
+        own = integrate_wave(bg_unit, mode_l2, anchor, r_range, tol=1e-10)
+        r = np.linspace(*r_range, 201)
+        assert _max_z_error(sol, ref, r) <= 2.0 * _max_z_error(own, ref, r)
+
+
+def test_stack_rejects_what_it_cannot_stack(bg_unit, mode_l2):
+    anchors, ranges = _surface_anchors(bg_unit, [50.0, 100.0])
+    for bnd, r_range in (
+        (anchors, ranges[:1]),
+        ([], []),
+        ([anchors[0], AsymptoticBoundary()], ranges),
+    ):
+        with pytest.raises(DomainError, match="stack"):
+            integrate_wave(bg_unit, mode_l2, bnd, r_range)
 
 
 def _rejected(ref):
