@@ -504,8 +504,8 @@ def sweep_energy(
 
     The radial solve, the Gauss rules and Ybar_l2, and the dense-output pass
     for A, A' and A'' run once for all d: a ``surface_anchor`` boundary
-    integrates every d's anchor as one stacked system, and any other
-    boundary one solution over the coverage of all d.  Only the per-d
+    solves every d's anchor in one batched Chebyshev-element solve, and any
+    other boundary one solution over the coverage of all d.  Only the per-d
     source sums, ``solve_embedding`` and energy sums run on ``jobs``
     threads.  Results are aggregated in d order regardless of scheduling,
     so the report is deterministic for any ``jobs``; at one d it is

@@ -4,29 +4,33 @@ Geometrized units (G = c = 1) throughout; lengths scale with the black-hole
 mass m.  The flat limit m = 0 is allowed everywhere and used as the analytic
 oracle (spherical Bessel solutions).
 
-The wave equation is integrated in the tortoise coordinate as a first-order
-system in (Z, dZ/dr*, r), with dr/dr* = 1 - 2m/r carried as an auxiliary
-state so the potential never needs a Newton inversion inside the right-hand
-side.  dZ/dr is always derived from dZ/dr* through the exact Jacobian
-r/(r - 2m), never by differencing samples.
+The wave equation Z'' = (V(r) - sigma^2) Z is solved in the tortoise
+coordinate r*, and dZ/dr is always derived from Z' = dZ/dr* through the
+exact Jacobian r/(r - 2m), never by differencing samples.
 
-Each leg is stepped by the package's own DOP853 (``_dop853``), bitwise equal
-to scipy's ``solve_ivp`` in steps, states and dense output; the right-hand
-side takes and returns Python floats, as that stepper asks.  The leg's step
-interpolants are stacked in one table and evaluated for a batch of points at
-once; ``eval_r`` keeps its last result, so A, A' and A'' share one pass.
+Anchored data (AnchorBoundary, SurfaceAnchorBoundary) is solved by
+Chebyshev spectral elements in integral form (Greengard, SIAM J. Numer.
+Anal. 28, 1071 (1991)).  On an element with N + 1 Chebyshev points,
+half-width h and data (c0, c1) at its start a, Z = c0 + c1 (t - a) + h^2 S S
+(q Z) with q = V - sigma^2 and S the cumulative integral from a, and Z' = c1
++ h S (q Z): nothing is differentiated.  Each element's two unit solutions give a
+2 x 2 transfer matrix, and a chain of them carries the anchor data outward.
+r at the nodes comes from the closed-form tortoise map, so r is no state.
+Every element of every anchor goes through one batched linear solve, and
+dense output is the barycentric formula on the element's points (Berrut &
+Trefethen, SIAM Rev. 46, 501 (2004)).
 
-Several anchors integrate as one system of 3 n states (a RadialStack).  The
-right-hand side does not depend on r*, so anchor i's solution is the first
-anchor's system shifted by its anchor's r* offset: one ascending and one
-descending leg, in the first anchor's r* and run to the widest bound any
-anchor needs, serve every member, each a column view of the shared legs,
-and ``RadialStack.eval_r`` reads every member's radii in one dense-output
-call per leg.  One anchor is the plain three-state system.
+An asymptotic start is one descending leg of the package's own DOP853
+(``_dop853``), bitwise scipy's ``solve_ivp``, in the state (Z, Z', r) with
+dr/dr* = 1 - 2m/r carried as an auxiliary; its right-hand side takes and
+returns Python floats, as that stepper asks.
+
+``eval_r`` keeps its last result, so A, A' and A'' share one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -130,14 +134,18 @@ def tortoise(r, bg: BackgroundParams):
     return float(out) if np.isscalar(r) else out
 
 
-def inverse_tortoise(r_star: float, bg: BackgroundParams) -> float:
+def inverse_tortoise(r_star, bg: BackgroundParams):
     """Invert the tortoise map by safeguarded Newton iteration, to 1e-13 relative.
 
     Seeds: r* itself far out, 2m(1 + exp((r* - 2m)/2m)) near the horizon.
     The iteration runs in delta = r - 2m so that proximities below machine
     resolution of r itself stay representable; the returned r saturates one
-    ulp outside the horizon in that regime.
+    ulp outside the horizon in that regime.  An array of r* gives an array:
+    each point keeps the iterate at which it converged, from a far seed one
+    fixed-point step closer than r* itself.
     """
+    if np.ndim(r_star):
+        return _inverse_tortoise_array(np.asarray(r_star, dtype=float), bg)
     if bg.m == 0.0:
         return float(r_star)
     two_m = bg.horizon
@@ -157,6 +165,36 @@ def inverse_tortoise(r_star: float, bg: BackgroundParams) -> float:
         delta = delta_new
     raise IntegrationError(
         f"tortoise inversion did not converge for r*={r_star}, m={bg.m}"
+    )
+
+
+def _inverse_tortoise_array(r_star: np.ndarray, bg: BackgroundParams) -> np.ndarray:
+    """``inverse_tortoise``'s iteration on every point of an array at once."""
+    if bg.m == 0.0:
+        return r_star.copy()
+    two_m = bg.horizon
+    c = r_star - two_m
+    # where r* > 4m, delta = r* - 2m after one fixed-point step of delta = c - 2m ln(delta/2m);
+    # nearer, the horizon seed
+    far = r_star > 2.0 * two_m
+    delta = c - two_m * np.log(np.maximum(c, two_m) / two_m)
+    if not far.all():
+        delta = np.where(far, delta, two_m * np.exp(np.clip(c / two_m, -700.0, 1.0)))
+    # a point keeps the iterate at which it converged, as the scalar iteration returns it
+    done = np.zeros(r_star.shape, dtype=bool)
+    for _ in range(50):
+        step = (delta + two_m * np.log(delta / two_m) - c) * delta / (delta + two_m)
+        delta_new = delta - step
+        if (delta_new <= 0.0).any():
+            delta_new = np.where(delta_new <= 0.0, 0.5 * delta, delta_new)
+        converged = np.abs(step) <= 1e-13 * (delta_new + two_m)
+        delta = np.where(done, delta, delta_new)
+        done |= converged
+        if done.all():
+            r = two_m + delta
+            return np.where(r > two_m, r, math.nextafter(two_m, math.inf))
+    raise IntegrationError(
+        f"tortoise inversion did not converge for some r* in [{r_star.min()}, {r_star.max()}], m={bg.m}"
     )
 
 
@@ -253,7 +291,12 @@ class AsymptoticBoundary:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Sampled (Z, dZ/dr*) on an ascending tortoise grid with dense output."""
+    """Sampled (Z, dZ/dr*) on an ascending tortoise grid with dense output.
+
+    An anchored solution's grid is its Chebyshev elements' points, and its
+    dense output their barycentric interpolants; an asymptotic one's grid
+    is its DOP853 leg's steps, and its dense output the step interpolants.
+    """
 
     kind: str
     background: BackgroundParams
@@ -261,23 +304,19 @@ class RadialSolution:
     rstar: np.ndarray
     z: np.ndarray
     dz: np.ndarray
-    r_min: float  # the radii of rstar's ends, not of the drifting integrated r
+    r_min: float  # the radii of rstar's ends
     r_max: float
     tol: float
-    _legs: tuple = field(repr=False)  # (r*0, descending, ascending) tables; a missing leg is None
+    _dense: object = field(repr=False)  # r* (n,) -> states (3, n): an _ElementView or a Dop853Table
     asymptotic_truncation: float | None = None
-    # a stack member reads rows _column.._column + 2 of its legs' tables, at r* - _shift
-    _shift: float = field(default=0.0, repr=False)
-    _column: int = field(default=0, repr=False)
     # (r, z, dz) of the last eval_r call, one tuple so no thread sees a mixed entry
     _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def eval_rstar(self, rs) -> np.ndarray:
         """Dense-output states (z, dz, r) at tortoise coordinates.
 
-        Returns shape (3,) + rs.shape.  A point goes to the ascending leg if r*
-        >= r*0 - 1e-12 (1 + |r*0|), else to the descending one (or to the only
-        leg), whose last step extrapolates past its end within the 1e-9 window.
+        Returns shape (3,) + rs.shape.  Points within 1e-9 past an end of the
+        grid extrapolate from the nearest element or step.
         """
         rs_in = np.atleast_1d(np.asarray(rs, dtype=float))
         shape = rs_in.shape
@@ -287,19 +326,7 @@ class RadialSolution:
             raise CoverageError(
                 f"tortoise coordinate outside covered range [{lo}, {hi}]"
             )
-        rs0, down, up = self._legs
-        if down is None or up is None:
-            return self._leg(up or down, rs).reshape((3,) + shape)
-        above = rs >= rs0 - 1e-12 * (1 + abs(rs0))
-        out = np.empty((3, rs.size))
-        for leg, mask in ((up, above), (down, ~above)):
-            if np.any(mask):
-                out[:, mask] = self._leg(leg, rs[mask])
-        return out.reshape((3,) + shape)
-
-    def _leg(self, table, rs) -> np.ndarray:
-        """This solution's (z, dz, r) rows of a leg table, at its own r*."""
-        return table(rs - self._shift)[self._column:self._column + 3]
+        return self._dense(rs).reshape((3,) + shape)
 
     def eval_r(self, r) -> tuple[np.ndarray, np.ndarray]:
         """(Z, dZ/dr*) at Schwarzschild radius r (any array shape).
@@ -354,16 +381,16 @@ class RadialSolution:
 class RadialStack:
     """The solutions of one integration, one per surface.
 
-    The members of an ``integrate_wave`` stack share its two leg tables,
-    each reading its own three columns at its own r* shifted into the first
-    member's; a solution repeated serves every surface of a global boundary.
+    The members of an anchored ``integrate_wave`` stack hold their own
+    Chebyshev elements of one shared table, each over its own range; a
+    solution repeated serves every surface of a global boundary.
     """
 
     solutions: tuple
 
     @property
     def rstar(self) -> np.ndarray:
-        """The first member's nodes: those of the shared legs."""
+        """The first member's grid."""
         return self.solutions[0].rstar
 
     @property
@@ -373,38 +400,231 @@ class RadialStack:
     def eval_r(self, r) -> tuple[np.ndarray, np.ndarray]:
         """(Z, dZ/dr*) at radii ``r`` of shape (members, k), row i on member i.
 
-        Every member's points go through one dense-output call per leg; each
-        value is bitwise that of its member's ``eval_r``, under the same
-        coverage checks and the same rule for picking a point's leg.
+        Each member finds its points' elements, and every point goes through
+        one barycentric pass over the shared table; each value is bitwise
+        that of its member's ``eval_r``, under the same coverage checks.  A
+        stack of one solution repeated is that solution's ``eval_r``.
         """
-        r = np.asarray(r, dtype=float)
         sols = self.solutions
+        first = sols[0]
+        if all(s is first for s in sols):
+            return first.eval_r(r)
+        r = np.asarray(r, dtype=float)
+        table = first._dense.table
+        if any(getattr(s._dense, "table", None) is not table for s in sols):
+            raise DomainError("a stack's distinct members must come from one anchored integrate_wave call")
         # per member, as a column that broadcasts along its row of radii
-        r_min, r_max, lo, hi, rs0, shift = np.array(
-            [(s.r_min, s.r_max, s.rstar[0], s.rstar[-1], s._legs[0], s._shift) for s in sols]
-        ).T[:, :, None]
-        column = np.array([s._column for s in sols])
+        r_min, r_max, lo, hi = np.array([(s.r_min, s.r_max, s.rstar[0], s.rstar[-1]) for s in sols]).T[:, :, None]
         if np.any(r < r_min - 1e-9) or np.any(r > r_max + 1e-9):
             raise CoverageError("radius outside a member's covered range")
-        rs = tortoise(r, sols[0].background)
+        rs = tortoise(r, first.background)
         if not np.all((rs >= lo - 1e-9 * (1 + abs(lo))) & (rs <= hi + 1e-9 * (1 + abs(hi)))):
             raise CoverageError("tortoise coordinate outside a member's covered range")
-        t = rs - shift
-        _, down, up = sols[0]._legs
-        if down is None or up is None:
-            parts = [(up or down, np.ones(r.shape, dtype=bool))]
-        else:
-            above = rs >= rs0 - 1e-12 * (1 + abs(rs0))
-            parts = [(up, above), (down, ~above)]
-        out = np.empty((2,) + r.shape)
-        for leg, mask in parts:
-            if np.any(mask):
-                rows = column[np.nonzero(mask)[0]] + np.array([[0], [1]])
-                out[:, mask] = leg(t[mask])[rows, np.arange(rows.shape[1])]
-        return out[0], out[1]
+        elements = np.array([s._dense.locate(row) for s, row in zip(sols, rs)])
+        z, dz, _ = table(rs.ravel(), elements.ravel())
+        return z.reshape(r.shape), dz.reshape(r.shape)
 
 
-def _rhs_factory(bg: BackgroundParams, mode, n: int = 1) -> Callable:
+# Chebyshev elements: N + 1 points x_j = -cos(pi j / N), ascending on [-1, 1];
+# one N for every element, so that all of them go through one batched solve.
+_N = 16
+# An element whose tail stays above the tolerance is halved, at most this
+# many times; no solve holds more elements than the cap.
+_MAX_HALVINGS = 12
+_MAX_ELEMENTS = 4096
+_THETA = np.pi * np.arange(_N, -1, -1) / _N
+_X = np.cos(_THETA)
+_ENDS = np.r_[0.5, np.ones(_N - 1), 0.5]
+_WEIGHTS = (-1.0) ** np.arange(_N + 1) * _ENDS  # barycentric
+
+
+@functools.cache
+def _integrals() -> tuple[np.ndarray, ...]:
+    """The rows of the last two Chebyshev coefficients, and the cumulative
+    integrals from -1 and from +1 with their squares, on the N + 1 points.
+
+    Built on first use: importing the package runs no BLAS matrix product,
+    whose first call grows the process by the library's buffers.
+    """
+    cos_kt = np.cos(np.outer(_THETA, np.arange(_N + 2)))  # T_k(x_j) up to k = N + 1
+    to_coef = 2.0 / _N * cos_kt[:, :_N + 1].T * _ENDS
+    to_coef[[0, -1]] *= 0.5
+    # coefficients of the antiderivatives: T_1 of T_0, T_2/4 of T_1, and
+    # T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)) of T_k
+    anti = np.zeros((_N + 2, _N + 1))
+    anti[1, 0], anti[2, 1] = 1.0, 0.25
+    k = np.arange(2, _N + 1)
+    anti[k + 1, k] = 0.5 / (k + 1)
+    anti[k - 1, k] = -0.5 / (k - 1)
+    up = (cos_kt - (-1.0) ** np.arange(_N + 2)) @ anti @ to_coef
+    up[0] = 0.0  # the integral from -1 to x_0 = -1
+    down = up - up[-1]
+    return to_coef[-2:], up, down, up @ up, down @ down
+
+
+class _Elements:
+    """The Chebyshev elements of one anchored solve, every anchor's in one table.
+
+    Element e spans r* from ``lo[e]`` to lo + 2 ``half[e]``; its points are
+    lo + (x + 1) half, where ``values[:, e]`` holds (Z, Z', r).  Each
+    anchor's elements are consecutive and ascending.
+    """
+
+    def __init__(self, lo, half, values):
+        self.lo, self.half, self.values = lo, half, values
+
+    def __call__(self, rs, elements) -> np.ndarray:
+        """(Z, Z', r) at r* ``rs`` on ``elements``, shape (3, n), by the barycentric formula."""
+        diff = ((rs - self.lo[elements]) / self.half[elements] - 1.0)[:, None] - _X
+        hit = diff == 0.0
+        c = _WEIGHTS / np.where(hit, 1.0, diff)
+        on_point = hit.any(axis=1)
+        c[on_point] = hit[on_point]
+        return (self.values[:, elements] * c).sum(axis=2) / c.sum(axis=1)
+
+
+class _ElementView:
+    """One solution's run of elements in an ``_Elements`` table."""
+
+    def __init__(self, table, first, inner_edges):
+        self.table, self.first, self.inner_edges = table, first, inner_edges
+
+    def locate(self, rs) -> np.ndarray:
+        """The element of each point; one past an end goes to the end element."""
+        return self.first + np.searchsorted(self.inner_edges, rs, side="right")
+
+    def __call__(self, rs) -> np.ndarray:
+        return self.table(rs, self.locate(rs))
+
+
+def _anchor_starts(bg, mode, anchors, r_ranges) -> list[tuple[float, float, float, float, float]]:
+    """(r*_lo, r*_hi, r*0, z0, dz0) of each AnchorBoundary over its radial range."""
+    for r_range in r_ranges:
+        if not (bg.horizon < float(r_range[0]) < float(r_range[1])):
+            raise DomainError(f"radial range {r_range} must satisfy 2m < r_lo < r_hi")
+    # every range end and anchor radius through one tortoise call; an anchor given in r* keeps it
+    radii = np.array([(lo, hi, lo if b.r is None else b.r) for b, (lo, hi) in zip(anchors, r_ranges)], dtype=float)
+    starts = []
+    for b, r_range, (rs_lo, rs_hi, rs0) in zip(anchors, r_ranges, tortoise(radii, bg).tolist()):
+        if b.r is None:
+            rs0 = float(b.r_star)
+        if not (rs_lo - 1e-9 <= rs0 <= rs_hi + 1e-9):
+            raise DomainError(f"boundary point r*={rs0} outside integration range [{rs_lo}, {rs_hi}]")
+        rs0 = min(max(rs0, rs_lo), rs_hi)
+        if max(rs0 - rs_lo, rs_hi - rs0) < 1e-14 * (1.0 + abs(rs0)):
+            raise DomainError(f"radial range {r_range} is too short for an element")
+        starts.append((rs_lo, rs_hi, rs0, mode.amplitude * b.z, mode.amplitude * b.dz))
+    return starts
+
+
+def _solve_elements(bg, mode, starts, tol):
+    """Z and Z' of every anchored start on Chebyshev elements, all in one table.
+
+    Each anchor's r* range splits at its anchor into elements narrow enough
+    to resolve e^{i sigma r*} to tol / 10, ascending and after the previous
+    anchor's.  An element below its anchor takes its data at its upper edge,
+    and its integral runs from there; one above, at its lower edge.  An
+    element is accepted when the last two Chebyshev coefficients of its Z
+    and Z'/sigma lie within tol of the smaller of their largest values at
+    its two edges, so that the data it hands on carries at most tol of its
+    own size in error; every element above that is halved and the whole set
+    solved again.  Returns the table, its points' r* and each anchor's
+    number of elements.
+    """
+    sigma = mode.sigma
+    last_coef, integral, integral_down, integral2, integral2_down = _integrals()
+    # no tail falls below round-off, so the tolerance is held at 100 eps or above
+    tol = max(tol, 100.0 * np.finfo(float).eps)
+    # the width at which e^{i sigma r*}'s last coefficient, 2 J_N(sigma h) ~ 2 (sigma h/2)^N / N!
+    # for half-width h, is tol / 10
+    width = 4.0 / sigma * (tol * math.factorial(_N) / 20.0) ** (1.0 / _N)
+    needed = sum((rs_hi - rs_lo) / width for rs_lo, rs_hi, *_ in starts)
+    if not needed <= _MAX_ELEMENTS:
+        raise IntegrationError(
+            f"the radial solve needs {needed:.3g} Chebyshev elements, above the cap of "
+            f"{_MAX_ELEMENTS}; lower mode.sigma or narrow the radial range"
+        )
+    # per anchor: its ascending element edges, and the number of elements below it
+    layout = []
+    for rs_lo, rs_hi, rs0, _, _ in starts:
+        pieces = []
+        for a, b in ((rs_lo, rs0), (rs0, rs_hi)):
+            n = math.ceil((b - a) / width) if b - a >= 1e-14 * (1.0 + abs(rs0)) else 0
+            pieces.append([a + (b - a) * k / n for k in range(n)])
+        layout.append((pieces[0] + pieces[1] + [rs_hi], len(pieces[0])))
+    for _ in range(_MAX_HALVINGS + 1):
+        lo = np.array([x for edges, _ in layout for x in edges[:-1]])
+        if len(lo) > _MAX_ELEMENTS:
+            raise IntegrationError(
+                f"the radial solve needs more than {_MAX_ELEMENTS} Chebyshev elements to reach "
+                f"tolerance {tol:g}"
+            )
+        hi = np.array([x for edges, _ in layout for x in edges[1:]])
+        desc = np.array([k < below for edges, below in layout for k in range(len(edges) - 1)])
+        half = 0.5 * (hi - lo)
+        t = lo[:, None] + (_X + 1.0) * half[:, None]
+        t[:, -1] = hi
+        r = inverse_tortoise(t, bg)
+        q = (_v_axial(r, bg.m, mode.mu_sq) if mode.kind == "axial" else _v_polar(r, bg.m, mode.n)) - sigma**2
+        # the unit solutions, data (1, 0) and (0, 1) at each element's start
+        down = desc[:, None, None]
+        lhs = np.where(down, integral2_down, integral2) * (-half * half)[:, None, None]
+        lhs *= q[:, None, :]
+        lhs += np.eye(_N + 1)
+        rhs = np.ones((len(lo), _N + 1, 2))
+        rhs[:, :, 1] = np.where(down[:, 0], _X - 1.0, _X + 1.0) * half[:, None]
+        units = np.linalg.solve(lhs, rhs)
+        d_units = half[:, None, None] * (np.where(down, integral_down, integral) @ (q[:, :, None] * units))
+        d_units[:, :, 1] += 1.0
+        units = np.stack([units, d_units], axis=2)  # (element, point, Z or Z', unit)
+        # the transfer chain: outward from each anchor, an element starts from
+        # its predecessor's end; the smaller of its two ends' sizes scales its tail
+        ends = units[np.arange(len(lo)), np.where(desc, 0, _N)].reshape(-1, 4).tolist()
+        data, size, first = [None] * len(lo), [None] * len(lo), 0
+        for (edges, below), (_, _, _, z0, dz0) in zip(layout, starts):
+            for run in (range(first + below - 1, first - 1, -1), range(first + below, first + len(edges) - 1)):
+                z, dz = z0, dz0
+                for e in run:
+                    u1, u2, du1, du2 = ends[e]
+                    z_end, dz_end = u1 * z + u2 * dz, du1 * z + du2 * dz
+                    data[e] = (z, dz)
+                    size[e] = min(max(abs(z), abs(dz) / sigma), max(abs(z_end), abs(dz_end) / sigma))
+                    z, dz = z_end, dz_end
+            first += len(edges) - 1
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+            a, b = np.array(data).T[:, :, None, None]
+            states = units[..., 0] * a + units[..., 1] * b
+            tail = np.abs(last_coef @ states / [1.0, sigma]).max(axis=(1, 2))
+        if not np.isfinite(tail).all():
+            raise IntegrationError("the Chebyshev elements' Z overflows; lower mode.ell or narrow the radial range")
+        wide = (tail > tol * np.array(size)).tolist()
+        if not any(wide):
+            break
+        # halve every element above the tolerance
+        halved, first = [], 0
+        for edges, below in layout:
+            split = wide[first:first + len(edges) - 1]
+            new = [edges[0]]
+            for k, half_it in enumerate(split):
+                new += [0.5 * (edges[k] + edges[k + 1]), edges[k + 1]] if half_it else [edges[k + 1]]
+            halved.append((new, below + sum(split[:below])))
+            first += len(edges) - 1
+        layout = halved
+    else:
+        raise IntegrationError(
+            f"a Chebyshev element's tail stays above tolerance {tol:g} after {_MAX_HALVINGS} halvings"
+        )
+    table = _Elements(lo, half, np.concatenate([states.transpose(2, 0, 1), r[None]]))
+    return table, t, [len(edges) - 1 for edges, _ in layout]
+
+
+def _rhs_factory(bg: BackgroundParams, mode) -> Callable:
+    """The DOP853 leg's right-hand side in (Z, Z', r).
+
+    The stepper's float contract: a sequence of floats in, a tuple out, in
+    the same libm pow and IEEE operations as numpy scalars without their
+    per-operation overhead.
+    """
     sigma_sq = mode.sigma**2
     m = bg.m
     if mode.kind == "axial":
@@ -412,24 +632,11 @@ def _rhs_factory(bg: BackgroundParams, mode, n: int = 1) -> Callable:
     else:
         v, param = _v_polar, mode.n
 
-    # the stepper's float contract: a sequence of floats in, a tuple out, in
-    # the same libm pow and IEEE operations as numpy scalars without their
-    # per-operation overhead
     def rhs(t, y):
         z, dz, r = y
         return dz, (v(r, m, param) - sigma_sq) * z, (r - 2.0 * m) / r
 
-    if n == 1:
-        return rhs
-
-    # n systems as consecutive (z, dz, r) triples, each through ``rhs``
-    def stacked(t, y):
-        out = []
-        for i in range(0, len(y), 3):
-            out += rhs(t, y[i:i + 3])
-        return out
-
-    return stacked
+    return rhs
 
 
 def _asymptotic_start(bg, mode, boundary, tol) -> tuple[float, float]:
@@ -450,46 +657,6 @@ def _asymptotic_start(bg, mode, boundary, tol) -> tuple[float, float]:
     return float(tortoise(r_start, bg)), potential(r_start, bg, mode) / sigma_sq
 
 
-def _start(bg: BackgroundParams, mode, boundary, r_range, tol):
-    """(r*_lo, r*_hi, r*0, z0, dz0, truncation) of one boundary over ``r_range``."""
-    r_lo, r_hi = float(r_range[0]), float(r_range[1])
-    if not (bg.horizon < r_lo < r_hi):
-        raise DomainError(f"radial range {r_range} must satisfy 2m < r_lo < r_hi")
-    rs_lo = float(tortoise(r_lo, bg))
-    rs_hi = float(tortoise(r_hi, bg))
-    amp = mode.amplitude
-    trunc = None
-
-    if isinstance(boundary, SurfaceAnchorBoundary):
-        raise DomainError("resolve SurfaceAnchorBoundary against a distance first")
-    if isinstance(boundary, AnchorBoundary):
-        rs0 = (
-            float(tortoise(boundary.r, bg))
-            if boundary.r is not None
-            else float(boundary.r_star)
-        )
-        if not (rs_lo - 1e-9 <= rs0 <= rs_hi + 1e-9):
-            raise DomainError(
-                f"boundary point r*={rs0} outside integration range [{rs_lo}, {rs_hi}]"
-            )
-        rs0 = min(max(rs0, rs_lo), rs_hi)
-        z0, dz0 = amp * boundary.z, amp * boundary.dz
-    elif isinstance(boundary, AsymptoticBoundary):
-        rs0, trunc = _asymptotic_start(bg, mode, boundary, tol)
-        if rs0 < rs_hi:
-            raise DomainError(
-                f"asymptotic start r*={rs0:.6g} lies below the top of the range, r*={rs_hi:.6g}; "
-                "start farther out (r_star_start, v_threshold) or end the range lower"
-            )
-        a = amp * boundary.amplitude
-        z0 = a * math.sin(mode.sigma * rs0 + boundary.phase)
-        dz0 = a * mode.sigma * math.cos(mode.sigma * rs0 + boundary.phase)
-        rs_hi = rs0
-    else:
-        raise DomainError(f"unsupported boundary type {type(boundary).__name__}")
-    return rs_lo, rs_hi, rs0, z0, dz0, trunc
-
-
 def integrate_wave(
     bg: BackgroundParams,
     mode,
@@ -497,79 +664,97 @@ def integrate_wave(
     r_range,
     tol: float = 1e-10,
 ) -> RadialSolution | RadialStack:
-    """March the radial wave equation over ``r_range`` (Schwarzschild radii).
+    """Solve the radial wave equation over ``r_range`` (Schwarzschild radii).
 
     ``boundary`` is an AnchorBoundary (exact data at a point) or an
     AsymptoticBoundary (sinusoidal data where the potential is below
-    tol * sigma^2).  Boundary data is scaled by ``mode.amplitude``.  Each
-    direction from the start is one adaptive DOP853 leg with dense output.
+    tol * sigma^2).  Boundary data is scaled by ``mode.amplitude``.
 
-    A list of AnchorBoundary, with a list of one range each, integrates as
-    one system of 3 n states and returns their RadialStack: r* is the first
-    anchor's, anchor i is its system shifted by the difference of the
-    anchors' r*, and each leg runs to the widest bound any anchor's range
-    needs.  The step control takes one RMS norm over all 3 n states, so
-    both tolerances are divided by sqrt(n): a step it accepts keeps each
-    anchor's own norm within what that anchor's own solve accepts.
+    Anchored data is solved on Chebyshev elements (``_solve_elements``):
+    each element's Chebyshev tail is held within ``tol`` of the solution's
+    scale by halving the element, and a solve that would need more elements
+    than a fixed cap raises IntegrationError.  An asymptotic start is one
+    adaptive DOP853 leg down from the start, with dense output.
+
+    A list of AnchorBoundary, with a list of one range each, returns their
+    RadialStack: the elements of every anchor, each over its own range, go
+    through one batched solve.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    stacked = isinstance(boundary, (list, tuple))
-    if not stacked:
-        starts = [_start(bg, mode, boundary, r_range, tol)]
-    elif boundary and len(boundary) == len(r_range) and all(isinstance(b, AnchorBoundary) for b in boundary):
-        starts = [_start(bg, mode, b, rr, tol) for b, rr in zip(boundary, r_range)]
-    else:
-        raise DomainError("a stack takes a list of AnchorBoundary and one radial range each")
-    rs_los, rs_his, rs0s, z0s, dz0s, truncs = zip(*starts)
-    rs0 = rs0s[0]
-    shifts = [x - rs0 for x in rs0s]
-    t_lo = min(x - shift for x, shift in zip(rs_los, shifts))
-    t_hi = max(x - shift for x, shift in zip(rs_his, shifts))
-    rtol = tol / math.sqrt(len(starts))
-    y0, atol = [], []
-    for rs0_i, z0, dz0 in zip(rs0s, z0s, dz0s):
-        r0 = inverse_tortoise(rs0_i, bg)
-        scale = max(abs(z0), abs(dz0) / mode.sigma, 1e-30)
-        y0 += z0, dz0, r0
-        atol += rtol * scale * 1e-2, rtol * scale * 1e-2, rtol * 1e-2 * max(r0, 1.0)
-    y0, atol = np.array(y0), np.array(atol)
-    rhs = _rhs_factory(bg, mode, len(starts))
+    if isinstance(boundary, (list, tuple)):
+        if not (boundary and len(boundary) == len(r_range) and all(isinstance(b, AnchorBoundary) for b in boundary)):
+            raise DomainError("a stack takes a list of AnchorBoundary and one radial range each")
+        return RadialStack(_anchored(bg, mode, boundary, r_range, tol))
+    if isinstance(boundary, AnchorBoundary):
+        return _anchored(bg, mode, [boundary], [r_range], tol)[0]
+    if isinstance(boundary, AsymptoticBoundary):
+        return _asymptotic_leg(bg, mode, boundary, r_range, tol)
+    if isinstance(boundary, SurfaceAnchorBoundary):
+        raise DomainError("resolve SurfaceAnchorBoundary against a distance first")
+    raise DomainError(f"unsupported boundary type {type(boundary).__name__}")
 
-    def integrate_leg(t1):
-        if abs(t1 - rs0) < 1e-14 * (1 + abs(rs0)):
-            return None
-        return dop853(rhs, rs0, t1, y0, rtol=rtol, atol=atol)
 
-    up, down = integrate_leg(t_hi), integrate_leg(t_lo)
-    if up is None and down is None:
-        raise DomainError(f"radial range {r_range} is too short for an integration leg")
-    # ascending nodes: the descending leg reversed, then the ascending leg past r*0
-    parts = [(down[0][::-1], down[1][::-1])] if down else []
-    if up:
-        parts.append((up[0][len(parts):], up[1][len(parts):]))
-    ts_all, ys_all = (np.concatenate(a) for a in zip(*parts))
-    tables = (down and down[2], up and up[2])
-
-    solutions = tuple(
-        RadialSolution(
+def _anchored(bg, mode, anchors, r_ranges, tol) -> tuple:
+    """One RadialSolution per anchor, all on one ``_solve_elements`` table."""
+    table, t, counts = _solve_elements(bg, mode, _anchor_starts(bg, mode, anchors, r_ranges), tol)
+    points = np.concatenate([t[None], table.values[:2]])
+    solutions, first = [], 0
+    for count, (r_lo, r_hi) in zip(counts, r_ranges):
+        last = first + count
+        # each element's points but its last, which is the next element's first
+        rstar, z, dz = np.concatenate([points[:, first:last, :-1].reshape(3, -1), points[:, last - 1, -1:]], axis=1)
+        solutions.append(RadialSolution(
             kind=mode.kind,
             background=bg,
             mode=mode,
-            rstar=ts_all + shift,
-            z=ys_all[:, 3 * i],
-            dz=ys_all[:, 3 * i + 1],
-            r_min=inverse_tortoise(float(ts_all[0] + shift), bg),
-            r_max=inverse_tortoise(float(ts_all[-1] + shift), bg),
+            rstar=rstar,
+            z=z,
+            dz=dz,
+            r_min=float(r_lo),
+            r_max=float(r_hi),
             tol=tol,
-            _legs=(rs0_i, *tables),
-            asymptotic_truncation=trunc,
-            _shift=shift,
-            _column=3 * i,
+            _dense=_ElementView(table, first, table.lo[first + 1:last]),
+        ))
+        first = last
+    return tuple(solutions)
+
+
+def _asymptotic_leg(bg, mode, boundary, r_range, tol) -> RadialSolution:
+    """One DOP853 leg in (Z, Z', r) down from an asymptotic start."""
+    r_lo, r_hi = float(r_range[0]), float(r_range[1])
+    if not (bg.horizon < r_lo < r_hi):
+        raise DomainError(f"radial range {r_range} must satisfy 2m < r_lo < r_hi")
+    rs_lo, rs_hi = float(tortoise(r_lo, bg)), float(tortoise(r_hi, bg))
+    rs0, trunc = _asymptotic_start(bg, mode, boundary, tol)
+    if rs0 < rs_hi:
+        raise DomainError(
+            f"asymptotic start r*={rs0:.6g} lies below the top of the range, r*={rs_hi:.6g}; "
+            "start farther out (r_star_start, v_threshold) or end the range lower"
         )
-        for i, (rs0_i, trunc, shift) in enumerate(zip(rs0s, truncs, shifts))
+    if abs(rs_lo - rs0) < 1e-14 * (1 + abs(rs0)):
+        raise DomainError(f"radial range {r_range} is too short for an integration leg")
+    a = mode.amplitude * boundary.amplitude
+    z0 = a * math.sin(mode.sigma * rs0 + boundary.phase)
+    dz0 = a * mode.sigma * math.cos(mode.sigma * rs0 + boundary.phase)
+    r0 = inverse_tortoise(rs0, bg)
+    scale = max(abs(z0), abs(dz0) / mode.sigma, 1e-30)
+    atol = np.array([tol * scale * 1e-2, tol * scale * 1e-2, tol * 1e-2 * max(r0, 1.0)])
+    ts, ys, table = dop853(_rhs_factory(bg, mode), rs0, rs_lo, np.array([z0, dz0, r0]), rtol=tol, atol=atol)
+    ts, ys = ts[::-1], ys[::-1]
+    return RadialSolution(
+        kind=mode.kind,
+        background=bg,
+        mode=mode,
+        rstar=ts,
+        z=ys[:, 0],
+        dz=ys[:, 1],
+        r_min=inverse_tortoise(float(ts[0]), bg),
+        r_max=inverse_tortoise(float(ts[-1]), bg),
+        tol=tol,
+        _dense=table,
+        asymptotic_truncation=trunc,
     )
-    return RadialStack(solutions) if stacked else solutions[0]
 
 
 def radial_coverage(bg: BackgroundParams, boundary, d_values) -> tuple[float, float]:
@@ -611,11 +796,11 @@ def solve_surfaces(bg: BackgroundParams, mode, boundary, d_values, tol: float = 
     """One radial solution per sphere at ``d_values``, from one ``integrate_wave`` call.
 
     A SurfaceAnchorBoundary is resolved against every distinct distance, in
-    order of first appearance, and the anchors integrate as one stack, each
-    over its own sphere's coverage; a repeated d shares its first one's
-    solution.  Any other boundary does not depend on d: one
-    ``solve_radial`` solution over the coverage of all the spheres serves
-    every d.
+    order of first appearance, and the anchors' Chebyshev elements, each
+    anchor's over its own sphere's coverage, go through one batched solve; a
+    repeated d shares its first one's solution.  Any other boundary does not
+    depend on d: one ``solve_radial`` solution over the coverage of all the
+    spheres serves every d.
     """
     if isinstance(boundary, SurfaceAnchorBoundary):
         member = {d: i for i, d in enumerate(dict.fromkeys(d_values))}

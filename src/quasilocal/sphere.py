@@ -139,29 +139,62 @@ def _legendre_table(l_max: int, theta: np.ndarray) -> np.ndarray:
     The coefficients are built as whole arrays; the sectoral diagonal is a
     running product over l, its neighbour one product, and only the m <= l-2
     recurrence steps over l.  ``_real_scaled`` turns the table into the real
-    harmonics' Ybar, ``_ladder_tables`` into its theta-derivative tables.
+    harmonics' Ybar, ``_ladder_tables`` into its theta-derivative tables, and
+    ``_legendre_column`` builds one order of it alone.
     """
-    x, s = np.cos(theta), np.sin(theta)
+    x, diag = _sectoral(l_max, theta)
     L = l_max
     pbar = np.zeros((L + 1, L + 1, theta.size))
-    l1 = np.arange(1, L + 1)[:, None]
-    diag = np.empty((L + 1, theta.size))
-    diag[0] = np.sqrt(1.0 / (4.0 * np.pi))
-    diag[1:] = np.sqrt((2 * l1 + 1) / (2.0 * l1)) * s
-    diag = np.cumprod(diag, axis=0)
     k = np.arange(L + 1)
     pbar[k, k] = diag
-    pbar[k[1:], k[:-1]] = np.sqrt(2 * l1 + 1.0) * x * diag[:-1]
-    ell, m = k[:, None], k[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):  # entries m > l - 2 are unused
-        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[..., None]
-        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))[..., None]
+    pbar[k[1:], k[:-1]] = np.sqrt(2 * k[1:, None] + 1.0) * x * diag[:-1]
+    a, b = _recurrence(L, k)
     scratch = np.empty((L + 1, theta.size))
     for l in range(2, L + 1):
         row = np.multiply(x, pbar[l - 1, : l - 1], out=pbar[l, : l - 1])
         row -= np.multiply(b[l, : l - 1], pbar[l - 2, : l - 1], out=scratch[: l - 1])
         row *= a[l, : l - 1]
     return pbar
+
+
+def _legendre_column(l_max: int, m: int, theta: np.ndarray) -> np.ndarray:
+    """Pbar_lm(cos theta) at the one order m, shape (L+1, n): ``_legendre_table``'s column m.
+
+    The same operations in the same order as the table's: the sectoral
+    product up to Pbar_mm, its neighbour, then the three-term step in l for
+    m alone, so every entry is bitwise the table's.
+    """
+    x, diag = _sectoral(m, theta)
+    col = np.zeros((l_max + 1, theta.size))
+    col[m] = diag[m]
+    if m < l_max:
+        col[m + 1] = np.sqrt(2 * (m + 1) + 1.0) * x * diag[m]
+    a, b = _recurrence(l_max, np.array([m]))
+    for l in range(m + 2, l_max + 1):
+        col[l] = (x * col[l - 1] - b[l, 0] * col[l - 2]) * a[l, 0]
+    return col
+
+
+def _sectoral(l_max: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) and Pbar_ll for l = 0..l_max, a running product over l."""
+    x, s = np.cos(theta), np.sin(theta)
+    l1 = np.arange(1, l_max + 1)[:, None]
+    diag = np.empty((l_max + 1, theta.size))
+    diag[0] = np.sqrt(1.0 / (4.0 * np.pi))
+    diag[1:] = np.sqrt((2 * l1 + 1) / (2.0 * l1)) * s
+    return x, np.cumprod(diag, axis=0)
+
+
+def _recurrence(l_max: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The three-term step's a_lm and b_lm for l = 0..l_max and m in ``orders``, shape (L+1, len(orders), 1).
+
+    Entries with m > l - 2 are unused.
+    """
+    ell, m = np.arange(l_max + 1)[:, None], orders[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[..., None]
+        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))[..., None]
+    return a, b
 
 
 def _real_scaled(table: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -547,6 +548,35 @@ def test_radial_range_too_short_for_any_leg(tmp_path, capsys):
     assert err["type"] == "DomainError" and err["category"] == "numerical"
     assert "20.0000000000001" in err["message"]
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("ell, sigma, limits", [
+    # past the element cap before any solve
+    (2, 1e6, {}),
+    # a barrier under which Z overflows
+    (3000, 0.5, {}),
+    # a barrier that halves its 6 elements past a cap of 10
+    (40, 0.5, {"_MAX_ELEMENTS": 10}),
+    # a barrier whose tails are still above the tolerance after one halving
+    (40, 0.5, {"_MAX_HALVINGS": 1}),
+], ids=["sigma-cap", "overflow", "barrier-cap", "barrier-halvings"])
+def test_anchored_solve_that_cannot_meet_its_tolerance_exits_3_at_once(ell, sigma, limits, tmp_path,
+                                                                     capsys, monkeypatch):
+    for name, value in limits.items():
+        monkeypatch.setattr(quasilocal.radial, name, value)
+    overrides = [f"mode.ell={ell}", f"mode.sigma={sigma}"]
+    out = tmp_path / "out"
+    args = ["radial", "--out", out, "--set", "mode.boundary.type=anchor", "--set", "mode.boundary.r=30",
+            "--set", "numerics.radial_range=[20,80]"]
+    start = time.perf_counter()
+    code = run(args + [x for o in overrides for x in ("--set", o)])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "IntegrationError" and err["category"] == "numerical"
+    assert "Chebyshev" in err["message"]
+    assert list(out.iterdir()) == []
+    assert elapsed < 1.0
 
 
 def test_asymptotic_start_inside_the_range_says_how_to_fix_it(tmp_path, capsys):

@@ -127,9 +127,7 @@ def _grid_builds(monkeypatch):
 def _legendre_table_calls(monkeypatch):
     """The band limits of the ``_legendre_table`` calls made from now on."""
     calls, real = [], quasilocal.sphere._legendre_table
-    build = lambda L, theta: calls.append(L) or real(L, theta)  # noqa: E731
-    for module in (quasilocal.sphere, quasilocal.embedding):
-        monkeypatch.setattr(module, "_legendre_table", build)
+    monkeypatch.setattr(quasilocal.sphere, "_legendre_table", lambda L, theta: calls.append(L) or real(L, theta))
     return calls
 
 
@@ -158,16 +156,20 @@ def test_each_sweep_builds_no_grid(bg_unit, mode_l2, monkeypatch, jobs):
 
 
 def test_sweep_builds_one_legendre_table(bg_unit, mode_l2, monkeypatch):
-    # every d's sources read the order-2 column of one table at the Gauss
-    # rows, built once per sweep on any thread and not kept across calls
-    calls = _legendre_table_calls(monkeypatch)
+    # every d's sources read one order-2 Legendre column at the Gauss rows,
+    # built once per sweep on any thread and not kept across calls; no full
+    # table is built
+    tables = _legendre_table_calls(monkeypatch)
+    columns, real = [], quasilocal.embedding._legendre_column
+    monkeypatch.setattr(quasilocal.embedding, "_legendre_column",
+                        lambda L, m, theta: columns.append((L, m)) or real(L, m, theta))
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     t_values = np.pi / mode_l2.sigma * np.arange(9) / 8
     d_values = np.geomspace(50.0, 400.0, 4)
     for jobs in (1, 3, 3):
         sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16, jobs=jobs)
-        assert calls == [16]
-        calls.clear()
+        assert columns == [(16, 2)] and tables == []
+        columns.clear()
 
 
 def test_energy_zero_perturbation():

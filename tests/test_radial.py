@@ -1,5 +1,6 @@
 """Tortoise map, potentials, wave integration, and the A(r) profile."""
 
+import functools
 import math
 import warnings
 
@@ -311,7 +312,7 @@ def test_coverage_errors(axial_solution):
 
 
 # ----------------------------------------------------------------------
-# stacked dense output
+# the DOP853 stepper
 # ----------------------------------------------------------------------
 
 
@@ -333,55 +334,62 @@ def _counted(fun):
     return counted, calls
 
 
+def _recorded_leg(fun, t0, t_bound, y0, rtol, atol):
+    """The in-repo stepper's leg and warnings beside those of solve_ivp on the
+    same arguments; the leg calls the right-hand side exactly as often as
+    solve_ivp does."""
+    counted, calls = _counted(fun)
+    ours, warned = _warned(_dop853.dop853, counted, t0, t_bound, y0, rtol=rtol, atol=atol)
+    ref, ref_warned = _warned(
+        solve_ivp, lambda t, y: fun(t, y.tolist()), (t0, t_bound), y0, method="DOP853",
+        rtol=rtol, atol=atol, dense_output=True,
+    )
+    assert len(calls) == ref.nfev
+    return ours, ref, warned, ref_warned
+
+
 @pytest.fixture
 def legs(monkeypatch):
-    """Every leg integrate_wave steps: the in-repo stepper's result and
-    warnings beside those of solve_ivp on the same arguments.  Each leg
-    calls the right-hand side exactly as often as solve_ivp does."""
+    """Every leg integrate_wave steps, as ``_recorded_leg`` records it."""
     legs = []
 
-    def recorded(fun, t0, t_bound, y0, rtol, atol):
-        counted, calls = _counted(fun)
-        ours, warned = _warned(_dop853.dop853, counted, t0, t_bound, y0, rtol=rtol, atol=atol)
-        ref, ref_warned = _warned(
-            solve_ivp, lambda t, y: fun(t, y.tolist()), (t0, t_bound), y0, method="DOP853",
-            rtol=rtol, atol=atol, dense_output=True,
-        )
-        assert len(calls) == ref.nfev
-        legs.append((ours, ref, warned, ref_warned))
-        return ours
+    def recorded(*args, **kwargs):
+        legs.append(_recorded_leg(*args, **kwargs))
+        return legs[-1][0]
 
     monkeypatch.setattr(radial, "dop853", recorded)
     return legs
 
 
-def _window(t_lo, t_hi, rs):
-    return (rs >= t_lo - 1e-12 * (1 + abs(t_lo))) & (rs <= t_hi + 1e-12 * (1 + abs(t_hi)))
+def _anchor_leg_args(bg, mode, bnd, r_range, tol):
+    """The stepper's arguments for its legs from an anchor, up to r*_hi and down
+    to r*_lo (where the range extends past the anchor): the (Z, Z', r)
+    right-hand side under the tolerances of an asymptotic leg with the
+    anchor's data."""
+    rs0 = float(tortoise(bnd.r, bg))
+    r0 = inverse_tortoise(rs0, bg)
+    scale = max(abs(bnd.z), abs(bnd.dz) / mode.sigma, 1e-30)
+    atol = np.array([tol * scale * 1e-2, tol * scale * 1e-2, tol * 1e-2 * max(r0, 1.0)])
+    y0 = np.array([bnd.z, bnd.dz, r0])
+    return [(_rhs_factory(bg, mode), rs0, float(tortoise(end, bg)), y0, tol, atol)
+            for end in (r_range[1], r_range[0]) if end != bnd.r]
 
 
-def _scipy_eval_rstar(odes, rs):
-    """Reference: each point through scipy's OdeSolution of the first leg, in
-    stepping order, within 1e-12 of it."""
-    out = np.empty((3, rs.size))
-    filled = np.zeros(rs.size, dtype=bool)
-    for ode in odes:
-        mask = ~filled & _window(ode.t_min, ode.t_max, rs)
-        out[:, mask] = ode(rs[mask])
-        filled |= mask
-    assert filled.all()
-    return out
+def _anchor_legs(bg, mode, bnd, r_range, tol):
+    """``_anchor_leg_args``'s legs, as ``_recorded_leg`` records them."""
+    return [_recorded_leg(*args) for args in _anchor_leg_args(bg, mode, bnd, r_range, tol)]
 
 
-_STACKED_CASES = {
-    # anchored mid-range: an ascending and a descending leg
+_CASES = {
+    # anchored mid-range: an ascending and a descending run of elements
     "anchor": (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
                AnchorBoundary(z=0.0, dz=1.0, r=30.0), (20.0, 80.0), 1e-10),
     "polar": (BackgroundParams(m=1.0), PolarMode(n=2.0, sigma=0.5),
               AnchorBoundary(z=0.3, dz=-0.2, r=50.0), (10.0, 60.0), 1e-9),
-    # one descending leg of ~560 steps
+    # one descending DOP853 leg of ~560 steps
     "asymptotic": (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
                    AsymptoticBoundary(amplitude=1.3), (20.0, 80.0), 1e-5),
-    # legs that reject steps: 1 and 5 in flat space, 1 near the horizon
+    # stepper legs from these anchors reject steps: 1 and 5 in flat space, 1 near the horizon
     "flat": (BackgroundParams(m=0.0), AxialMode(ell=2, sigma=0.5),
              AnchorBoundary(z=0.0, dz=1.0, r=5.0), (0.5, 40.0), 1e-10),
     "near_horizon": (BackgroundParams(m=1.0), AxialMode(ell=2, sigma=0.5),
@@ -419,107 +427,18 @@ def _assert_legs_are_solve_ivp(legs, n_warnings=0):
             assert table(t).tobytes() == ode(t).tobytes()
 
 
-@pytest.mark.parametrize("case", sorted(_STACKED_CASES) + ["clamped"])
+@pytest.mark.parametrize("case", sorted(_CASES) + ["clamped"])
 def test_stepper_is_bitwise_solve_ivp(case, legs):
-    bg, mode, bnd, r_range, tol = _STACKED_CASES.get(case, _CLAMPED_CASE)
-    integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    # an asymptotic start steps one descending leg in integrate_wave; from an
+    # anchor the stepper runs both ways on the same right-hand side and ranges
+    bg, mode, bnd, r_range, tol = _CASES.get(case, _CLAMPED_CASE)
+    if isinstance(bnd, AnchorBoundary):
+        legs += _anchor_legs(bg, mode, bnd, r_range, tol)
+    else:
+        integrate_wave(bg, mode, bnd, r_range, tol=tol)
     assert len(legs) == (2 if isinstance(bnd, AnchorBoundary) else 1)
     assert not legs[-1][1].sol.ascending
     _assert_legs_are_solve_ivp(legs, n_warnings=int(case == "clamped"))
-
-
-def _surface_anchors(bg, d_values, offset=0.0):
-    """The anchors and ranges ``solve_surfaces`` stacks for surface anchors at ``d_values``."""
-    anchors = [SurfaceAnchorBoundary(z=0.0, dz=1.0, offset=offset).resolve(d) for d in d_values]
-    return anchors, [radial_coverage(bg, a, [d]) for a, d in zip(anchors, d_values)]
-
-
-def test_stacked_stepper_is_bitwise_solve_ivp(bg_unit, mode_l2, legs):
-    # four anchors as one 12-state system: solve_ivp on the same stacked right-hand side
-    anchors, ranges = _surface_anchors(bg_unit, [50.0, 100.0, 200.0, 400.0])
-    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
-    assert len(legs) == 2 and legs[0][0][1].shape[1] == 12
-    _assert_legs_are_solve_ivp(legs)
-    # each member is its three columns of the shared legs, at its r* shifted
-    # into the first anchor's
-    rng = np.random.default_rng(11)
-    (up_ts, up_ys, _), (down_ts, down_ys, _) = (leg[0] for leg in legs)
-    for i, sol in enumerate(stack.solutions):
-        rs0 = tortoise(anchors[i].r, bg_unit)
-        shift = rs0 - tortoise(anchors[0].r, bg_unit)
-        assert sol.rstar.tobytes() == (np.concatenate([down_ts[::-1], up_ts[1:]]) + shift).tobytes()
-        for got, col in ((sol.z, 3 * i), (sol.dz, 3 * i + 1)):
-            assert got.tobytes() == np.concatenate([down_ys[::-1, col], up_ys[1:, col]]).tobytes()
-        for ode, rs in (
-            (legs[0][1].sol, rng.uniform(rs0 + 1e-3, sol.rstar[-1], 200)),
-            (legs[1][1].sol, rng.uniform(sol.rstar[0], rs0 - 1e-3, 200)),
-        ):
-            assert sol.eval_rstar(rs).tobytes() == ode(rs - shift)[3 * i:3 * i + 3].tobytes()
-
-
-def test_one_anchor_stack_is_the_plain_integration(bg_unit, mode_l2):
-    bnd, r_range = AnchorBoundary(z=0.0, dz=1.0, r=30.0), (20.0, 80.0)
-    plain = integrate_wave(bg_unit, mode_l2, bnd, r_range, tol=1e-10)
-    stack = integrate_wave(bg_unit, mode_l2, [bnd], [r_range], tol=1e-10)
-    (member,) = stack.solutions
-    for name in ("rstar", "z", "dz"):
-        assert getattr(member, name).tobytes() == getattr(plain, name).tobytes()
-    assert (member.r_min, member.r_max) == (plain.r_min, plain.r_max)
-    r = np.linspace(plain.r_min, plain.r_max, 301)
-    for got, want in zip(member.eval_r(r), plain.eval_r(r)):
-        assert got.tobytes() == want.tobytes()
-    for got, want in zip(stack.eval_r(r[None, :]), plain.eval_r(r)):
-        assert got[0].tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("d_values", [[50.0, 100.0, 200.0, 400.0], [5.0, 10.0, 50.0, 400.0]])
-def test_stack_reads_every_member_in_one_pass(bg_unit, mode_l2, d_values, monkeypatch):
-    # one call per leg table; each value bitwise its member's own eval_r, on
-    # both sides of its anchor
-    anchors, ranges = _surface_anchors(bg_unit, d_values)
-    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
-    r = np.array([np.linspace(lo + 0.2, hi - 0.2, 41) for lo, hi in ranges])
-    want = [sol.eval_r(row) for sol, row in zip(stack.solutions, r)]
-    calls = []
-    call = _dop853.Dop853Table.__call__
-    monkeypatch.setattr(_dop853.Dop853Table, "__call__", lambda self, t: calls.append(t.size) or call(self, t))
-    z, dz = stack.eval_r(r)
-    assert len(calls) == 2 and sum(calls) == r.size
-    for i, (wz, wdz) in enumerate(want):
-        assert z[i].tobytes() == wz.tobytes() and dz[i].tobytes() == wdz.tobytes()
-    with pytest.raises(CoverageError):
-        stack.eval_r(r + np.array([[0.0], [0.0], [0.0], [1e3]]))
-
-
-def _max_z_error(sol, ref, r):
-    return np.max(np.abs(sol.eval_r(r)[0] - ref.eval_r(r)[0]))
-
-
-@pytest.mark.parametrize("d_values", [
-    np.geomspace(50.0, 400.0, 4), np.geomspace(50.0, 12800.0, 9), [5.0, 10.0, 50.0, 400.0],
-], ids=["50-400", "50-12800", "5-400"])
-def test_stacked_members_are_as_accurate_as_their_own_solves(bg_unit, mode_l2, d_values):
-    # the step control weighs every member's states together, so a member's
-    # steps are not the ones its own solve would take; at tolerance 1e-10 its
-    # Z error stays within twice that of its own solve at the same tolerance
-    anchors, ranges = _surface_anchors(bg_unit, d_values)
-    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
-    for sol, anchor, r_range in zip(stack.solutions, anchors, ranges):
-        ref = integrate_wave(bg_unit, mode_l2, anchor, r_range, tol=1e-13)
-        own = integrate_wave(bg_unit, mode_l2, anchor, r_range, tol=1e-10)
-        r = np.linspace(*r_range, 201)
-        assert _max_z_error(sol, ref, r) <= 2.0 * _max_z_error(own, ref, r)
-
-
-def test_stack_rejects_what_it_cannot_stack(bg_unit, mode_l2):
-    anchors, ranges = _surface_anchors(bg_unit, [50.0, 100.0])
-    for bnd, r_range in (
-        (anchors, ranges[:1]),
-        ([], []),
-        ([anchors[0], AsymptoticBoundary()], ranges),
-    ):
-        with pytest.raises(DomainError, match="stack"):
-            integrate_wave(bg_unit, mode_l2, bnd, r_range)
 
 
 def _rejected(ref):
@@ -531,10 +450,8 @@ def _rejected(ref):
 
 
 @pytest.mark.parametrize("case", _REJECTING_CASES)
-def test_rejecting_cases_reject_a_step(case, legs):
-    bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
-    integrate_wave(bg, mode, bnd, r_range, tol=tol)
-    rejected = [_rejected(ref) for _, ref, _, _ in legs]
+def test_rejecting_cases_reject_a_step(case):
+    rejected = [_rejected(ref) for _, ref, _, _ in _anchor_legs(*_CASES[case])]
     assert sum(rejected) >= 1, rejected
 
 
@@ -611,35 +528,252 @@ def test_nan_step_from_an_overflowed_state_is_rejected_as_in_solve_ivp():
     assert np.isinf(ref.y).any() and not np.isnan(ref.y).any()
 
 
-def test_two_legs_meet_at_the_anchor(legs):
-    bg, mode, bnd, r_range, tol = _STACKED_CASES["anchor"]
+# ----------------------------------------------------------------------
+# Chebyshev elements and their stacks
+# ----------------------------------------------------------------------
+
+
+def _surface_anchors(bg, d_values, offset=0.0):
+    """The anchors and ranges ``solve_surfaces`` stacks for surface anchors at ``d_values``."""
+    anchors = [SurfaceAnchorBoundary(z=0.0, dz=1.0, offset=offset).resolve(d) for d in d_values]
+    return anchors, [radial_coverage(bg, a, [d]) for a, d in zip(anchors, d_values)]
+
+
+@pytest.mark.parametrize("d_values", [[50.0, 100.0, 200.0, 400.0], [5.0, 10.0, 50.0, 400.0], [3.05, 3.5, 5.0, 10.0]])
+def test_stack_members_are_bitwise_their_own_solves(bg_unit, mode_l2, d_values):
+    # every anchor's elements go through one batched solve, each over its own
+    # range; a member is its anchor's own integrate_wave solution, bit for bit
+    anchors, ranges = _surface_anchors(bg_unit, d_values)
+    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
+    for sol, anchor, r_range in zip(stack.solutions, anchors, ranges):
+        own = integrate_wave(bg_unit, mode_l2, anchor, r_range, tol=1e-10)
+        for name in ("rstar", "z", "dz"):
+            assert getattr(sol, name).tobytes() == getattr(own, name).tobytes()
+        assert (sol.r_min, sol.r_max) == (own.r_min, own.r_max) == r_range
+        r = np.linspace(*r_range, 201)
+        for got, want in zip(sol.eval_r(r), own.eval_r(r)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_one_anchor_stack_is_the_plain_integration(bg_unit, mode_l2):
+    bnd, r_range = AnchorBoundary(z=0.0, dz=1.0, r=30.0), (20.0, 80.0)
+    plain = integrate_wave(bg_unit, mode_l2, bnd, r_range, tol=1e-10)
+    stack = integrate_wave(bg_unit, mode_l2, [bnd], [r_range], tol=1e-10)
+    (member,) = stack.solutions
+    for name in ("rstar", "z", "dz"):
+        assert getattr(member, name).tobytes() == getattr(plain, name).tobytes()
+    assert (member.r_min, member.r_max) == (plain.r_min, plain.r_max)
+    r = np.linspace(plain.r_min, plain.r_max, 301)
+    for got, want in zip(member.eval_r(r), plain.eval_r(r)):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(stack.eval_r(r[None, :]), plain.eval_r(r)):
+        assert got[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d_values", [[50.0, 100.0, 200.0, 400.0], [5.0, 10.0, 50.0, 400.0]])
+def test_stack_reads_every_member_in_one_pass(bg_unit, mode_l2, d_values, monkeypatch):
+    # one barycentric pass for every member's points; each value bitwise its
+    # member's own eval_r, on both sides of its anchor and at its grid points
+    anchors, ranges = _surface_anchors(bg_unit, d_values)
+    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
+    r = np.array([np.concatenate([np.linspace(lo + 0.2, hi - 0.2, 41), [lo, a.r, hi]])
+                  for (lo, hi), a in zip(ranges, anchors)])
+    want = [sol.eval_r(row) for sol, row in zip(stack.solutions, r)]
+    calls = []
+    call = radial._Elements.__call__
+    monkeypatch.setattr(radial._Elements, "__call__", lambda self, rs, e: calls.append(rs.size) or call(self, rs, e))
+    z, dz = stack.eval_r(r)
+    assert calls == [r.size]
+    for i, (wz, wdz) in enumerate(want):
+        assert z[i].tobytes() == wz.tobytes() and dz[i].tobytes() == wdz.tobytes()
+    with pytest.raises(CoverageError):
+        stack.eval_r(r + np.array([[0.0], [0.0], [0.0], [1e3]]))
+
+
+def _max_z_error(sol, ref, r):
+    return np.max(np.abs(sol.eval_r(r)[0] - ref.eval_r(r)[0]))
+
+
+@pytest.mark.parametrize("d_values", [
+    np.geomspace(50.0, 400.0, 4), np.geomspace(50.0, 12800.0, 9), [5.0, 10.0, 50.0, 400.0],
+], ids=["50-400", "50-12800", "5-400"])
+def test_stacked_members_are_as_accurate_as_their_own_solves(bg_unit, mode_l2, d_values):
+    # at tolerance 1e-10 a member's Z error stays within twice that of its own
+    # solve at the same tolerance
+    anchors, ranges = _surface_anchors(bg_unit, d_values)
+    stack = integrate_wave(bg_unit, mode_l2, anchors, ranges, tol=1e-10)
+    for sol, anchor, r_range in zip(stack.solutions, anchors, ranges):
+        ref = integrate_wave(bg_unit, mode_l2, anchor, r_range, tol=1e-13)
+        own = integrate_wave(bg_unit, mode_l2, anchor, r_range, tol=1e-10)
+        r = np.linspace(*r_range, 201)
+        assert _max_z_error(sol, ref, r) <= 2.0 * _max_z_error(own, ref, r)
+
+
+def test_stack_rejects_what_it_cannot_stack(bg_unit, mode_l2):
+    anchors, ranges = _surface_anchors(bg_unit, [50.0, 100.0])
+    for bnd, r_range in (
+        (anchors, ranges[:1]),
+        ([], []),
+        ([anchors[0], AsymptoticBoundary()], ranges),
+    ):
+        with pytest.raises(DomainError, match="stack"):
+            integrate_wave(bg_unit, mode_l2, bnd, r_range)
+
+
+def test_two_legs_meet_at_the_anchor():
+    # the elements below and above the anchor both start from its data, and
+    # neighbouring elements agree where they meet; the dense output is a grid
+    # point's value bit for bit at an element edge, and to round-off between
+    bg, mode, bnd, r_range, tol = _CASES["anchor"]
     sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
     rs0 = tortoise(bnd.r, bg)
-    span = 1e-12 * (1 + abs(rs0))
-    rs = np.concatenate([
-        rs0 + span * np.array([-0.99, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.99]),
-        np.linspace(sol.rstar[0], sol.rstar[-1], 301),
-    ])
-    odes = [ref.sol for _, ref, _, _ in legs]
-    assert sol.eval_rstar(rs).tobytes() == _scipy_eval_rstar(odes, rs).tobytes()
+    view = sol._dense
+    assert rs0 in view.inner_edges
+    edges = np.concatenate([sol.rstar[:1], view.inner_edges, sol.rstar[-1:]])
+    at = np.searchsorted(sol.rstar, edges)
+    assert sol.rstar[at].tobytes() == edges.tobytes()
+    states = sol.eval_rstar(edges)
+    assert states[0].tobytes() == sol.z[at].tobytes() and states[1].tobytes() == sol.dz[at].tobytes()
+    inner = view.inner_edges
+    below = view.table(inner, view.locate(inner) - 1)
+    assert np.max(np.abs(below[:2] - sol.eval_rstar(inner)[:2])) <= 1e-14
+    anchor = sol.eval_rstar(np.array([rs0]))
+    assert anchor[0] == pytest.approx(bnd.z, abs=1e-15) and anchor[1] == bnd.dz
+    states = sol.eval_rstar(sol.rstar)
+    scale = np.max(np.abs(sol.z))
+    assert np.max(np.abs(states[:2] - np.array([sol.z, sol.dz]))) <= 1e-14 * scale
 
 
 def test_point_past_every_leg_goes_to_the_nearest_end(legs):
-    # inside the 1e-9 coverage check, outside every leg's 1e-12 window: the
-    # integrated r drifts from the tortoise map by this much
-    for case in ("anchor", "asymptotic"):
-        legs.clear()
-        bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
-        sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
-        odes = [ref.sol for _, ref, _, _ in legs]
-        # one descending leg from an asymptotic start: a point above it goes to its start
-        up, down = odes if len(odes) == 2 else odes * 2
-        lo, hi = sol.rstar[0], sol.rstar[-1]
-        below = np.array([lo - 1e-10 * (1 + abs(lo))])
-        above = np.array([hi + 1e-10 * (1 + abs(hi))])
-        assert sol.eval_rstar(below).tobytes() == down(below).tobytes()
-        assert sol.eval_rstar(above).tobytes() == up(above).tobytes()
-        assert np.all(np.isfinite(sol.eval_rstar(np.concatenate([below, above]))))
+    # inside the 1e-9 coverage check: a point past an anchored solution's ends
+    # extrapolates from its end element, one past an asymptotic leg from that
+    # leg's nearest step
+    bg, mode, bnd, r_range, tol = _CASES["anchor"]
+    sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    view = sol._dense
+    lo, hi = sol.rstar[0], sol.rstar[-1]
+    ends = ((lo - 1e-10 * (1 + abs(lo)), view.first), (hi + 1e-10 * (1 + abs(hi)), view.first + len(view.inner_edges)))
+    for rs, element in ends:
+        got = sol.eval_rstar(np.array([rs]))
+        assert got.tobytes() == view.table(np.array([rs]), np.array([element])).tobytes()
+        assert np.all(np.isfinite(got))
+    bg, mode, bnd, r_range, tol = _CASES["asymptotic"]
+    sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
+    (ode,) = [ref.sol for _, ref, _, _ in legs]
+    lo, hi = sol.rstar[0], sol.rstar[-1]
+    for rs in (np.array([lo - 1e-10 * (1 + abs(lo))]), np.array([hi + 1e-10 * (1 + abs(hi))])):
+        assert sol.eval_rstar(rs).tobytes() == ode(rs).tobytes()
+        assert np.all(np.isfinite(sol.eval_rstar(rs)))
+
+
+# ----------------------------------------------------------------------
+# accuracy of the anchored solve against oracles, beside the stepper's
+# ----------------------------------------------------------------------
+
+_TOLERANCES = (1e-13, 1e-10, 1e-7, 1e-3)
+# anchor radii and their ranges: mid-range, near the horizon, and a 4-anchor sweep stack
+_ACCURACY_CASES = {
+    "mid": ([30.0], [(20.0, 80.0)]),
+    "near_horizon": ([2.5], [(2.01, 40.0)]),
+    "stack": ([50.0, 100.0, 200.0, 400.0], [(48.5, 51.5), (98.5, 101.5), (198.5, 201.5), (398.5, 401.5)]),
+}
+
+
+def _accuracy_mode(kind):
+    return AxialMode(ell=2, sigma=0.5) if kind == "axial" else PolarMode(n=2.0, sigma=0.5)
+
+
+@functools.cache
+def _accuracy_reference(case, kind):
+    """Per anchor of the case: r* points on both sides of the anchor, and
+    (Z, Z') there from solve_ivp's DOP853 at rtol 1e-13."""
+    bg, mode = BackgroundParams(m=1.0), _accuracy_mode(kind)
+    rhs = _rhs_factory(bg, mode)
+    out = []
+    for anchor, r_range in zip(*_ACCURACY_CASES[case]):
+        rs0 = float(tortoise(anchor, bg))
+        sides = []
+        for end in r_range:
+            rs = np.linspace(rs0, float(tortoise(end, bg)), 151)
+            ref = solve_ivp(lambda t, y: rhs(t, y.tolist()), (rs[0], rs[-1]), [0.0, 1.0, anchor],
+                            method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True)
+            sides.append((rs, ref.sol(rs)[:2]))
+        out.append(sides)
+    return out
+
+
+def _relative_error(states, ref, sigma):
+    """Largest |Z - Z_ref| or |Z' - Z'_ref| / sigma, relative to the largest |Z_ref|."""
+    return max(np.max(np.abs(states[0] - ref[0])), np.max(np.abs(states[1] - ref[1])) / sigma) / np.max(np.abs(ref[0]))
+
+
+@pytest.mark.parametrize("tol", _TOLERANCES)
+@pytest.mark.parametrize("kind", ["axial", "polar"])
+@pytest.mark.parametrize("case", sorted(_ACCURACY_CASES))
+def test_anchored_solve_is_at_least_as_accurate_as_the_stepper(case, kind, tol):
+    # against solve_ivp at rtol 1e-13, beside the stepper's two legs from each
+    # anchor at the same tolerance
+    bg, mode = BackgroundParams(m=1.0), _accuracy_mode(kind)
+    anchors = [AnchorBoundary(z=0.0, dz=1.0, r=r) for r in _ACCURACY_CASES[case][0]]
+    ranges = _ACCURACY_CASES[case][1]
+    stack = integrate_wave(bg, mode, anchors, ranges, tol=tol)
+    ours = theirs = 0.0
+    legs = [[_dop853.dop853(*args) for args in _anchor_leg_args(bg, mode, a, rr, tol)]
+            for a, rr in zip(anchors, ranges)]
+    for sol, sides, anchor_legs in zip(stack.solutions, _accuracy_reference(case, kind), legs):
+        for (rs, ref), (_, _, table) in zip(sides, anchor_legs[::-1]):
+            ours = max(ours, _relative_error(sol.eval_rstar(rs), ref, mode.sigma))
+            theirs = max(theirs, _relative_error(table(rs), ref, mode.sigma))
+    assert ours <= theirs
+
+
+@pytest.mark.parametrize("tol", _TOLERANCES)
+def test_flat_oracle_error_is_at_most_the_steppers(tol):
+    # Z = r j2(r) with Z' = j2 + r j2' in flat space, anchored at r = 1
+    bg, mode, sol = _flat_bessel_solution(tol)
+    r = np.linspace(1.0, 100.0, 1500)
+    ref = (r * spherical_jn(2, r), spherical_jn(2, r) + r * spherical_jn(2, r, derivative=True))
+    bnd = AnchorBoundary(z=ref[0][0], dz=ref[1][0], r=1.0)
+    (up,) = [_dop853.dop853(*args) for args in _anchor_leg_args(bg, mode, bnd, (1.0, 100.0), tol)]
+    ours = _relative_error(sol.eval_r(r), ref, mode.sigma)
+    assert ours <= _relative_error(up[2](r), ref, mode.sigma)
+    assert ours <= 10.0 * max(tol, 1e-13)
+
+
+def test_elements_halve_until_the_tail_meets_the_tolerance(bg_unit, monkeypatch):
+    # an l = 12 barrier is steeper than the initial widths resolve, so its
+    # elements halve; without halvings the solve fails instead
+    mode = AxialMode(ell=12, sigma=0.5)
+    bnd, r_range = AnchorBoundary(z=0.0, dz=1.0, r=3.0), (2.5, 12.0)
+    sol = integrate_wave(bg_unit, mode, bnd, r_range, tol=1e-10)
+    rs0, rs_hi = float(tortoise(3.0, bg_unit)), float(tortoise(12.0, bg_unit))
+    rs = np.linspace(rs0, rs_hi, 201)
+    rhs = _rhs_factory(bg_unit, mode)
+    ref = solve_ivp(lambda t, y: rhs(t, y.tolist()), (rs0, rs_hi), [0.0, 1.0, 3.0], method="DOP853",
+                    rtol=1e-13, atol=1e-16, dense_output=True).sol(rs)[:2]
+    assert _relative_error(sol.eval_rstar(rs), ref, mode.sigma) <= 1e-10
+    monkeypatch.setattr(radial, "_MAX_HALVINGS", 0)
+    with pytest.raises(IntegrationError, match="halvings"):
+        integrate_wave(bg_unit, mode, bnd, r_range, tol=1e-10)
+
+
+def test_element_cap_raises_before_solving(bg_unit, monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    with pytest.raises(IntegrationError, match="cap"):
+        integrate_wave(bg_unit, AxialMode(ell=2, sigma=1e6), AnchorBoundary(z=0.0, dz=1.0, r=30.0), (20.0, 80.0))
+    assert solves == []
+
+
+def test_inverse_tortoise_of_an_array_is_the_scalar_map(bg_unit, bg_flat):
+    rs = np.concatenate([np.linspace(-300.0, 10.0, 997), np.geomspace(10.0, 1e6, 301)]).reshape(2, -1)
+    r = inverse_tortoise(rs, bg_unit)
+    want = np.array([inverse_tortoise(float(x), bg_unit) for x in rs.ravel()]).reshape(rs.shape)
+    assert r.shape == rs.shape
+    assert np.max(np.abs(r - want) / want) <= 4 * np.finfo(float).eps
+    assert np.all(r > 2.0)
+    assert inverse_tortoise(rs, bg_flat).tobytes() == rs.tobytes()
 
 
 def _residual_max_loop(sol):
@@ -662,9 +796,9 @@ def _residual_max_loop(sol):
     return worst / scale
 
 
-@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
+@pytest.mark.parametrize("case", sorted(_CASES))
 def test_residual_max_is_bitwise_the_interval_loop(case):
-    bg, mode, bnd, r_range, tol = _STACKED_CASES[case]
+    bg, mode, bnd, r_range, tol = _CASES[case]
     sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
     assert sol.residual_max() == _residual_max_loop(sol)
 

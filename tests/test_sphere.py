@@ -33,6 +33,7 @@ from quasilocal.sphere import (
     _eigenvalues,
     _harmonic_derivatives,
     _ladder_tables,
+    _legendre_column,
     _legendre_p_derivs,
     _legendre_table,
     _point_derivatives,
@@ -271,6 +272,13 @@ def _tables(l_max, theta):
     composed as ``SphereGrid`` does."""
     pbar = _legendre_table(l_max, theta)
     return (_real_scaled(pbar.copy()), *_ladder_tables(pbar))
+
+
+def test_order_two_column_is_bitwise_the_tables():
+    # at the sources' Gauss rows, as embedding._source_rule reads them
+    for l_max in range(2, 65):
+        theta = np.arccos(gauss_legendre(l_max + 1)[0])
+        assert _legendre_column(l_max, 2, theta).tobytes() == _legendre_table(l_max, theta)[:, 2].tobytes()
 
 
 def test_harmonic_tables_match_scipy():
