@@ -108,7 +108,7 @@ def _surface(conf):
 # ----------------------------------------------------------------------
 
 
-def run_radial(conf, jobs: int) -> dict:
+def run_radial(conf) -> dict:
     bg, mode, num = _background(conf), _mode(conf), conf["numerics"]
     _, d_values, _ = _surface(conf)
     r_range = num.get("radial_range")
@@ -149,7 +149,7 @@ def _surface_embedding(conf):
     return (spec, *surface_embedding(bg, mode, bnd, spec, num["l_max"], num["tolerance"]))
 
 
-def run_embed(conf, jobs: int) -> dict:
+def run_embed(conf) -> dict:
     spec, _prof, _s_tau, _s_n, emb = _surface_embedding(conf)
     L = emb.l_max
     # every stored (l, m), l-major and m ascending
@@ -168,7 +168,7 @@ def run_embed(conf, jobs: int) -> dict:
     return artifacts
 
 
-def _sweep(conf, jobs):
+def _sweep(conf):
     """``sweep_energy`` over every (t, d) of the scenario."""
     t_values, d_values, template = _surface(conf)
     num = conf["numerics"]
@@ -182,12 +182,11 @@ def _sweep(conf, jobs):
         l_max=num["l_max"],
         tol=num["tolerance"],
         c_factor=num.get("c_factor"),
-        jobs=jobs,
     )
 
 
-def run_energy(conf, jobs: int) -> dict:
-    report = _sweep(conf, jobs)
+def run_energy(conf) -> dict:
+    report = _sweep(conf)
     t_values, d_values = report.t_values.tolist(), report.d_values.tolist()
     columns = report.columns()
     order = np.lexsort((columns[1], columns[0]))  # stable, by t and then d
@@ -214,8 +213,8 @@ def run_energy(conf, jobs: int) -> dict:
     return artifacts
 
 
-def run_sweep(conf, jobs: int) -> dict:
-    report = _sweep(conf, jobs)
+def run_sweep(conf) -> dict:
+    report = _sweep(conf)
     artifacts = {
         "sweep.csv": (["t", "d", "e", "dedt"], report.columns()),
         "sweep.json": {
@@ -244,7 +243,7 @@ def run_sweep(conf, jobs: int) -> dict:
     return artifacts
 
 
-def run_geometry(conf, jobs: int) -> dict:
+def run_geometry(conf) -> dict:
     bg, mode = _background(conf), _mode(conf)
     _, d_values, template = _surface(conf)
     num, geo_conf = conf["numerics"], conf["geometry"]
@@ -288,7 +287,7 @@ def run_geometry(conf, jobs: int) -> dict:
     }
 
 
-def run_loop(conf, jobs: int) -> dict:
+def run_loop(conf) -> dict:
     loop_conf = conf["loop"]
     if loop_conf["kind"] == "equator":
         loop = LoopSpec.equator(loop_conf["n_samples"])
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
         help="override a config entry (dotted path, JSON value)",
     )
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="sweep parallelism")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored; runs are single-threaded")
     args = parser.parse_args(argv)
 
     def fail(exc, category, code):
@@ -418,7 +417,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings():  # the library warns; a run fails
             warnings.simplefilter("error", SolvabilityWarning)
-            artifacts = _RUNNERS[args.command](conf, max(1, args.jobs))
+            artifacts = _RUNNERS[args.command](conf)
         _check_finite(artifacts, conf)
         texts = {name: _render(name, content, conf) for name, content in artifacts.items()}
     except ConfigError as exc:

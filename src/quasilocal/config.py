@@ -96,8 +96,9 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "l_max": {"type": "integer", "minimum": 2, "maximum": 64},
-                # the DOP853 stepper clamps an rtol below 100 eps with a warning;
-                # at a larger one the radial residual is no longer small (5.6e-4 at 0.5)
+                # the minimum keeps both radial solvers above 100 eps, where the Chebyshev
+                # elements hold the tolerance and the asymptotic DOP853 leg clamps its rtol
+                # with a warning; at a larger one the radial residual is no longer small (5.6e-4 at 0.5)
                 "tolerance": {"type": "number", "minimum": 1e-13, "maximum": 1e-3},
                 # PerturbationProfiles' linearization regime, |eps| <= 1e-2
                 "epsilon": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-2},

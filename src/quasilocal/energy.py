@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,17 +356,17 @@ def default_c_factor(mode: AxialMode, spec: SurfaceSpec) -> float:
         return math.inf
 
 
-def _surfaces(bg, mode, boundary, specs, l_max: int, tol: float, energy: bool = True, jobs: int = 1):
+def _surfaces(bg, mode, boundary, specs, l_max: int, tol: float, energy: bool = True):
     """The pipeline for the surfaces ``specs``, each shared stage run once for all of them.
 
     One ``solve_surfaces`` call gives every surface its radial solution at
     unit amplitude.  The sources' Gauss rule and Ybar_l2, and with
     ``energy`` the energy stage's 2 l_max + 1 rows, are built once, and
     every surface's rows take A, A' and A'' from one dense-output pass.
-    The per-surface rest (the source sums, ``solve_embedding`` and the
-    energy sums) runs on ``jobs`` threads.  Returns (profile, s_tau, s_n,
-    embedding, coefficients or None) per surface.  A(r) exists for axial
-    modes only, so any other mode is rejected before integrating.
+    The per-surface rest is the source sums, ``solve_embedding`` and the
+    energy sums.  Returns (profile, s_tau, s_n, embedding, coefficients or
+    None) per surface.  A(r) exists for axial modes only, so any other mode
+    is rejected before integrating.
     """
     if mode.kind != "axial":
         raise DomainError(
@@ -384,17 +383,13 @@ def _surfaces(bg, mode, boundary, specs, l_max: int, tol: float, energy: bool = 
     r = np.array([radius_on_sphere(spec, nodes) for spec in specs])
     z, dz = stack.eval_r(r)
     av, apv, appv = (f(r, z, dz, bg.m, unit_mode) for f in (_a, _a_prime, _a_double_prime))
-
-    def finish(i):
+    results = []
+    for i, sol in enumerate(stack.solutions):
         s_tau, s_n = _sources(l_max, source_rule, (av[i, :n_src], apv[i, :n_src], appv[i, :n_src]))
         emb = solve_embedding(s_tau, s_n)
         coeffs = _energy_sums(energy_rule, av[i, n_src:], apv[i, n_src:], emb) if energy else None
-        return a_profile(stack.solutions[i]), s_tau, s_n, emb, coeffs
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(finish, range(len(specs))))
-    return [finish(i) for i in range(len(specs))]
+        results.append((a_profile(sol), s_tau, s_n, emb, coeffs))
+    return results
 
 
 def surface_embedding(
@@ -418,11 +413,11 @@ def surface_embedding(
     return prof, s_tau, s_n, emb
 
 
-def _energy_results(bg, mode, boundary, specs, t_values, l_max, tol, c_factor, jobs=1):
+def _energy_results(bg, mode, boundary, specs, t_values, l_max, tol, c_factor):
     """``_surfaces`` with each surface's energy assembled, as SurfaceEnergyResults."""
     results = []
     for spec, (prof, _s_tau, _s_n, emb, coeffs) in zip(
-        specs, _surfaces(bg, mode, boundary, specs, l_max, tol, jobs=jobs)
+        specs, _surfaces(bg, mode, boundary, specs, l_max, tol)
     ):
         cf = default_c_factor(mode, spec) if c_factor is None else c_factor
         e, dedt = assemble_energy(coeffs, mode, spec, cf, t_values)
@@ -498,23 +493,20 @@ def sweep_energy(
     l_max: int = 16,
     tol: float = 1e-10,
     c_factor: float | None = None,
-    jobs: int = 1,
 ) -> EnergyReport:
     """Run the full pipeline across a d-sweep; the report fits the falloff per t.
 
     The radial solve, the Gauss rules and Ybar_l2, and the dense-output pass
     for A, A' and A'' run once for all d: a ``surface_anchor`` boundary
     solves every d's anchor in one batched Chebyshev-element solve, and any
-    other boundary one solution over the coverage of all d.  Only the per-d
-    source sums, ``solve_embedding`` and energy sums run on ``jobs``
-    threads.  Results are aggregated in d order regardless of scheduling,
-    so the report is deterministic for any ``jobs``; at one d it is
-    ``surface_energy``'s.
+    other boundary one solution over the coverage of all d.  Only the
+    source sums, ``solve_embedding`` and energy sums run per d; at one d
+    the report is ``surface_energy``'s.
     """
     d_values = np.atleast_1d(np.asarray(d_values, dtype=float))
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     specs = [dataclasses.replace(surface_template, d=float(d)) for d in d_values]
-    results = _energy_results(bg, mode, boundary, specs, t_values, l_max, tol, c_factor, jobs)
+    results = _energy_results(bg, mode, boundary, specs, t_values, l_max, tol, c_factor)
 
     e = np.stack([r.e for r in results], axis=1)
     dedt = np.stack([r.dedt for r in results], axis=1)

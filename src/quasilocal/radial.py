@@ -309,7 +309,7 @@ class RadialSolution:
     tol: float
     _dense: object = field(repr=False)  # r* (n,) -> states (3, n): an _ElementView or a Dop853Table
     asymptotic_truncation: float | None = None
-    # (r, z, dz) of the last eval_r call, one tuple so no thread sees a mixed entry
+    # (r, z, dz) of the last eval_r call
     _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def eval_rstar(self, rs) -> np.ndarray:

@@ -297,14 +297,14 @@ def test_radial_range_outside_the_exterior_exits_before_writing(radial_range, tm
 @pytest.mark.parametrize("command", sorted(quasilocal.cli._RUNNERS))
 def test_every_command_takes_the_four_options(command, tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setitem(quasilocal.cli._RUNNERS, command, lambda conf, jobs: calls.append((conf, jobs)) or {})
+    monkeypatch.setitem(quasilocal.cli._RUNNERS, command, lambda conf: calls.append(conf) or {})
     out = tmp_path / "out"
     args = [command, "--config", SCENARIOS / "axial_sweep.json", "--set", "numerics.l_max=6",
             "--set", "surface.t=[0.5]", "--out", out, "--jobs", "3"]
     assert run(args) == EXIT_OK
-    (conf, jobs), = calls
-    assert (conf["numerics"]["l_max"], conf["surface"]["t"], conf["surface"]["d"], jobs) == (
-        6, [0.5], [50.0, 100.0, 200.0, 400.0], 3
+    conf, = calls
+    assert (conf["numerics"]["l_max"], conf["surface"]["t"], conf["surface"]["d"]) == (
+        6, [0.5], [50.0, 100.0, 200.0, 400.0]
     )
     assert out.is_dir()
 
@@ -421,8 +421,8 @@ def test_non_finite_csv_value_exits_before_writing(args, target, column, tmp_pat
 
 @pytest.mark.parametrize("args", [
     ["embed", "--config", SCENARIOS / "embed_kernel.json"],
-    ["sweep", "--config", SCENARIOS / "axial_sweep.json", "--jobs", 2],
-], ids=["embed", "sweep-jobs2"])
+    ["sweep", "--config", SCENARIOS / "axial_sweep.json"],
+], ids=["embed", "sweep"])
 def test_kernel_residual_exits_before_writing(args, tmp_path, capsys, monkeypatch):
     real = quasilocal.energy._sources
 
@@ -776,11 +776,13 @@ def test_loop_artifacts(tmp_path, capsys):
 
 
 def test_jobs_deterministic(tmp_path, capsys):
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
+    # --jobs is accepted and ignored, so existing command lines still parse
+    out1, out2 = tmp_path / "one", tmp_path / "three"
     assert run(["sweep", "--out", out1, "--jobs", 1] + FAST) == EXIT_OK
     assert run(["sweep", "--out", out2, "--jobs", 3] + FAST) == EXIT_OK
     capsys.readouterr()
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    for name in ("sweep.csv", "sweep.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_set_override_changes_output(tmp_path, capsys):

@@ -146,19 +146,17 @@ def test_energy_stage_builds_no_grid(monkeypatch):
     assert builds == []
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_each_sweep_builds_no_grid(bg_unit, mode_l2, monkeypatch, jobs):
+def test_each_sweep_builds_no_grid(bg_unit, mode_l2, monkeypatch):
     builds = _grid_builds(monkeypatch)
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0], [0.0, 0.3],
-                 l_max=8, tol=1e-9, jobs=jobs)
+                 l_max=8, tol=1e-9)
     assert builds == []
 
 
 def test_sweep_builds_one_legendre_table(bg_unit, mode_l2, monkeypatch):
     # every d's sources read one order-2 Legendre column at the Gauss rows,
-    # built once per sweep on any thread and not kept across calls; no full
-    # table is built
+    # built once per sweep and not kept across calls; no full table is built
     tables = _legendre_table_calls(monkeypatch)
     columns, real = [], quasilocal.embedding._legendre_column
     monkeypatch.setattr(quasilocal.embedding, "_legendre_column",
@@ -166,8 +164,8 @@ def test_sweep_builds_one_legendre_table(bg_unit, mode_l2, monkeypatch):
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     t_values = np.pi / mode_l2.sigma * np.arange(9) / 8
     d_values = np.geomspace(50.0, 400.0, 4)
-    for jobs in (1, 3, 3):
-        sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16, jobs=jobs)
+    for _ in range(3):
+        sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16)
         assert columns == [(16, 2)] and tables == []
         columns.clear()
 
@@ -545,18 +543,7 @@ def test_fit_predict():
 # ----------------------------------------------------------------------
 
 
-def test_sweep_deterministic_across_jobs(bg_unit, mode_l2):
-    bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
-    template = SurfaceSpec(t=0.3)
-    kw = dict(l_max=8, tol=1e-9)
-    rep1 = sweep_energy(bg_unit, mode_l2, bnd, template, [50.0, 100.0, 200.0, 400.0], [0.3], jobs=1, **kw)
-    rep2 = sweep_energy(bg_unit, mode_l2, bnd, template, [50.0, 100.0, 200.0, 400.0], [0.3], jobs=3, **kw)
-    assert np.array_equal(rep1.e, rep2.e)
-    assert rep1.fits[0].c2 == rep2.fits[0].c2
-
-
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_sweep_leaves_no_reference_cycle(bg_unit, mode_l2, monkeypatch, jobs):
+def test_sweep_leaves_no_reference_cycle(bg_unit, mode_l2, monkeypatch):
     # with the cyclic collector off, the sweep's one stacked radial solve and
     # each d's member of it, which its profile holds, are freed once the
     # sweep returns
@@ -572,7 +559,7 @@ def test_sweep_leaves_no_reference_cycle(bg_unit, mode_l2, monkeypatch, jobs):
     gc.disable()
     try:
         rep = sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), [50.0, 100.0, 200.0, 400.0],
-                           [0.0, 0.3], l_max=8, tol=1e-9, jobs=jobs)
+                           [0.0, 0.3], l_max=8, tol=1e-9)
         assert len(refs) == 1 + 4  # one solve, one member per d
         del rep
         assert [r() for r in refs] == [None] * 5
@@ -593,17 +580,19 @@ def _assert_coefficients_close(report, results, rel):
         assert e2 == pytest.approx(res.coefficients.e2, rel=rel, abs=0.0)
 
 
-@pytest.mark.parametrize("d_values", [[50.0, 100.0, 200.0, 400.0], [5.0, 10.0, 50.0, 400.0]])
+@pytest.mark.parametrize("d_values", [[50.0, 100.0, 200.0, 400.0], [5.0, 10.0, 50.0, 400.0],
+                                      [3.05, 3.5, 5.0, 10.0]])
 def test_stacked_sweep_agrees_with_each_surface(bg_unit, mode_l2, d_values, monkeypatch):
-    # one stacked radial solve for every d; each d's E1 and E2 those of its
-    # own surface_energy to the radial tolerance
+    # one stacked radial solve for every d; each d's E1, E2 and E(t) bitwise
+    # those of its own surface_energy
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     calls = _integrate_wave_calls(monkeypatch)
     rep = sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, [0.3], l_max=8, tol=1e-10)
     assert len(calls) == 1 and len(calls[0]) == len(d_values)
-    results = [surface_energy(bg_unit, mode_l2, bnd, SurfaceSpec(d=d), [0.3], l_max=8, tol=1e-10)
-               for d in d_values]
-    _assert_coefficients_close(rep, results, 1e-9)
+    for j, d in enumerate(d_values):
+        res = surface_energy(bg_unit, mode_l2, bnd, SurfaceSpec(d=d), [0.3], l_max=8, tol=1e-10)
+        assert (rep.e1[j], rep.e2[j]) == (res.coefficients.e1, res.coefficients.e2)
+        assert rep.e[:, j].tobytes() == res.e.tobytes()
 
 
 def test_one_surface_sweep_is_surface_energy(bg_unit, mode_l2):

@@ -39,6 +39,11 @@ def test_import_leaves_xml_sax_and_urllib_request_out(imported):
     assert not {"xml.sax", "xml.sax.saxutils", "urllib.request"} & imported
 
 
+def test_import_leaves_concurrent_futures_and_logging_out(imported):
+    # the sweep runs on one thread, so no executor and its logging come along
+    assert not {"concurrent.futures", "logging"} & imported
+
+
 def test_import_adds_only_stdlib_and_numpy(imported):
     # against a bare interpreter, so that modules site's .pth files import do not count
     added = {name.partition(".")[0] for name in imported - _modules("pass")}
