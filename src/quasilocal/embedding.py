@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError, SolvabilityWarning
 from .radial import AProfile
-from .sphere import HarmonicField, _eigenvalues, _grid_rule, _legendre_column
+from .sphere import HarmonicField, _eigenvalues, _grid_rule, _legendre_table
 
 __all__ = [
     "EmbeddingSolution",
@@ -96,7 +96,7 @@ def _source_rule(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if l_max < 2:
         return np.empty(0), np.empty(0), np.empty((0, 0))
     z1, w = _grid_rule(l_max + 1)
-    ybar_l2 = np.sqrt(2.0) * _legendre_column(l_max, 2, np.arccos(z1))[2:]
+    ybar_l2 = np.sqrt(2.0) * _legendre_table(l_max, np.arccos(z1), 2, 2)[2:, 0]
     return z1, 0.5 * np.pi * w * (1.0 - z1) * (1.0 + z1), ybar_l2
 
 

@@ -181,7 +181,8 @@ def rho_bracket(emb: EmbeddingSolution, theta, phi, d: float) -> np.ndarray:
     with ``grad_outer_double_divergence``'s expansion reduces the tau terms
     pointwise to (1/4)(Delta tau)^2 - (1/2)|Hess tau|^2 - |grad tau|^2.  The
     derivatives of N and tau are summed at the points from the solution's
-    coefficients, with theta tables that hold up to the poles, so the bracket
+    coefficients, only over the azimuthal orders they hold (the pipeline's
+    sine m = 2), with theta tables that hold up to the poles, so the bracket
     is exact at every point for the band-limited solution.
     """
     nd, td = _point_derivatives((emb.n_field, emb.tau), theta, phi)

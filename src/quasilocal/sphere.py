@@ -27,7 +27,8 @@ Conventions fixed here and used everywhere else in the package:
 * The derivatives' theta tables (d/dtheta, d2/dtheta2, m/sin(theta) and its
   d/dtheta) come from ladder relations between neighbouring orders: nothing
   divides by sin(theta), so they hold at a colatitude of 1e-8 as on the
-  equator.  One builder serves a grid's rows and arbitrary points alike.
+  equator.  One builder serves a grid's rows and arbitrary points alike;
+  at points it builds only the orders the fields hold.
 """
 
 from __future__ import annotations
@@ -126,86 +127,57 @@ def c_theta(ell: int, theta) -> np.ndarray | float:
     return float(val) if np.isscalar(theta) else val
 
 
-def _legendre_table(l_max: int, theta: np.ndarray) -> np.ndarray:
-    """Pbar_lm(cos theta) without the sqrt(2) of the real harmonics, shape (L+1, L+1, n).
+def _legendre_table(l_max: int, theta: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Pbar_lm(cos theta) without the sqrt(2) of the real harmonics, shape (L+1, hi-lo+1, n).
 
     Pbar_lm is the orthonormal associated Legendre function of cos(theta)
-    without the Condon-Shortley phase; entries with m > l are exactly zero.
-    Recurrences, each step over all m at once:
+    without the Condon-Shortley phase, at the orders m = lo..hi (all by
+    default); entries with m > l are exactly zero.  Recurrences, each step
+    over all the orders at once:
         Pbar_00 = sqrt(1/4pi)
         Pbar_ll = sqrt((2l+1)/(2l)) sin(theta) Pbar_{l-1,l-1}
         Pbar_{l,l-1} = sqrt(2l+1) cos(theta) Pbar_{l-1,l-1}
         Pbar_lm = a_lm [cos(theta) Pbar_{l-1,m} - b_lm Pbar_{l-2,m}]
     The coefficients are built as whole arrays; the sectoral diagonal is a
     running product over l, its neighbour one product, and only the m <= l-2
-    recurrence steps over l.  ``_real_scaled`` turns the table into the real
-    harmonics' Ybar, ``_ladder_tables`` into its theta-derivative tables, and
-    ``_legendre_column`` builds one order of it alone.
+    recurrence steps over l.  An entry's operations do not depend on the
+    orders asked for, so it is bitwise the full table's.  ``_real_scaled``
+    turns the table into Ybar, ``_ladder_tables`` into its theta derivatives.
     """
-    x, diag = _sectoral(l_max, theta)
-    L = l_max
-    pbar = np.zeros((L + 1, L + 1, theta.size))
-    k = np.arange(L + 1)
-    pbar[k, k] = diag
-    pbar[k[1:], k[:-1]] = np.sqrt(2 * k[1:, None] + 1.0) * x * diag[:-1]
-    a, b = _recurrence(L, k)
-    scratch = np.empty((L + 1, theta.size))
-    for l in range(2, L + 1):
-        row = np.multiply(x, pbar[l - 1, : l - 1], out=pbar[l, : l - 1])
-        row -= np.multiply(b[l, : l - 1], pbar[l - 2, : l - 1], out=scratch[: l - 1])
-        row *= a[l, : l - 1]
+    L, hi = l_max, l_max if hi is None else hi
+    x, l1 = np.cos(theta), np.arange(1, hi + 1)[:, None]
+    diag = np.empty((hi + 1, theta.size))
+    diag[0] = np.sqrt(1.0 / (4.0 * np.pi))
+    diag[1:] = np.sqrt((2 * l1 + 1) / (2.0 * l1)) * np.sin(theta)
+    diag = np.cumprod(diag, axis=0)  # Pbar_ll for l = 0..hi
+    m = np.arange(lo, hi + 1)
+    pbar = np.zeros((L + 1, m.size, theta.size))
+    pbar[m, m - lo] = diag[lo:]
+    n = m[m < L]  # the orders with a neighbour Pbar_{m+1,m}
+    pbar[n + 1, n - lo] = np.sqrt(2 * n[:, None] + 3.0) * x * diag[n]
+    ell, mm = np.arange(L + 1)[:, None, None], m[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # at m > l - 2, unused
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mm * mm))
+        b = np.sqrt(((ell - 1.0) ** 2 - mm * mm) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+    scratch = np.empty((m.size, theta.size))
+    for l in range(lo + 2, L + 1):
+        k = slice(min(l - 1, hi + 1) - lo)  # the orders lo..min(l - 2, hi)
+        row = np.multiply(x, pbar[l - 1, k], out=pbar[l, k])
+        row -= np.multiply(b[l, k], pbar[l - 2, k], out=scratch[k])
+        row *= a[l, k]
     return pbar
 
 
-def _legendre_column(l_max: int, m: int, theta: np.ndarray) -> np.ndarray:
-    """Pbar_lm(cos theta) at the one order m, shape (L+1, n): ``_legendre_table``'s column m.
-
-    The same operations in the same order as the table's: the sectoral
-    product up to Pbar_mm, its neighbour, then the three-term step in l for
-    m alone, so every entry is bitwise the table's.
-    """
-    x, diag = _sectoral(m, theta)
-    col = np.zeros((l_max + 1, theta.size))
-    col[m] = diag[m]
-    if m < l_max:
-        col[m + 1] = np.sqrt(2 * (m + 1) + 1.0) * x * diag[m]
-    a, b = _recurrence(l_max, np.array([m]))
-    for l in range(m + 2, l_max + 1):
-        col[l] = (x * col[l - 1] - b[l, 0] * col[l - 2]) * a[l, 0]
-    return col
-
-
-def _sectoral(l_max: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(theta) and Pbar_ll for l = 0..l_max, a running product over l."""
-    x, s = np.cos(theta), np.sin(theta)
-    l1 = np.arange(1, l_max + 1)[:, None]
-    diag = np.empty((l_max + 1, theta.size))
-    diag[0] = np.sqrt(1.0 / (4.0 * np.pi))
-    diag[1:] = np.sqrt((2 * l1 + 1) / (2.0 * l1)) * s
-    return x, np.cumprod(diag, axis=0)
-
-
-def _recurrence(l_max: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The three-term step's a_lm and b_lm for l = 0..l_max and m in ``orders``, shape (L+1, len(orders), 1).
-
-    Entries with m > l - 2 are unused.
-    """
-    ell, m = np.arange(l_max + 1)[:, None], orders[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[..., None]
-        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))[..., None]
-    return a, b
-
-
-def _real_scaled(table: np.ndarray) -> np.ndarray:
-    """The m > 0 entries times sqrt(2), in place: Pbar -> Ybar."""
-    table[:, 1:] *= np.sqrt(2.0)
+def _real_scaled(table: np.ndarray, lo: int = 0) -> np.ndarray:
+    """The m > 0 entries times sqrt(2), in place: Pbar -> Ybar; the table's orders start at ``lo``."""
+    table[:, max(0, 1 - lo):] *= np.sqrt(2.0)
     return table
 
 
-def _ladder_tables(pbar: np.ndarray) -> tuple[np.ndarray, ...]:
+def _ladder_tables(pbar: np.ndarray, lo: int = 0) -> tuple[np.ndarray, ...]:
     """d/dtheta, d2/dtheta2, m/sin(theta) and d/dtheta (m/sin(theta)) of Ybar,
-    each shaped like ``pbar``, from the unscaled table ``pbar``.
+    each shaped like ``pbar``, from the unscaled table ``pbar`` of the orders
+    lo, lo + 1, ...
 
     Ladder relations between neighbouring orders (DLMF 14.10), with P = Pbar:
         d/dtheta P_l0 = -sqrt(l(l+1)) P_l1
@@ -215,14 +187,17 @@ def _ladder_tables(pbar: np.ndarray) -> tuple[np.ndarray, ...]:
     for m >= 1; (m/sin) P_l0 = 0.  The second derivative is the first relation
     applied twice, d/dtheta (m/sin) P the third applied to the first
     derivative.  No step divides by sin(theta), so the tables hold up to the
-    poles; entries with m > l are zero.
+    poles; entries with m > l are zero.  An edge order of ``pbar`` other than
+    0 or L lacks a neighbour: the first-derivative tables are exact one order
+    inside such an edge, the second-derivative ones two.
     """
     L = pbar.shape[0] - 1
     ell = np.arange(L + 1.0)[:, None, None]
-    m = np.arange(L + 1.0)[None, :, None]
+    m = np.arange(lo, lo + pbar.shape[1], dtype=float)[None, :, None]
     down = np.sqrt(np.maximum((ell + m) * (ell - m + 1.0), 0.0)) / 2.0  # weight of m - 1
     up = np.sqrt(np.maximum((ell - m) * (ell + m + 1.0), 0.0)) / 2.0  # weight of m + 1
-    down[:, 0], up[:, 0] = 0.0, 2.0 * up[:, 0]
+    if lo == 0:
+        down[:, 0], up[:, 0] = 0.0, 2.0 * up[:, 0]
     gain = np.sqrt((2.0 * ell[1:] + 1.0) / (2.0 * ell[1:] - 1.0)) / 2.0
     from_below = gain * np.sqrt((ell[1:] + m) * (ell[1:] + m - 1.0))  # weight of l - 1, m - 1
     from_above = gain * np.sqrt((ell[1:] - m) * (ell[1:] - m - 1.0))  # weight of l - 1, m + 1
@@ -240,7 +215,7 @@ def _ladder_tables(pbar: np.ndarray) -> tuple[np.ndarray, ...]:
         return out
 
     d1 = d_theta(pbar)
-    return tuple(_real_scaled(t) for t in (d1, d_theta(d1), m_over_sin(pbar), m_over_sin(d1)))
+    return tuple(_real_scaled(t, lo) for t in (d1, d_theta(d1), m_over_sin(pbar), m_over_sin(d1)))
 
 
 class SphereGrid:
@@ -379,14 +354,19 @@ def analyze(field: GridField) -> HarmonicField:
     return HarmonicField(L, coeffs)
 
 
-def _theta_sums(h: HarmonicField, theta_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_l a_lm T_lm(theta) for the cosine and sine coefficients, each (L+1, n); reads l >= m."""
+def _blocks(h: HarmonicField, l_max: int) -> np.ndarray:
+    """The blocks [l, 0, m] = a_lm and [l, 1, m] = a_l,-m of ``h``, shape (l_max+1, 2, l_max+1);
+    +0.0 where m > l, at the sine block's m = 0 and above ``h.l_max``."""
     L = h.l_max
-    ac = np.tril(h.coeffs[:, L:])
-    as_ = np.tril(h.coeffs[:, L::-1])
-    as_[:, 0] = 0.0  # the cosine block's m = 0; a sine block starts at m = 1
-    tab = theta_table[: L + 1, : L + 1, :]
-    return np.einsum("lmj,lm->mj", tab, ac), np.einsum("lmj,lm->mj", tab, as_)
+    out = np.zeros((l_max + 1, 2, l_max + 1))
+    out[: L + 1, 0, : L + 1] = np.tril(h.coeffs[:, L:])
+    out[: L + 1, 1, 1 : L + 1] = np.tril(h.coeffs[:, L::-1])[:, 1:]
+    return out
+
+
+def _theta_sums(blocks: np.ndarray, theta_table: np.ndarray) -> np.ndarray:
+    """sum_l a_lm T_lm(theta) of the cosine and sine blocks, shape (2, orders, n), from the table's leading entries."""
+    return np.einsum("lmj,lsm->smj", theta_table[: blocks.shape[0], : blocks.shape[2]], blocks)
 
 
 def _check_band(h: HarmonicField, grid: SphereGrid) -> None:
@@ -403,37 +383,49 @@ def _phi_stage(gc: np.ndarray, gs: np.ndarray, grid: SphereGrid) -> np.ndarray:
 def synthesize(h: HarmonicField, grid: SphereGrid) -> GridField:
     """Inverse transform onto the grid."""
     _check_band(h, grid)
-    return GridField(_phi_stage(*_theta_sums(h, grid._ybar), grid), grid)
+    return GridField(_phi_stage(*_theta_sums(_blocks(h, h.l_max), grid._ybar), grid), grid)
 
 
-def _points(l_max: int, theta, phi):
-    """(Pbar at the distinct colatitudes, the longitude stage at the points).
-
-    The stage takes theta sums at the distinct colatitudes, gathers them back
-    per point and sums them against cos(m phi), sin(m phi) of each point;
-    leading axes of its inputs are kept.
+def _points(hs, theta, phi, ladder: bool):
+    """(the fields' ``_blocks``, Ybar and with ``ladder`` its ``_ladder_tables``
+    at the distinct colatitudes, the stage summing theta sums gathered back per
+    point against cos(m phi), sin(m phi)), all at the orders lo..hi from the
+    lowest to the highest nonzero in any field (m = 0 if none); the ladder
+    reads Pbar at lo - 2..hi + 2.  The skipped orders add exact zeros, so at
+    two or more points every sum is bitwise the all-order one.
     """
+    l_max = max(h.l_max for h in hs)
+    blocks = [_blocks(h, l_max) for h in hs]
+    held = np.flatnonzero(np.any([b != 0.0 for b in blocks], axis=(0, 1, 2)))
+    lo, hi = (int(held[0]), int(held[-1])) if held.size else (0, 0)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     nodes, inverse = np.unique(theta, return_inverse=True)
-    m = np.arange(l_max + 1, dtype=float)[:, None]
+    m = np.arange(lo, hi + 1, dtype=float)[:, None]
     cosm, sinm = np.cos(m * phi[None, :]), np.sin(m * phi[None, :])
 
     def stage(gc: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        n, terms = gc.shape[-2], "...mp,mp->...p"
-        return np.einsum(terms, gc[..., inverse], cosm[:n]) + np.einsum(terms, gs[..., inverse], sinm[:n])
+        terms = "...mp,mp->...p"
+        return np.einsum(terms, gc[..., inverse], cosm) + np.einsum(terms, gs[..., inverse], sinm)
 
-    return _legendre_table(l_max, nodes), stage
+    first, last = (max(0, lo - 2), min(l_max, hi + 2)) if ladder else (lo, hi)
+    pbar = _legendre_table(l_max, nodes, first, last)
+    own = slice(lo - first, hi - first + 1)
+    tables = (_real_scaled(pbar[:, own].copy(), lo),)
+    if ladder:
+        tables += tuple(t[:, own] for t in _ladder_tables(pbar, first))
+    return [b[:, :, lo : hi + 1] for b in blocks], tables, stage
 
 
 def evaluate(h: HarmonicField, theta, phi) -> np.ndarray:
     """Evaluate the harmonic sum at arbitrary points (vectorized).
 
     The theta factors are built once per distinct colatitude and gathered back
-    per point, so a coordinate circle costs one Legendre table.
+    per point, both only at the orders the field holds (``_points``), so a
+    coordinate circle costs one Legendre table column per order.
     """
-    pbar, stage = _points(h.l_max, theta, phi)
-    return stage(*_theta_sums(h, _real_scaled(pbar)))
+    (blocks,), (ybar,), stage = _points((h,), theta, phi, ladder=False)
+    return stage(*_theta_sums(blocks, ybar))
 
 
 _OPERATORS = {
@@ -488,18 +480,19 @@ def grad_hess(field: GridField) -> SphereDerivatives:
     return _harmonic_derivatives(analyze(field), field.grid)
 
 
-def _derivatives(h: HarmonicField, tables, stage) -> dict[str, np.ndarray]:
-    """The value, gradient, |grad f|^2, |Hess f|^2 and Delta f of the field ``h``.
+def _derivatives(blocks: np.ndarray, tables, stage) -> dict[str, np.ndarray]:
+    """The value, gradient, |grad f|^2, |Hess f|^2 and Delta f of the field with ``_blocks`` ``blocks``.
 
-    ``tables`` are Ybar and its ``_ladder_tables`` at the colatitudes, and
-    ``stage(gc, gs)`` sums theta sums over the longitudes.  With the m/sin
-    tables the orthonormal-frame terms need no division:
+    ``tables`` are Ybar and its ``_ladder_tables`` at the colatitudes and at
+    the blocks' degrees and orders, and ``stage(gc, gs)`` sums theta sums over
+    the longitudes.  With the m/sin tables the orthonormal-frame terms need no
+    division:
         grad_phi = f_phi / sin,  Hess_tp = d/dtheta (f_phi / sin),
     and Legendre's equation gives Hess_pp = Delta f - Hess_tt, with Delta f
     from the coefficients times -l(l+1).
     """
-    (c0, s0), (c1, s1), (c2, s2), (cq, sq), (cdq, sdq) = (_theta_sums(h, t) for t in tables)
-    cl, sl = _theta_sums(apply_operator(h, "laplacian"), tables[0])
+    (c0, s0), (c1, s1), (c2, s2), (cq, sq), (cdq, sdq) = (_theta_sums(blocks, t) for t in tables)
+    cl, sl = _theta_sums(blocks * _eigenvalues("laplacian", blocks.shape[0] - 1)[:, None, None], tables[0])
     # d/dphi takes (gc, gs) to m (gs, -gc); the m/sin tables carry the m
     value, grad_theta, grad_phi, hess_tt, hess_tp, laplacian = stage(
         np.stack((c0, c1, sq, c2, sdq, cl)), np.stack((s0, s1, -cq, s2, -cdq, sl))
@@ -512,7 +505,7 @@ def _derivatives(h: HarmonicField, tables, stage) -> dict[str, np.ndarray]:
 def _harmonic_derivatives(h: HarmonicField, grid: SphereGrid) -> SphereDerivatives:
     """``grad_hess`` of the field with coefficients ``h``, on ``grid``."""
     _check_band(h, grid)
-    d = _derivatives(h, (grid._ybar, *grid._ladder), lambda gc, gs: _phi_stage(gc, gs, grid))
+    d = _derivatives(_blocks(h, h.l_max), (grid._ybar, *grid._ladder), lambda gc, gs: _phi_stage(gc, gs, grid))
     return SphereDerivatives(**{k: GridField(v, grid) for k, v in d.items() if k != "value"})
 
 
@@ -520,11 +513,11 @@ def _point_derivatives(hs, theta, phi) -> list[dict[str, np.ndarray]]:
     """``_derivatives`` of each field of ``hs`` at the points (theta, phi).
 
     The fields share one set of theta tables, built once per distinct
-    colatitude, and one set of longitude factors.
+    colatitude, and one set of longitude factors, both only at the orders the
+    fields hold (``_points``).
     """
-    pbar, stage = _points(max(h.l_max for h in hs), theta, phi)
-    tables = (_real_scaled(pbar.copy()), *_ladder_tables(pbar))
-    return [_derivatives(h, tables, stage) for h in hs]
+    blocks, tables, stage = _points(hs, theta, phi, ladder=True)
+    return [_derivatives(b, tables, stage) for b in blocks]
 
 
 def integrate(field: GridField) -> float:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import quasilocal.cli
 import quasilocal.config
+import quasilocal.embedding
 import quasilocal.energy
 import quasilocal.radial
 import quasilocal.sphere
@@ -902,6 +903,34 @@ def test_loop_evaluates_the_field_once(tmp_path, capsys, monkeypatch):
         else:
             assert len(fields) == 1 and brackets == []
             assert doc["total"] == loop_integral(fields[0], loop)
+
+
+# (field, the Legendre table calls of the point path, of the source rule): the
+# pipeline's fields hold the sine m = 2 column alone, the constant field m = 0
+ORDERS_READ = [
+    ("constant", [(4, 0, 0)], []),
+    ("source_tau", [(24, 2, 2)], [(24, 2, 2)]),
+    ("source_n", [(24, 2, 2)], [(24, 2, 2)]),
+    ("rho_bracket", [(24, 0, 4)], [(24, 2, 2)]),
+]
+
+
+@pytest.mark.parametrize("field, point_path, source_rule", ORDERS_READ, ids=[c[0] for c in ORDERS_READ])
+def test_loop_builds_only_the_orders_its_field_holds(field, point_path, source_rule, tmp_path, capsys, monkeypatch):
+    # evaluate builds the orders the field holds; rho_bracket two more either
+    # side for its ladder tables, as their second derivatives reach m +- 2
+    calls = {quasilocal.sphere: [], quasilocal.embedding: []}
+
+    def recorded(module):
+        real = module._legendre_table
+        return lambda L, theta, *orders: calls[module].append((L, *orders)) or real(L, theta, *orders)
+
+    for module in calls:
+        monkeypatch.setattr(module, "_legendre_table", recorded(module))
+    assert run(["loop", "--set", f"loop.field={field}", "--set", "numerics.l_max=24", "--out", tmp_path]) == EXIT_OK
+    capsys.readouterr()
+    assert calls[quasilocal.sphere] == point_path
+    assert calls[quasilocal.embedding] == source_rule
 
 
 NO_GRID_RUNS = {name: ["--set", f"loop.field={name}"] for name in ("source_tau", "source_n", "rho_bracket")}

@@ -124,10 +124,11 @@ def _grid_builds(monkeypatch):
     return builds
 
 
-def _legendre_table_calls(monkeypatch):
-    """The band limits of the ``_legendre_table`` calls made from now on."""
-    calls, real = [], quasilocal.sphere._legendre_table
-    monkeypatch.setattr(quasilocal.sphere, "_legendre_table", lambda L, theta: calls.append(L) or real(L, theta))
+def _legendre_table_calls(monkeypatch, module=quasilocal.sphere):
+    """The (band limit, *order range) of the ``_legendre_table`` calls ``module`` makes from now on."""
+    calls, real = [], module._legendre_table
+    monkeypatch.setattr(module, "_legendre_table",
+                        lambda L, theta, *orders: calls.append((L, *orders)) or real(L, theta, *orders))
     return calls
 
 
@@ -158,15 +159,13 @@ def test_sweep_builds_one_legendre_table(bg_unit, mode_l2, monkeypatch):
     # every d's sources read one order-2 Legendre column at the Gauss rows,
     # built once per sweep and not kept across calls; no full table is built
     tables = _legendre_table_calls(monkeypatch)
-    columns, real = [], quasilocal.embedding._legendre_column
-    monkeypatch.setattr(quasilocal.embedding, "_legendre_column",
-                        lambda L, m, theta: columns.append((L, m)) or real(L, m, theta))
+    columns = _legendre_table_calls(monkeypatch, quasilocal.embedding)
     bnd = SurfaceAnchorBoundary(z=0.0, dz=1.0)
     t_values = np.pi / mode_l2.sigma * np.arange(9) / 8
     d_values = np.geomspace(50.0, 400.0, 4)
     for _ in range(3):
         sweep_energy(bg_unit, mode_l2, bnd, SurfaceSpec(), d_values, t_values, l_max=16)
-        assert columns == [(16, 2)] and tables == []
+        assert columns == [(16, 2, 2)] and tables == []
         columns.clear()
 
 

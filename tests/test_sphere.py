@@ -4,11 +4,14 @@ import dataclasses
 import math
 import sys
 import threading
+import unittest.mock
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_legendre, roots_legendre, sph_legendre_p
 
 from quasilocal import (
@@ -30,16 +33,15 @@ from quasilocal import (
 import quasilocal.sphere
 from quasilocal.sphere import (
     SphereDerivatives,
+    _blocks,
     _eigenvalues,
     _harmonic_derivatives,
     _ladder_tables,
-    _legendre_column,
     _legendre_p_derivs,
     _legendre_table,
     _point_derivatives,
     _quadratic_form,
     _real_scaled,
-    _theta_sums,
     evaluate,
 )
 
@@ -274,11 +276,33 @@ def _tables(l_max, theta):
     return (_real_scaled(pbar.copy()), *_ladder_tables(pbar))
 
 
-def test_order_two_column_is_bitwise_the_tables():
-    # at the sources' Gauss rows, as embedding._source_rule reads them
+def _full_theta_sums(h, theta_table):
+    """The theta sums as they stood, each block masked once per table and summed
+    over every order of the table (kept verbatim)."""
+    L = h.l_max
+    ac = np.tril(h.coeffs[:, L:])
+    as_ = np.tril(h.coeffs[:, L::-1])
+    as_[:, 0] = 0.0  # the cosine block's m = 0; a sine block starts at m = 1
+    tab = theta_table[: L + 1, : L + 1, :]
+    return np.einsum("lmj,lm->mj", tab, ac), np.einsum("lmj,lm->mj", tab, as_)
+
+
+def _order_windows(l_max):
+    """Every order window at l_max <= 10; above, each single order (what ``evaluate`` and
+    the source rule read) and the window two orders either side of it (what the ladder reads)."""
+    if l_max <= 10:
+        return [(lo, hi) for lo in range(l_max + 1) for hi in range(lo, l_max + 1)]
+    return [w for m in range(l_max + 1) for w in ((m, m), (max(0, m - 2), min(l_max, m + 2)))]
+
+
+def test_order_windows_are_bitwise_the_tables():
+    # at the sources' Gauss rows, as embedding._source_rule reads its order-2
+    # column, and at both poles, where the point path reads its windows
     for l_max in range(2, 65):
-        theta = np.arccos(gauss_legendre(l_max + 1)[0])
-        assert _legendre_column(l_max, 2, theta).tobytes() == _legendre_table(l_max, theta)[:, 2].tobytes()
+        theta = np.concatenate(([0.0, np.pi], np.arccos(gauss_legendre(l_max + 1)[0])))
+        full = _legendre_table(l_max, theta)
+        for lo, hi in _order_windows(l_max):
+            assert _legendre_table(l_max, theta, lo, hi).tobytes() == full[:, lo : hi + 1].tobytes(), (l_max, lo, hi)
 
 
 def test_harmonic_tables_match_scipy():
@@ -392,7 +416,7 @@ def test_tables_are_bitwise_the_per_degree_builder(l_max, n_theta):
 def test_evaluate_on_one_colatitude_is_bitwise_the_per_degree_builder(l_max):
     loop = LoopSpec.circle(0.83, 64)
     h = random_harmonic(l_max, seed=l_max)
-    gc, gs = _theta_sums(h, _per_degree_ybar(l_max, loop.theta[:1]))
+    gc, gs = _full_theta_sums(h, _per_degree_ybar(l_max, loop.theta[:1]))
     m = np.arange(l_max + 1, dtype=float)[:, None]
     want = np.einsum("mp,mp->p", gc[:, [0] * 64], np.cos(m * loop.phi[None, :])) + np.einsum(
         "mp,mp->p", gs[:, [0] * 64], np.sin(m * loop.phi[None, :])
@@ -513,7 +537,7 @@ def test_evaluate_matches_synthesize(grid16):
 
 def _evaluate_every_point(h, theta, phi):
     """``evaluate`` with a Legendre table column built for every point."""
-    gc, gs = _theta_sums(h, _tables(h.l_max, theta)[0])
+    gc, gs = _full_theta_sums(h, _tables(h.l_max, theta)[0])
     m = np.arange(h.l_max + 1, dtype=float)[:, None]
     return np.einsum("mp,mp->p", gc, np.cos(m * phi[None, :])) + np.einsum(
         "mp,mp->p", gs, np.sin(m * phi[None, :])
@@ -565,16 +589,17 @@ def _analyze_by_index(field):
     return HarmonicField(l_max, coeffs)
 
 
-def _theta_sums_by_index(h, theta_table):
-    """``_theta_sums`` as it stood with the fancy-index gather (kept verbatim)."""
+def _blocks_by_index(h, l_max):
+    """``_blocks`` by the fancy-index gather the theta sums made before the block slices (kept verbatim)."""
     L = h.l_max
     ac = np.zeros((L + 1, L + 1))
     as_ = np.zeros((L + 1, L + 1))
     (lc, mc), (ls, ms) = _block_index(L)
     ac[lc, mc] = h.coeffs[lc, L + mc]
     as_[ls, ms] = h.coeffs[ls, L - ms]
-    tab = theta_table[: L + 1, : L + 1, :]
-    return np.einsum("lmj,lm->mj", tab, ac), np.einsum("lmj,lm->mj", tab, as_)
+    out = np.zeros((l_max + 1, 2, l_max + 1))
+    out[: L + 1, 0, : L + 1], out[: L + 1, 1, : L + 1] = ac, as_
+    return out
 
 
 def _outside(l_max):
@@ -626,7 +651,7 @@ def test_block_slices_are_bitwise_the_index_gather_and_scatter(l_max, monkeypatc
     blown.coeffs[l_max, l_max] = np.inf  # an m = 0 read as a sine coefficient makes inf * 0
     cases = (h, zeros, blown)
     got = [_syntheses(f, grids, theta, phi) for f in cases]
-    monkeypatch.setattr(quasilocal.sphere, "_theta_sums", _theta_sums_by_index)
+    monkeypatch.setattr(quasilocal.sphere, "_blocks", _blocks_by_index)
     for g, f in zip(got, cases):
         assert _same_bytes(g, _syntheses(f, grids, theta, phi))
 
@@ -714,6 +739,102 @@ def test_point_derivatives_match_the_grid_derivatives(l_max):
     assert sorted(got) == sorted(want)
     for name, w in want.items():
         assert np.max(np.abs(got[name].reshape(w.shape) - w)) <= 1e-13 * np.max(np.abs(w)), name
+
+
+def _full_order_points(hs, theta, phi):
+    """``evaluate`` of ``hs[0]``, whose band limit is the largest, and ``_point_derivatives``
+    of ``hs`` as they stood: the tables, theta sums and longitude stage over every
+    order 0..L (kept verbatim but for the names)."""
+    nodes, inverse = np.unique(theta, return_inverse=True)
+    m = np.arange(hs[0].l_max + 1, dtype=float)[:, None]
+    cosm, sinm = np.cos(m * phi[None, :]), np.sin(m * phi[None, :])
+
+    def stage(gc, gs):
+        n, terms = gc.shape[-2], "...mp,mp->...p"
+        return np.einsum(terms, gc[..., inverse], cosm[:n]) + np.einsum(terms, gs[..., inverse], sinm[:n])
+
+    pbar = _legendre_table(hs[0].l_max, nodes)
+    tables = (_real_scaled(pbar.copy()), *_ladder_tables(pbar))
+    derivatives = []
+    for h in hs:
+        (c0, s0), (c1, s1), (c2, s2), (cq, sq), (cdq, sdq) = (_full_theta_sums(h, t) for t in tables)
+        cl, sl = _full_theta_sums(apply_operator(h, "laplacian"), tables[0])
+        value, grad_theta, grad_phi, hess_tt, hess_tp, laplacian = stage(
+            np.stack((c0, c1, sq, c2, sdq, cl)), np.stack((s0, s1, -cq, s2, -cdq, sl))
+        )
+        hess_pp = laplacian - hess_tt
+        derivatives.append({"value": value, "grad_theta": grad_theta, "grad_phi": grad_phi, "laplacian": laplacian,
+                            "grad_sq": grad_theta**2 + grad_phi**2,
+                            "hess_sq": hess_tt**2 + 2.0 * hess_tp**2 + hess_pp**2})
+    return stage(*_full_theta_sums(hs[0], tables[0])), derivatives
+
+
+@st.composite
+def _sparse_field(draw, l_max):
+    """(field, held orders): random coefficients in a few cosine and sine columns, the rest +0.0
+    but for one column of -0.0, which holds nothing."""
+    orders = draw(st.one_of(
+        st.just(set()),  # the zero field
+        st.sampled_from([{0}, {l_max}]),
+        st.integers(0, l_max).map(lambda m: {m}),
+        st.sets(st.integers(0, l_max), min_size=min(2, l_max + 1), max_size=6),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    c = np.zeros((l_max + 1, 2 * l_max + 1))
+    for m in orders:
+        branches = draw(st.sampled_from([(1,), (-1,), (1, -1)])) if m else (1,)
+        for sign in branches:
+            c[m:, l_max + sign * m] = rng.standard_normal(l_max + 1 - m)
+    signed_zero = int(rng.integers(0, 2 * l_max + 1))
+    if abs(signed_zero - l_max) not in orders:
+        c[:, signed_zero] = -0.0
+    return HarmonicField(l_max, c), orders
+
+
+@st.composite
+def _point_sets(draw):
+    """(theta, phi) at 2 to 200 points on one colatitude (a coordinate circle, or a pole)
+    or on many colatitudes, both poles among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n_points = draw(st.integers(2, 200))
+    if draw(st.booleans()):
+        rows = np.array([draw(st.sampled_from([0.0, np.pi, 1e-8, 1.1, np.pi / 2]))])
+    else:
+        rows = np.concatenate(([0.0, np.pi], rng.uniform(0.0, np.pi, draw(st.integers(1, 60)))))
+    return rows[rng.integers(0, rows.size, n_points)], rng.uniform(0.0, 2.0 * np.pi, n_points)
+
+
+@st.composite
+def _field_pairs(draw):
+    """A field at l_max 2..32 and one at the same or a lower band limit, with their held orders."""
+    l_max = draw(st.integers(2, 32))
+    first = draw(_sparse_field(l_max))
+    return first, draw(_sparse_field(draw(st.integers(0, l_max))))
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(pair=_field_pairs(), points=_point_sets())
+def test_point_sums_over_the_held_orders_are_bitwise_the_full_order_sums(pair, points):
+    # at two or more points; at one, numpy sums the longitude stage in SIMD lanes,
+    # whose grouping moves with the number of orders summed
+    (h, held), (h2, held2) = pair
+    theta, phi = points
+    want_value, want = _full_order_points((h, h2), theta, phi)
+    windows, real = [], quasilocal.sphere._legendre_table
+    with unittest.mock.patch.object(quasilocal.sphere, "_legendre_table",
+                                    lambda L, th, lo, hi: windows.append((L, lo, hi)) or real(L, th, lo, hi)):
+        value = evaluate(h, theta, phi)
+        got = _point_derivatives((h, h2), theta, phi)
+    assert value.tobytes() == want_value.tobytes()
+    for g, w in zip(got, want):
+        assert sorted(g) == sorted(w)
+        for name in w:
+            assert g[name].tobytes() == w[name].tobytes(), name
+    # evaluate builds the orders lo..hi it holds, the derivatives two more either side
+    L = h.l_max
+    lo, hi = min(held, default=0), max(held, default=0)
+    lo2, hi2 = min(held | held2, default=0), max(held | held2, default=0)
+    assert windows == [(L, lo, hi), (L, max(0, lo2 - 2), min(L, hi2 + 2))]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
