@@ -140,31 +140,38 @@ def _legendre_table(l_max: int, theta: np.ndarray, lo: int = 0, hi: int | None =
         Pbar_lm = a_lm [cos(theta) Pbar_{l-1,m} - b_lm Pbar_{l-2,m}]
     The coefficients are built as whole arrays; the sectoral diagonal is a
     running product over l, its neighbour one product, and only the m <= l-2
-    recurrence steps over l.  An entry's operations do not depend on the
-    orders asked for, so it is bitwise the full table's.  ``_real_scaled``
-    turns the table into Ybar, ``_ladder_tables`` into its theta derivatives.
+    recurrence steps over l, on rows flattened over (order, colatitude) so each
+    step is a few one-dimensional ufunc calls.  An entry's operations do not
+    depend on the orders asked for, so it is bitwise the full table's.
     """
     L, hi = l_max, l_max if hi is None else hi
-    x, l1 = np.cos(theta), np.arange(1, hi + 1)[:, None]
+    x, l1, M = np.cos(theta), np.arange(1.0, hi + 1)[:, None], hi - lo + 1
     diag = np.empty((hi + 1, theta.size))
     diag[0] = np.sqrt(1.0 / (4.0 * np.pi))
-    diag[1:] = np.sqrt((2 * l1 + 1) / (2.0 * l1)) * np.sin(theta)
+    diag[1:] = np.sqrt((2.0 * l1 + 1.0) / (2.0 * l1)) * np.sin(theta)
     diag = np.cumprod(diag, axis=0)  # Pbar_ll for l = 0..hi
-    m = np.arange(lo, hi + 1)
-    pbar = np.zeros((L + 1, m.size, theta.size))
-    pbar[m, m - lo] = diag[lo:]
-    n = m[m < L]  # the orders with a neighbour Pbar_{m+1,m}
-    pbar[n + 1, n - lo] = np.sqrt(2 * n[:, None] + 3.0) * x * diag[n]
-    ell, mm = np.arange(L + 1)[:, None, None], m[:, None]
+    pbar = np.zeros((L + 1, M, theta.size))
+    cells = pbar.reshape((L + 1) * M, theta.size)  # Pbar_lm in row l M + m - lo
+    cells[lo * M :: M + 1][:M] = diag[lo:]
+    n = min(hi, L - 1) - lo + 1  # the orders lo..lo + n - 1 have a neighbour Pbar_{m+1,m}
+    cells[(lo + 1) * M :: M + 1][:n] = np.sqrt(2.0 * np.arange(lo, lo + n)[:, None] + 3.0) * x * diag[lo : lo + n]
+    ell, m = np.arange(L + 1.0)[:, None, None], np.arange(lo, hi + 1.0)[:, None]
+    ab = np.empty((2, L + 1, M, theta.size))  # a_lm and b_lm, repeated along the colatitudes
     with np.errstate(divide="ignore", invalid="ignore"):  # at m > l - 2, unused
-        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mm * mm))
-        b = np.sqrt(((ell - 1.0) ** 2 - mm * mm) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-    scratch = np.empty((m.size, theta.size))
-    for l in range(lo + 2, L + 1):
-        k = slice(min(l - 1, hi + 1) - lo)  # the orders lo..min(l - 2, hi)
-        row = np.multiply(x, pbar[l - 1, k], out=pbar[l, k])
-        row -= np.multiply(b[l, k], pbar[l - 2, k], out=scratch[k])
-        row *= a[l, k]
+        ab[0] = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+        ab[1] = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+    rows, (a, b), x = pbar.reshape(L + 1, M * theta.size), ab.reshape(2, L + 1, M * theta.size), np.tile(x, M)
+
+    def step(x, p1, p2, a, b, row):  # Pbar_l from Pbar_{l-1} and Pbar_{l-2}
+        np.multiply(x, p1, out=row)
+        row -= b * p2
+        row *= a
+
+    for l in range(lo + 2, min(hi + 2, L + 1)):  # reaching the orders lo..l - 2 only
+        k = (l - 1 - lo) * theta.size
+        step(x[:k], rows[l - 1, :k], rows[l - 2, :k], a[l, :k], b[l, :k], rows[l, :k])
+    for p1, p2, al, bl, row in zip(rows[hi + 1 :], rows[hi:], a[hi + 2 :], b[hi + 2 :], rows[hi + 2 :]):
+        step(x, p1, p2, al, bl, row)  # reaching every order
     return pbar
 
 
@@ -390,16 +397,15 @@ def _points(hs, theta, phi, ladder: bool):
     """(the fields' ``_blocks``, Ybar and with ``ladder`` its ``_ladder_tables``
     at the distinct colatitudes, the stage summing theta sums gathered back per
     point against cos(m phi), sin(m phi)), all at the orders lo..hi from the
-    lowest to the highest nonzero in any field (m = 0 if none); the ladder
-    reads Pbar at lo - 2..hi + 2.  The skipped orders add exact zeros, so at
-    two or more points every sum is bitwise the all-order one.
-    """
+    lowest to the highest nonzero in any field (m = 0 if none); the ladder reads
+    Pbar at lo - 2..hi + 2.  The skipped orders add exact zeros, so every sum is
+    bitwise the all-order one at two or more points, and at one for a field
+    holding one order (numpy groups a one-point sum over orders in SIMD lanes)."""
     l_max = max(h.l_max for h in hs)
     blocks = [_blocks(h, l_max) for h in hs]
     held = np.flatnonzero(np.any([b != 0.0 for b in blocks], axis=(0, 1, 2)))
     lo, hi = (int(held[0]), int(held[-1])) if held.size else (0, 0)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    theta, phi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (theta, phi))
     nodes, inverse = np.unique(theta, return_inverse=True)
     m = np.arange(lo, hi + 1, dtype=float)[:, None]
     cosm, sinm = np.cos(m * phi[None, :]), np.sin(m * phi[None, :])
