@@ -39,7 +39,7 @@ from .radial import (
     BackgroundParams,
     PolarMode,
     SurfaceAnchorBoundary,
-    a_profile,
+    _a_terms,
     potential,
     solve_radial,
     tortoise,
@@ -121,8 +121,7 @@ def run_radial(conf) -> dict:
     z, dz = sol.eval_r(r)
     v = potential(r, bg, mode)
     if sol.kind == "axial":
-        prof = a_profile(sol)
-        a, ap, app = prof.a(r), prof.a_prime(r), prof.a_double_prime(r)
+        a, ap, app = _a_terms(r, z, dz, bg.m, mode)
     else:
         a = ap = app = np.full_like(r, np.nan)
     return {

@@ -35,9 +35,7 @@ from .radial import (
     AProfile,
     AxialMode,
     BackgroundParams,
-    _a,
-    _a_double_prime,
-    _a_prime,
+    _a_terms,
     a_profile,
     solve_surfaces,
 )
@@ -383,7 +381,7 @@ def _surfaces(bg, mode, boundary, specs, l_max: int, tol: float, energy: bool = 
     nodes = np.concatenate([source_rule[0], energy_rule[0]]) if energy else source_rule[0]
     r = np.array([radius_on_sphere(spec, nodes) for spec in specs])
     z, dz = stack.eval_r(r)
-    av, apv, appv = (f(r, z, dz, bg.m, unit_mode) for f in (_a, _a_prime, _a_double_prime))
+    av, apv, appv = _a_terms(r, z, dz, bg.m, unit_mode)
     results = []
     for i, sol in enumerate(stack.solutions):
         s_tau, s_n = _sources(l_max, source_rule, (av[i, :n_src], apv[i, :n_src], appv[i, :n_src]))

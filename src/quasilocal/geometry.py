@@ -88,15 +88,17 @@ class PerturbationProfiles:
     def spatial_profile(self, r, theta):
         """(Q3, dQ3/dr, dQ3/dtheta) at broadcastable r, theta; closed forms in A and A'.
 
-        A and A' are evaluated once per distinct radius (a surface's chart radii
-        repeat along each parameter row) and gathered back to r's shape.
+        A and A' come from one ``AProfile.values`` pass over the distinct radii
+        (a surface's chart radii repeat along each parameter row), gathered
+        back to r's shape.
         """
         x, s = np.cos(theta), np.sin(theta)
         _, _, d2, d3 = _legendre_p_derivs(self.profile.solution.mode.ell, x, 3)
         ang = s * d2
         radii, where = np.unique(r, return_inverse=True)
         where = where.reshape(np.shape(r))
-        a, a_prime = self.profile.a(radii)[where], self.profile.a_prime(radii)[where]
+        a, a_prime, _ = self.profile.values(radii)
+        a, a_prime = a[where], a_prime[where]
         return (
             ang * a / r,
             ang * (a_prime / r - a / r**2),

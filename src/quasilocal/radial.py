@@ -25,7 +25,8 @@ An asymptotic start is one descending leg of the package's own DOP853
 dr/dr* = 1 - 2m/r carried as an auxiliary; its right-hand side takes and
 returns Python floats, as that stepper asks.
 
-``eval_r`` keeps its last result, so A, A' and A'' share one pass.
+``AProfile.values`` gives A, A' and A'' from one dense-output pass;
+``eval_r`` keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -137,53 +138,27 @@ def tortoise(r, bg: BackgroundParams):
 def inverse_tortoise(r_star, bg: BackgroundParams):
     """Invert the tortoise map by safeguarded Newton iteration, to 1e-13 relative.
 
-    Seeds: r* itself far out, 2m(1 + exp((r* - 2m)/2m)) near the horizon.
-    The iteration runs in delta = r - 2m so that proximities below machine
+    Seeds: r* - 2m after one fixed-point step of delta = r* - 2m - 2m
+    ln(delta/2m) far out, 2m(1 + exp((r* - 2m)/2m)) near the horizon.  The
+    iteration runs in delta = r - 2m so that proximities below machine
     resolution of r itself stay representable; the returned r saturates one
-    ulp outside the horizon in that regime.  An array of r* gives an array:
-    each point keeps the iterate at which it converged, from a far seed one
-    fixed-point step closer than r* itself.
+    ulp outside the horizon in that regime.  Every point of an array goes
+    through one iteration and keeps the iterate at which it converged; a
+    scalar or 0-d r* gives a float.
     """
-    if np.ndim(r_star):
-        return _inverse_tortoise_array(np.asarray(r_star, dtype=float), bg)
+    r_star = np.asarray(r_star, dtype=float)
     if bg.m == 0.0:
-        return float(r_star)
-    two_m = bg.horizon
-    if r_star > 2.0 * two_m:
-        delta = float(r_star) - two_m
-    else:
-        delta = two_m * math.exp(max((r_star - two_m) / two_m, -700.0))
-    for _ in range(50):
-        f = two_m + delta + two_m * math.log(delta / two_m) - r_star
-        step = f * delta / (delta + two_m)  # f / (dr*/dr)
-        delta_new = delta - step
-        if delta_new <= 0.0:
-            delta_new = 0.5 * delta
-        if abs(delta_new - delta) <= 1e-13 * max(delta_new + two_m, two_m):
-            r = two_m + delta_new
-            return r if r > two_m else math.nextafter(two_m, math.inf)
-        delta = delta_new
-    raise IntegrationError(
-        f"tortoise inversion did not converge for r*={r_star}, m={bg.m}"
-    )
-
-
-def _inverse_tortoise_array(r_star: np.ndarray, bg: BackgroundParams) -> np.ndarray:
-    """``inverse_tortoise``'s iteration on every point of an array at once."""
-    if bg.m == 0.0:
-        return r_star.copy()
+        return float(r_star) if r_star.ndim == 0 else r_star.copy()
     two_m = bg.horizon
     c = r_star - two_m
-    # where r* > 4m, delta = r* - 2m after one fixed-point step of delta = c - 2m ln(delta/2m);
-    # nearer, the horizon seed
+    # where r* > 4m, delta = r* - 2m after one fixed-point step; nearer, the horizon seed
     far = r_star > 2.0 * two_m
     delta = c - two_m * np.log(np.maximum(c, two_m) / two_m)
     if not far.all():
         delta = np.where(far, delta, two_m * np.exp(np.clip(c / two_m, -700.0, 1.0)))
-    # a point keeps the iterate at which it converged, as the scalar iteration returns it
     done = np.zeros(r_star.shape, dtype=bool)
     for _ in range(50):
-        step = (delta + two_m * np.log(delta / two_m) - c) * delta / (delta + two_m)
+        step = (delta + two_m * np.log(delta / two_m) - c) * delta / (delta + two_m)  # f / (dr*/dr)
         delta_new = delta - step
         if (delta_new <= 0.0).any():
             delta_new = np.where(delta_new <= 0.0, 0.5 * delta, delta_new)
@@ -192,7 +167,8 @@ def _inverse_tortoise_array(r_star: np.ndarray, bg: BackgroundParams) -> np.ndar
         done |= converged
         if done.all():
             r = two_m + delta
-            return np.where(r > two_m, r, math.nextafter(two_m, math.inf))
+            r = np.where(r > two_m, r, math.nextafter(two_m, math.inf))
+            return float(r) if r.ndim == 0 else r
     raise IntegrationError(
         f"tortoise inversion did not converge for some r* in [{r_star.min()}, {r_star.max()}], m={bg.m}"
     )
@@ -235,13 +211,19 @@ def potential_polar(r, bg: BackgroundParams, mode: PolarMode):
     return _checked_potential(_v_polar, r, bg, mode.n)
 
 
-def potential(r, bg: BackgroundParams, mode):
-    """Dispatch on mode.kind."""
+def _potential_of(mode) -> tuple[Callable, float, float]:
+    """The potential of ``mode.kind``, its parameter, and lim r^2 V at large r."""
     if mode.kind == "axial":
-        return potential_axial(r, bg, mode)
+        return _v_axial, mode.mu_sq, mode.mu_sq + 2.0
     if mode.kind == "polar":
-        return potential_polar(r, bg, mode)
+        return _v_polar, mode.n, 2.0 * (mode.n + 1.0)
     raise DomainError(f"unknown mode kind {mode.kind!r}")
+
+
+def potential(r, bg: BackgroundParams, mode):
+    """The potential of ``mode.kind``; zero at the horizon."""
+    v, param, _ = _potential_of(mode)
+    return _checked_potential(v, r, bg, param)
 
 
 @dataclass(frozen=True)
@@ -296,9 +278,9 @@ class RadialSolution:
     An anchored solution's grid is its Chebyshev elements' points, and its
     dense output their barycentric interpolants; an asymptotic one's grid
     is its DOP853 leg's steps, and its dense output the step interpolants.
+    ``eval_r`` keeps nothing: each call evaluates afresh.
     """
 
-    kind: str
     background: BackgroundParams
     mode: object
     rstar: np.ndarray
@@ -309,8 +291,10 @@ class RadialSolution:
     tol: float
     _dense: object = field(repr=False)  # r* (n,) -> states (3, n): an _ElementView or a Dop853Table
     asymptotic_truncation: float | None = None
-    # (r, z, dz) of the last eval_r call
-    _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
+
+    @property
+    def kind(self) -> str:
+        return self.mode.kind
 
     def eval_rstar(self, rs) -> np.ndarray:
         """Dense-output states (z, dz, r) at tortoise coordinates.
@@ -333,21 +317,15 @@ class RadialSolution:
 
         Every radius given is evaluated; a point's value depends only on its
         own r*, so a caller whose radii repeat may pass the distinct ones and
-        gather.  A call with the same radii as the previous one returns the
-        previous (read-only) arrays without evaluating again.
+        gather.
         """
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        last = self._last_eval[0]
-        if last is not None and last[0].shape == r_arr.shape and np.array_equal(last[0], r_arr):
-            return last[1], last[2]
         if np.any(r_arr < self.r_min - 1e-9) or np.any(r_arr > self.r_max + 1e-9):
             raise CoverageError(
                 f"radius outside covered range [{self.r_min}, {self.r_max}]"
             )
-        states = self.eval_rstar(tortoise(r_arr, self.background))
-        states.flags.writeable = False
-        self._last_eval[0] = (r_arr.copy(), states[0], states[1])
-        return states[0], states[1]
+        z, dz, _ = self.eval_rstar(tortoise(r_arr, self.background))
+        return z, dz
 
     def residual_max(self) -> float:
         """Integrated first-order ODE residual per step, relative to the state scale.
@@ -532,6 +510,7 @@ def _solve_elements(bg, mode, starts, tol):
     number of elements.
     """
     sigma = mode.sigma
+    v, param, _ = _potential_of(mode)
     last_coef, integral, integral_down, integral2, integral2_down = _integrals()
     # no tail falls below round-off, so the tolerance is held at 100 eps or above
     tol = max(tol, 100.0 * np.finfo(float).eps)
@@ -565,7 +544,7 @@ def _solve_elements(bg, mode, starts, tol):
         t = lo[:, None] + (_X + 1.0) * half[:, None]
         t[:, -1] = hi
         r = inverse_tortoise(t, bg)
-        q = (_v_axial(r, bg.m, mode.mu_sq) if mode.kind == "axial" else _v_polar(r, bg.m, mode.n)) - sigma**2
+        q = v(r, bg.m, param) - sigma**2
         # the unit solutions, data (1, 0) and (0, 1) at each element's start
         down = desc[:, None, None]
         lhs = np.where(down, integral2_down, integral2) * (-half * half)[:, None, None]
@@ -627,10 +606,7 @@ def _rhs_factory(bg: BackgroundParams, mode) -> Callable:
     """
     sigma_sq = mode.sigma**2
     m = bg.m
-    if mode.kind == "axial":
-        v, param = _v_axial, mode.mu_sq
-    else:
-        v, param = _v_polar, mode.n
+    v, param, _ = _potential_of(mode)
 
     def rhs(t, y):
         z, dz, r = y
@@ -646,8 +622,7 @@ def _asymptotic_start(bg, mode, boundary, tol) -> tuple[float, float]:
         r_start = inverse_tortoise(boundary.r_star_start, bg)
         return boundary.r_star_start, potential(r_start, bg, mode) / sigma_sq
     v_thr = (boundary.v_threshold if boundary.v_threshold is not None else tol) * sigma_sq
-    lead = mode.mu_sq + 2.0 if mode.kind == "axial" else 2.0 * (mode.n + 1.0)
-    r_start = math.sqrt(lead / v_thr)
+    r_start = math.sqrt(_potential_of(mode)[2] / v_thr)
     # one Newton-like refinement pass on the exact potential
     for _ in range(60):
         v = potential(r_start, bg, mode)
@@ -705,7 +680,6 @@ def _anchored(bg, mode, anchors, r_ranges, tol) -> tuple:
         # each element's points but its last, which is the next element's first
         rstar, z, dz = np.concatenate([points[:, first:last, :-1].reshape(3, -1), points[:, last - 1, -1:]], axis=1)
         solutions.append(RadialSolution(
-            kind=mode.kind,
             background=bg,
             mode=mode,
             rstar=rstar,
@@ -737,20 +711,20 @@ def _asymptotic_leg(bg, mode, boundary, r_range, tol) -> RadialSolution:
     a = mode.amplitude * boundary.amplitude
     z0 = a * math.sin(mode.sigma * rs0 + boundary.phase)
     dz0 = a * mode.sigma * math.cos(mode.sigma * rs0 + boundary.phase)
-    r0 = inverse_tortoise(rs0, bg)
+    # the leg runs from r*0 down to exactly rs_lo: these are the radii of its ends
+    r0, r_end = inverse_tortoise(np.array([rs0, rs_lo]), bg).tolist()
     scale = max(abs(z0), abs(dz0) / mode.sigma, 1e-30)
     atol = np.array([tol * scale * 1e-2, tol * scale * 1e-2, tol * 1e-2 * max(r0, 1.0)])
     ts, ys, table = dop853(_rhs_factory(bg, mode), rs0, rs_lo, np.array([z0, dz0, r0]), rtol=tol, atol=atol)
     ts, ys = ts[::-1], ys[::-1]
     return RadialSolution(
-        kind=mode.kind,
         background=bg,
         mode=mode,
         rstar=ts,
         z=ys[:, 0],
         dz=ys[:, 1],
-        r_min=inverse_tortoise(float(ts[0]), bg),
-        r_max=inverse_tortoise(float(ts[-1]), bg),
+        r_min=r_end,
+        r_max=r0,
         tol=tol,
         _dense=table,
         asymptotic_truncation=trunc,
@@ -811,24 +785,15 @@ def solve_surfaces(bg: BackgroundParams, mode, boundary, d_values, tol: float = 
     return RadialStack((solve_radial(bg, mode, boundary, d_values, tol),) * len(d_values))
 
 
-# AProfile's A, A' and A'' from (r, Z, Z'), also for radii of several solutions at once
-def _a(r, z, dz, m, mode):
-    s2 = mode.sigma**2
-    return (r - 2.0 * m) / (s2 * r**2) * z + dz / s2
-
-
-def _a_prime(r, z, dz, m, mode):
-    s2, mu2 = mode.sigma**2, mode.mu_sq
-    coef_z = ((mu2 + 1.0) * r - 2.0 * m) / (s2 * r**3) - r / (r - 2.0 * m)
-    return coef_z * z + dz / (s2 * r)
-
-
-def _a_double_prime(r, z, dz, m, mode):
+def _a_terms(r, z, dz, m, mode) -> tuple:
+    """AProfile's (A, A', A'') from (r, Z, Z'), also for radii of several solutions at once."""
     s2, mu2 = mode.sigma**2, mode.mu_sq
     rm = r - 2.0 * m
+    a = rm / (s2 * r**2) * z + dz / s2
+    a_prime = (((mu2 + 1.0) * r - 2.0 * m) / (s2 * r**3) - r / rm) * z + dz / (s2 * r)
     coef_z = -mu2 / (s2 * r**3) + 2.0 * m / rm**2 - 1.0 / rm
     coef_dz = mu2 / (s2 * r * rm) - r**2 / rm**2
-    return coef_z * z + coef_dz * dz
+    return a, a_prime, coef_z * z + coef_dz * dz
 
 
 @dataclass(frozen=True)
@@ -845,6 +810,8 @@ class AProfile:
     The primed forms follow by differentiating A in r, converting dZ/dr to
     (r/(r-2m)) Z' and eliminating Z'' through the wave equation
     Z'' = (V - sigma^2) Z; they are exact, not finite differences.
+    ``values`` gives all three from one dense-output pass; ``a``, ``a_prime``
+    and ``a_double_prime`` each take a pass of their own.
     """
 
     solution: RadialSolution
@@ -861,20 +828,21 @@ class AProfile:
     def r_max(self) -> float:
         return self.solution.r_max
 
-    def _eval(self, formula, r):
+    def values(self, r) -> tuple:
+        """(A, A', A'') at r from one dense-output pass; floats for a scalar r."""
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         z, dz = self.solution.eval_r(r_arr)
-        out = formula(r_arr, z, dz, self.solution.background.m, self.solution.mode)
-        return float(out[0]) if np.isscalar(r) else out
+        terms = _a_terms(r_arr, z, dz, self.solution.background.m, self.solution.mode)
+        return tuple(float(t[0]) for t in terms) if np.isscalar(r) else terms
 
     def a(self, r):
-        return self._eval(_a, r)
+        return self.values(r)[0]
 
     def a_prime(self, r):
-        return self._eval(_a_prime, r)
+        return self.values(r)[1]
 
     def a_double_prime(self, r):
-        return self._eval(_a_double_prime, r)
+        return self.values(r)[2]
 
 
 def a_profile(sol: RadialSolution) -> AProfile:

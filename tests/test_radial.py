@@ -3,6 +3,7 @@
 import functools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -766,14 +767,45 @@ def test_element_cap_raises_before_solving(bg_unit, monkeypatch):
     assert solves == []
 
 
+def _inverse_tortoise_scalar(r_star, bg):
+    """Reference: the scalar Newton iteration, seeded far out with r* itself."""
+    if bg.m == 0.0:
+        return float(r_star)
+    two_m = bg.horizon
+    if r_star > 2.0 * two_m:
+        delta = float(r_star) - two_m
+    else:
+        delta = two_m * math.exp(max((r_star - two_m) / two_m, -700.0))
+    for _ in range(50):
+        f = two_m + delta + two_m * math.log(delta / two_m) - r_star
+        step = f * delta / (delta + two_m)  # f / (dr*/dr)
+        delta_new = delta - step
+        if delta_new <= 0.0:
+            delta_new = 0.5 * delta
+        if abs(delta_new - delta) <= 1e-13 * max(delta_new + two_m, two_m):
+            r = two_m + delta_new
+            return r if r > two_m else math.nextafter(two_m, math.inf)
+        delta = delta_new
+    raise IntegrationError(
+        f"tortoise inversion did not converge for r*={r_star}, m={bg.m}"
+    )
+
+
 def test_inverse_tortoise_of_an_array_is_the_scalar_map(bg_unit, bg_flat):
     rs = np.concatenate([np.linspace(-300.0, 10.0, 997), np.geomspace(10.0, 1e6, 301)]).reshape(2, -1)
     r = inverse_tortoise(rs, bg_unit)
-    want = np.array([inverse_tortoise(float(x), bg_unit) for x in rs.ravel()]).reshape(rs.shape)
+    want = np.array([_inverse_tortoise_scalar(float(x), bg_unit) for x in rs.ravel()]).reshape(rs.shape)
     assert r.shape == rs.shape
     assert np.max(np.abs(r - want) / want) <= 4 * np.finfo(float).eps
     assert np.all(r > 2.0)
     assert inverse_tortoise(rs, bg_flat).tobytes() == rs.tobytes()
+    for x in (-300.0, 4.0, 1e6):
+        for arg in (x, np.float64(x), np.array(x)):
+            got = inverse_tortoise(arg, bg_unit)
+            assert type(got) is float
+            assert abs(got - _inverse_tortoise_scalar(x, bg_unit)) <= 4 * np.finfo(float).eps * got
+        assert inverse_tortoise(np.array(x), bg_flat) == inverse_tortoise(x, bg_flat) == x
+    assert inverse_tortoise(-1e4, bg_unit) > 2.0
 
 
 def _residual_max_loop(sol):
@@ -801,6 +833,20 @@ def test_residual_max_is_bitwise_the_interval_loop(case):
     bg, mode, bnd, r_range, tol = _CASES[case]
     sol = integrate_wave(bg, mode, bnd, r_range, tol=tol)
     assert sol.residual_max() == _residual_max_loop(sol)
+
+
+def test_unknown_mode_kind_raises_before_any_solve(bg_unit, monkeypatch):
+    mode = SimpleNamespace(kind="scalar", sigma=0.5, amplitude=1.0, n=2.0)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append("elements") or solve(*a))
+    monkeypatch.setattr(radial, "dop853", lambda *a, **k: solves.append("dop853"))
+    with pytest.raises(DomainError, match="unknown mode kind"):
+        radial.potential(30.0, bg_unit, mode)
+    for bnd in (AnchorBoundary(z=0.0, dz=1.0, r=30.0), AsymptoticBoundary(), AsymptoticBoundary(r_star_start=2e3)):
+        with pytest.raises(DomainError, match="unknown mode kind"):
+            integrate_wave(bg_unit, mode, bnd, (20.0, 80.0), tol=1e-5)
+    assert solves == []
 
 
 @pytest.mark.parametrize("mode", [AxialMode(ell=3, sigma=0.7), PolarMode(n=5.0, sigma=0.7)])
@@ -901,26 +947,19 @@ def test_a_profile_coverage(axial_profile):
 def test_profile_shares_one_dense_output_pass(axial_solution, monkeypatch):
     prof = a_profile(axial_solution)
     r = np.linspace(21.0, 79.0, 57).reshape(3, 19)
-    other = np.linspace(22.0, 78.0, 11)
-    # each value from its own pass: evaluate other radii in between
-    expect = []
-    for fn in (prof.a, prof.a_prime, prof.a_double_prime):
-        axial_solution.eval_r(other)
-        expect.append(fn(r))
-    axial_solution.eval_r(other)
+    expect = [prof.a(r), prof.a_prime(r), prof.a_double_prime(r)]
     calls = []
     eval_rstar = RadialSolution.eval_rstar
     monkeypatch.setattr(
         RadialSolution, "eval_rstar", lambda self, rs: calls.append(rs.shape) or eval_rstar(self, rs)
     )
-    got = [prof.a(r.copy()), prof.a_prime(r.copy()), prof.a_double_prime(r)]
+    got = prof.values(r)
     assert calls == [r.shape]
     for g, e in zip(got, expect):
-        assert g.tobytes() == e.tobytes()
-    z, dz = axial_solution.eval_r(r)
-    assert len(calls) == 1
-    with pytest.raises(ValueError):
-        z[0, 0] = 0.0  # the kept result is shared, so it is read-only
+        assert g.shape == r.shape and g.tobytes() == e.tobytes()
+    scalar = prof.values(50.0)
+    assert [type(v) for v in scalar] == [float] * 3
+    assert scalar == (prof.a(50.0), prof.a_prime(50.0), prof.a_double_prime(50.0))
 
 
 def test_eval_r_is_bitwise_the_per_point_evaluation(axial_solution):
@@ -928,7 +967,6 @@ def test_eval_r_is_bitwise_the_per_point_evaluation(axial_solution):
     # both coverage ends, the anchor (where the legs meet) and inner radii, repeated
     radii = np.array([sol.r_min, sol.r_max, 30.0, 20.5, 47.25, 79.9])
     r = np.random.default_rng(7).permutation(np.repeat(radii, 4)).reshape(4, 6)
-    sol.eval_r(np.array([25.0]))  # not the kept result of an earlier call
     z, dz = sol.eval_r(r)
     assert z.shape == dz.shape == r.shape
     for i, x in np.ndenumerate(r):
